@@ -3,7 +3,8 @@
 Self-attention projects one sequence into queries, keys, and values.
 Cross-attention lets one sequence (the queries) read another (the key/value
 source); its output adds the query back in and layer-normalises each row, so
-the value width must equal the query width.
+the value width must equal the query width.  It also takes a leading batch
+axis, so a whole batch of samples attends in one call.
 
 Both run on :class:`mmfusion.tensor.Tensor`, so gradients flow to every
 projection matrix when the inputs require them.
@@ -14,12 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, ShapeError
-from .tensor import Tensor, as_tensor, layer_norm, matmul, softmax_rows
-
-VALUE_SOURCES = ("kv", "query")
+from .tensor import Tensor, as_tensor, layer_norm, softmax_rows
 
 
 @dataclass
@@ -64,7 +61,7 @@ class AttentionParams:
 
 
 def _scores(q: Tensor, k: Tensor, d_k: int) -> Tensor:
-    return matmul(q, k.transpose_last()) * (1.0 / math.sqrt(d_k))
+    return (q @ k.transpose_last()) * (1.0 / math.sqrt(d_k))
 
 
 def self_attention(x, params: AttentionParams, return_weights: bool = False):
@@ -78,40 +75,45 @@ def self_attention(x, params: AttentionParams, return_weights: bool = False):
         )
     if x.shape[1] != params.wv.shape[0]:
         raise ShapeError(f"input width {x.shape[1]} does not match wv {params.wv.shape}")
-    q = matmul(x, params.wq)
-    k = matmul(x, params.wk)
-    v = matmul(x, params.wv)
+    q = x @ params.wq
+    k = x @ params.wk
+    v = x @ params.wv
     weights = softmax_rows(_scores(q, k, params.d_k))
-    out = matmul(weights, v)
+    out = weights @ v
     return (out, weights) if return_weights else out
 
 
+def _project(x: Tensor, w: Tensor) -> Tensor:
+    # fold the leading axes into GEMM rows, so the weight gradient is one product
+    lead = x.shape[:-1]
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(lead + (w.shape[1],))
+
+
 def cross_attention(
-    xq,
-    ykv,
-    params: AttentionParams,
-    eps: float = 1e-5,
-    value_source: str = "kv",
-    return_weights: bool = False,
+    xq, ykv, params: AttentionParams, eps: float = 1e-5, return_weights: bool = False
 ):
     """Let query rows read the key/value sequence, then add-and-normalise.
 
     Row i of the result is ``layer_norm((A V)_i + xq_i)`` with
-    ``A = softmax(Q K^T / sqrt(d_k))``.  Values come from ``ykv``; the
-    ``value_source="query"`` variant draws them from ``xq`` instead, which
-    additionally requires the two sequences to have equal length and width.
+    ``A = softmax(Q K^T / sqrt(d_k))``; keys and values both come from ``ykv``.
+    ``xq`` is [t_q, d_x] and ``ykv`` [t_kv, d_y], or both carry a leading
+    batch axis, [n, t_q, d_x] and [n, t_kv, d_y], and each sample attends
+    only to its own key/value rows.
     """
     xq = as_tensor(xq)
     ykv = as_tensor(ykv)
-    if xq.ndim != 2 or ykv.ndim != 2:
-        raise ShapeError(f"expected matrices, got {xq.shape} and {ykv.shape}")
-    if value_source not in VALUE_SOURCES:
-        raise DomainError(f"value_source must be one of {VALUE_SOURCES}, got {value_source!r}")
-    d_x = xq.shape[1]
+    if xq.ndim not in (2, 3) or ykv.ndim != xq.ndim or xq.shape[:-2] != ykv.shape[:-2]:
+        raise ShapeError(
+            "expected [t, d] or [n, t, d] sources with equal batch axes, "
+            f"got {xq.shape} and {ykv.shape}"
+        )
+    d_x, d_y = xq.shape[-1], ykv.shape[-1]
     if params.wq.shape[0] != d_x:
         raise ShapeError(f"wq {params.wq.shape} does not accept query width {d_x}")
-    if params.wk.shape[0] != ykv.shape[1]:
-        raise ShapeError(f"wk {params.wk.shape} does not accept key width {ykv.shape[1]}")
+    if params.wk.shape[0] != d_y:
+        raise ShapeError(f"wk {params.wk.shape} does not accept key width {d_y}")
+    if params.wv.shape[0] != d_y:
+        raise ShapeError(f"wv {params.wv.shape} does not accept rows of width {d_y}")
     if params.d_v != d_x:
         raise ShapeError(
             f"value width {params.d_v} must equal query width {d_x} for the residual add"
@@ -119,24 +121,11 @@ def cross_attention(
     if params.ln_gain is None or params.ln_bias is None:
         raise ShapeError("cross_attention needs ln_gain and ln_bias")
 
-    q = matmul(xq, params.wq)
-    k = matmul(ykv, params.wk)
-    if value_source == "kv":
-        if params.wv.shape[0] != ykv.shape[1]:
-            raise ShapeError(f"wv {params.wv.shape} does not accept rows of width {ykv.shape[1]}")
-        v = matmul(ykv, params.wv)
-    else:
-        if xq.shape[0] != ykv.shape[0]:
-            raise ShapeError(
-                "value_source='query' needs equal sequence lengths, got "
-                f"{xq.shape[0]} and {ykv.shape[0]}"
-            )
-        if params.wv.shape[0] != d_x:
-            raise ShapeError(f"wv {params.wv.shape} does not accept rows of width {d_x}")
-        v = matmul(xq, params.wv)
+    q = _project(xq, params.wq)
+    k = _project(ykv, params.wk)
+    v = _project(ykv, params.wv)
     weights = softmax_rows(_scores(q, k, params.d_k))
-    mixed = matmul(weights, v)
-    out = layer_norm(mixed + xq, params.ln_gain, params.ln_bias, eps=eps)
+    out = layer_norm(weights @ v + xq, params.ln_gain, params.ln_bias, eps=eps)
     return (out, weights) if return_weights else out
 
 
@@ -180,4 +169,4 @@ def factorized_embed(word: int, emb: FactorizedEmbedding) -> Tensor:
     if not 0 <= word < v:
         raise DomainError(f"word id {word} outside vocabulary of size {v}")
     row = Tensor(emb.table.data[word : word + 1])
-    return matmul(row, emb.expand).reshape(emb.expand.shape[1])
+    return (row @ emb.expand).reshape(emb.expand.shape[1])

@@ -57,6 +57,7 @@ from .fusion import (
     FusionModel,
     LabelVector,
     expected_param_shapes,
+    labels_to_matrix,
 )
 
 EMBEDDING_MAGIC = b"FEMB"
@@ -338,10 +339,7 @@ class EmbeddingDataset:
     def label_counts(self) -> np.ndarray:
         if self.labels is None:
             raise DatasetError("dataset has no labels to count")
-        counts = np.zeros(N_CLASSES, dtype=np.int64)
-        for lv in self.labels:
-            counts += np.array(lv.bits, dtype=np.int64)
-        return counts
+        return labels_to_matrix(self.labels).sum(axis=0).astype(np.int64)
 
 
 def save_dataset(dataset: EmbeddingDataset, directory) -> None:

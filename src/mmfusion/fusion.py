@@ -17,13 +17,14 @@ Ensembles average logits element-wise before thresholding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .attention import AttentionParams, cross_attention
 from .errors import DomainError, LabelDomainError, ShapeError
-from .tensor import Tensor, as_tensor, concat, layer_norm, sigmoid, softmax_rows
+from .tensor import Tensor, as_tensor, concat, sigmoid, softmax_rows
 
 TEXT_DIM = 128
 IMAGE_DIM = 1792
@@ -99,25 +100,6 @@ def labels_to_matrix(labels: Sequence[LabelVector]) -> np.ndarray:
     return np.stack([lv.as_array() for lv in labels])
 
 
-def image_to_tokens(image_embedding) -> Tensor:
-    """View a 1792-wide image embedding as 14 consecutive tokens of width 128."""
-    t = as_tensor(image_embedding)
-    if t.shape != (IMAGE_DIM,):
-        raise ShapeError(f"expected shape ({IMAGE_DIM},), got {t.shape}")
-    return t.reshape(TOKEN_COUNT, TEXT_DIM)
-
-
-def concat_features(text_embedding, image_embedding) -> Tensor:
-    """Join text then image into one 1920-wide feature vector."""
-    ft = as_tensor(text_embedding)
-    fi = as_tensor(image_embedding)
-    if ft.shape != (TEXT_DIM,) or fi.shape != (IMAGE_DIM,):
-        raise ShapeError(
-            f"expected ({TEXT_DIM},) and ({IMAGE_DIM},), got {ft.shape} and {fi.shape}"
-        )
-    return concat([ft, fi])
-
-
 def _quantize(arr: np.ndarray) -> np.ndarray:
     # snap to float32-representable values so a saved model predicts identically
     return np.ascontiguousarray(arr, dtype=np.float64).astype(np.float32).astype(np.float64)
@@ -161,18 +143,10 @@ class FusionModel:
     kind: str
     params: dict[str, np.ndarray]
     d_k: int = TEXT_DIM
-    text_dim: int = field(default=TEXT_DIM)
-    img_dim: int = field(default=IMAGE_DIM)
-    n_classes: int = field(default=N_CLASSES)
 
     def __post_init__(self):
         if self.kind not in HEAD_KINDS:
             raise DomainError(f"unknown head kind {self.kind!r}, expected one of {HEAD_KINDS}")
-        if (self.text_dim, self.img_dim, self.n_classes) != (TEXT_DIM, IMAGE_DIM, N_CLASSES):
-            raise ShapeError(
-                f"supported dims are text {TEXT_DIM}, image {IMAGE_DIM}, classes {N_CLASSES}; "
-                f"got {(self.text_dim, self.img_dim, self.n_classes)}"
-            )
         expected = expected_param_shapes(self.kind, self.d_k)
         if set(self.params) != set(expected):
             raise ShapeError(
@@ -187,9 +161,7 @@ class FusionModel:
         self.params = clean
 
 
-def head_forward_batch(
-    kind: str, params: Mapping[str, object], text: object, image: object, d_k: int = TEXT_DIM
-) -> Tensor:
+def head_forward_batch(kind: str, params: Mapping[str, object], text: object, image: object) -> Tensor:
     """Run one head over a batch; ``text`` is [n, 128] and ``image`` [n, 1792].
 
     Parameter entries may be plain arrays or gradient-requiring tensors; the
@@ -215,15 +187,11 @@ def head_forward_batch(
         feats = concat([ft, fi], axis=1)
     else:
         n = ft.shape[0]
-        tokens = fi.reshape(n, TOKEN_COUNT, TEXT_DIM)
-        q = ft @ p["wq"]
-        k = tokens @ p["wk"]
-        v = tokens @ p["wv"]
-        scores = (q.reshape(n, 1, d_k) @ k.transpose_last()) * (1.0 / np.sqrt(d_k))
-        weights = softmax_rows(scores)
-        mixed = (weights @ v).reshape(n, TEXT_DIM)
-        attended = layer_norm(mixed + ft, p["ln_gain"], p["ln_bias"])
-        feats = concat([attended, ft, fi], axis=1)
+        attn = AttentionParams(p["wq"], p["wk"], p["wv"], p["ln_gain"], p["ln_bias"])
+        attended = cross_attention(
+            ft.reshape(n, 1, TEXT_DIM), fi.reshape(n, TOKEN_COUNT, TEXT_DIM), attn
+        )
+        feats = concat([attended.reshape(n, TEXT_DIM), ft, fi], axis=1)
 
     w = p["w"]
     if w.ndim != 2 or w.shape[1] != feats.shape[1]:
@@ -231,23 +199,9 @@ def head_forward_batch(
     return feats @ w.transpose_last() + p["b"]
 
 
-def head_forward(model: FusionModel, text_embedding, image_embedding) -> Tensor:
-    """Logits of one sample: an 18-vector."""
-    ft = as_tensor(text_embedding)
-    fi = as_tensor(image_embedding)
-    if ft.shape != (TEXT_DIM,) or fi.shape != (IMAGE_DIM,):
-        raise ShapeError(
-            f"expected ({TEXT_DIM},) and ({IMAGE_DIM},), got {ft.shape} and {fi.shape}"
-        )
-    out = head_forward_batch(
-        model.kind, model.params, ft.reshape(1, TEXT_DIM), fi.reshape(1, IMAGE_DIM), d_k=model.d_k
-    )
-    return out.reshape(N_CLASSES)
-
-
 def predict_logits(model: FusionModel, text: np.ndarray, image: np.ndarray) -> np.ndarray:
     """Batched inference as a plain array; the canonical prediction path."""
-    return head_forward_batch(model.kind, model.params, text, image, d_k=model.d_k).data
+    return head_forward_batch(model.kind, model.params, text, image).data
 
 
 def fuse_logits(logit_sets: Sequence) -> Tensor:

@@ -73,17 +73,11 @@ def mean_accuracy(counts: ConfusionCounts) -> float:
 
 def f1_per_class(counts: ConfusionCounts) -> np.ndarray:
     """Per-class F1; a class with no predicted and no true positives scores 0."""
-    scores = np.zeros(N_CLASSES)
-    for i in range(N_CLASSES):
-        tp, fp, fn = int(counts.tp[i]), int(counts.fp[i]), int(counts.fn[i])
-        if tp + fp == 0 or tp + fn == 0:
-            continue
-        precision = tp / (tp + fp)
-        recall = tp / (tp + fn)
-        if precision + recall == 0.0:
-            continue
-        scores[i] = 2.0 * precision * recall / (precision + recall)
-    return scores
+    tp = counts.tp
+    precision = np.divide(tp, tp + counts.fp, out=np.zeros(N_CLASSES), where=tp + counts.fp > 0)
+    recall = np.divide(tp, tp + counts.fn, out=np.zeros(N_CLASSES), where=tp + counts.fn > 0)
+    total = precision + recall
+    return np.divide(2.0 * precision * recall, total, out=np.zeros(N_CLASSES), where=total > 0.0)
 
 
 def macro_f1(counts: ConfusionCounts) -> float:

@@ -176,37 +176,6 @@ class TestCrossAttention:
         with pytest.raises(ShapeError):
             cross_attention(Tensor(np.zeros((2, 4))), Tensor(np.zeros((6, 5))), params)
 
-    def test_query_value_source_variant(self, rng):
-        # drawing values from the query side needs matching lengths and widths
-        xq = rng.standard_normal((4, 3))
-        ykv = rng.standard_normal((4, 3))
-        params = AttentionParams(
-            wq=rng.standard_normal((3, 2)),
-            wk=rng.standard_normal((3, 2)),
-            wv=rng.standard_normal((3, 3)),
-            ln_gain=np.ones(3),
-            ln_bias=np.zeros(3),
-        )
-        out, weights = cross_attention(
-            Tensor(xq), Tensor(ykv), params, value_source="query", return_weights=True
-        )
-        v = xq @ params.wv.data
-        mixed = weights.data @ v + xq
-        mu = mixed.mean(axis=1, keepdims=True)
-        var = mixed.var(axis=1, keepdims=True)
-        np.testing.assert_allclose(out.data, (mixed - mu) / np.sqrt(var + 1e-5), atol=1e-12)
-        with pytest.raises(ShapeError):
-            cross_attention(
-                Tensor(xq), Tensor(rng.standard_normal((6, 3))), params, value_source="query"
-            )
-
-    def test_unknown_value_source_rejected(self, rng):
-        params = self._identity_params(2)
-        with pytest.raises(DomainError):
-            cross_attention(
-                Tensor(np.zeros((1, 2))), Tensor(np.zeros((2, 2))), params, value_source="both"
-            )
-
     def test_gradients_flow_to_every_parameter(self, rng):
         xq = rng.standard_normal((2, 4))
         ykv = rng.standard_normal((3, 5))
@@ -226,6 +195,49 @@ class TestCrossAttention:
                 return (out * probe).sum()
 
             assert grad_check(f, base[name], h=1e-5) < 1e-4
+
+    def test_batch_axis_matches_per_sample_calls(self, rng):
+        n, t = 3, 4
+        xq = rng.standard_normal((n, 2, 4))
+        ykv = rng.standard_normal((n, t, 5))
+        probe = rng.standard_normal((n, 2, 4))
+        base = {
+            "wq": rng.standard_normal((4, 3)),
+            "wk": rng.standard_normal((5, 3)),
+            "wv": rng.standard_normal((5, 4)),
+            "ln_gain": rng.standard_normal(4),
+            "ln_bias": rng.standard_normal(4),
+        }
+
+        def run(q, kv, p):
+            leaves = {k: Tensor(v, requires_grad=True) for k, v in base.items()}
+            out, weights = cross_attention(
+                Tensor(q), Tensor(kv), AttentionParams(**leaves), return_weights=True
+            )
+            (out * Tensor(p)).sum().backward()
+            return out.data, weights.data, {k: v.grad for k, v in leaves.items()}
+
+        out, weights, grads = run(xq, ykv, probe)
+        assert out.shape == (n, 2, 4) and weights.shape == (n, 2, t)
+        summed = {k: np.zeros_like(v) for k, v in base.items()}
+        for i in range(n):
+            out_i, weights_i, grads_i = run(xq[i], ykv[i], probe[i])
+            np.testing.assert_array_equal(out[i], out_i)
+            np.testing.assert_array_equal(weights[i], weights_i)
+            for k in summed:
+                summed[k] += grads_i[k]
+        for k in summed:
+            assert np.abs(grads[k] - summed[k]).max() <= 1e-12 * np.abs(summed[k]).max(), k
+
+    def test_batch_axes_must_match(self):
+        params = self._identity_params(2)
+        for xq, ykv in (
+            (np.zeros((3, 1, 2)), np.zeros((2, 4, 2))),
+            (np.zeros((3, 1, 2)), np.zeros((4, 2))),
+            (np.zeros((1, 2)), np.zeros((3, 4, 2))),
+        ):
+            with pytest.raises(ShapeError):
+                cross_attention(Tensor(xq), Tensor(ykv), params)
 
 
 class TestFactorizedEmbedding:

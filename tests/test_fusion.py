@@ -17,12 +17,9 @@ from mmfusion.fusion import (
     assign_labels,
     assign_labels_batch,
     class_index,
-    concat_features,
     expected_param_shapes,
     fuse_logits,
-    head_forward,
     head_forward_batch,
-    image_to_tokens,
     index_to_class,
     logits_to_probs,
     predict_logits,
@@ -41,6 +38,10 @@ def make_model(kind: str, rng: np.random.Generator) -> FusionModel:
         for name, shape in expected_param_shapes(kind).items()
     }
     return FusionModel(kind=kind, params=params)
+
+
+def make_batch(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    return rng.standard_normal((n, TEXT_DIM)), rng.standard_normal((n, IMAGE_DIM))
 
 
 class TestLabelVocabulary:
@@ -77,31 +78,6 @@ class TestLabelVocabulary:
         assert lv.is_empty and len(lv) == 0
 
 
-class TestFeatureViews:
-    def test_tokens_slice_consecutively(self):
-        flat = np.arange(float(IMAGE_DIM))
-        tokens = image_to_tokens(flat).data
-        np.testing.assert_array_equal(tokens[0], flat[:128])
-        np.testing.assert_array_equal(tokens[13], flat[1664:])
-
-    def test_tokens_flatten_back(self, rng):
-        flat = rng.standard_normal(IMAGE_DIM)
-        np.testing.assert_array_equal(image_to_tokens(flat).data.reshape(-1), flat)
-
-    def test_concat_order_and_round_trip(self, rng):
-        ft = rng.standard_normal(TEXT_DIM)
-        fi = rng.standard_normal(IMAGE_DIM)
-        joined = concat_features(ft, fi).data
-        np.testing.assert_array_equal(joined[:TEXT_DIM], ft)
-        np.testing.assert_array_equal(joined[TEXT_DIM:], fi)
-
-    def test_wrong_width_rejected(self, rng):
-        with pytest.raises(ShapeError):
-            image_to_tokens(rng.standard_normal(100))
-        with pytest.raises(ShapeError):
-            concat_features(rng.standard_normal(64), rng.standard_normal(IMAGE_DIM))
-
-
 class TestHeadForward:
     def test_zero_weights_yield_bias(self, rng):
         for kind in ("vision_linear", "text_linear", "concat_fcnn", "cross_attn_fcnn"):
@@ -111,56 +87,69 @@ class TestHeadForward:
             if "ln_gain" in params:
                 params["ln_gain"] = np.ones(TEXT_DIM)
             model = FusionModel(kind=kind, params=params)
-            out = head_forward(model, rng.standard_normal(TEXT_DIM), rng.standard_normal(IMAGE_DIM))
-            np.testing.assert_allclose(out.data, np.full(N_CLASSES, 2.5), atol=1e-12)
+            for n in (1, 4):
+                out = predict_logits(model, *make_batch(rng, n))
+                np.testing.assert_allclose(out, np.full((n, N_CLASSES), 2.5), atol=1e-12)
 
     def test_concat_head_equals_manual_linear(self, rng):
         model = make_model("concat_fcnn", rng)
-        ft = rng.standard_normal(TEXT_DIM)
-        fi = rng.standard_normal(IMAGE_DIM)
-        expected = model.params["w"] @ np.concatenate([ft, fi]) + model.params["b"]
-        np.testing.assert_allclose(head_forward(model, ft, fi).data, expected, atol=1e-12)
+        for n in (1, 4):
+            text, image = make_batch(rng, n)
+            expected = np.concatenate([text, image], axis=1) @ model.params["w"].T + model.params["b"]
+            np.testing.assert_allclose(predict_logits(model, text, image), expected, atol=1e-12)
 
     def test_single_modality_heads_ignore_the_other(self, rng):
-        ft = rng.standard_normal(TEXT_DIM)
-        fi = rng.standard_normal(IMAGE_DIM)
         text_model = make_model("text_linear", rng)
-        a = head_forward(text_model, ft, fi).data
-        b = head_forward(text_model, ft, rng.standard_normal(IMAGE_DIM)).data
-        np.testing.assert_array_equal(a, b)
+        for n in (1, 4):
+            text, image = make_batch(rng, n)
+            a = predict_logits(text_model, text, image)
+            b = predict_logits(text_model, text, rng.standard_normal((n, IMAGE_DIM)))
+            np.testing.assert_array_equal(a, b)
 
     def test_cross_attn_head_matches_attention_module(self, rng):
+        # the image row reads as 14 consecutive tokens of width 128, and the
+        # final layer sees [attended; text; image] in that order
         model = make_model("cross_attn_fcnn", rng)
-        ft = rng.standard_normal(TEXT_DIM)
-        fi = rng.standard_normal(IMAGE_DIM)
         p = model.params
-        attended = cross_attention(
-            Tensor(ft.reshape(1, TEXT_DIM)),
-            image_to_tokens(fi),
-            AttentionParams(
-                wq=p["wq"], wk=p["wk"], wv=p["wv"], ln_gain=p["ln_gain"], ln_bias=p["ln_bias"]
-            ),
-        ).data.reshape(TEXT_DIM)
-        feats = np.concatenate([attended, ft, fi])
-        expected = p["w"] @ feats + p["b"]
-        np.testing.assert_allclose(head_forward(model, ft, fi).data, expected, atol=1e-10)
+        params = AttentionParams(
+            wq=p["wq"], wk=p["wk"], wv=p["wv"], ln_gain=p["ln_gain"], ln_bias=p["ln_bias"]
+        )
+        for n in (1, 4):
+            text, image = make_batch(rng, n)
+            batched = predict_logits(model, text, image)
+            for i in range(n):
+                attended = cross_attention(
+                    Tensor(text[i : i + 1]), Tensor(image[i].reshape(14, TEXT_DIM)), params
+                ).data.reshape(TEXT_DIM)
+                expected = p["w"] @ np.concatenate([attended, text[i], image[i]]) + p["b"]
+                np.testing.assert_allclose(batched[i], expected, atol=1e-10)
 
     def test_batched_matches_per_sample(self, rng):
         model = make_model("cross_attn_fcnn", rng)
-        text = rng.standard_normal((4, TEXT_DIM))
-        image = rng.standard_normal((4, IMAGE_DIM))
+        text, image = make_batch(rng, 4)
         batched = predict_logits(model, text, image)
         for i in range(4):
-            single = head_forward(model, text[i], image[i]).data
-            np.testing.assert_allclose(batched[i], single, atol=1e-10)
+            single = predict_logits(model, text[i : i + 1], image[i : i + 1])
+            np.testing.assert_allclose(batched[i], single[0], atol=1e-10)
 
     def test_deterministic(self, rng):
         model = make_model("cross_attn_fcnn", rng)
-        ft = rng.standard_normal(TEXT_DIM)
-        fi = rng.standard_normal(IMAGE_DIM)
-        np.testing.assert_array_equal(
-            head_forward(model, ft, fi).data, head_forward(model, ft, fi).data
-        )
+        for n in (1, 4):
+            text, image = make_batch(rng, n)
+            np.testing.assert_array_equal(
+                predict_logits(model, text, image), predict_logits(model, text, image)
+            )
+
+    def test_wrong_width_rejected(self, rng):
+        model = make_model("concat_fcnn", rng)
+        text, image = make_batch(rng, 2)
+        for bad_text, bad_image in (
+            (text[:, :64], image),
+            (text, image[:, :100]),
+            (text, image[:1]),
+        ):
+            with pytest.raises(ShapeError):
+                head_forward_batch(model.kind, model.params, bad_text, bad_image)
 
     def test_cross_attn_final_width(self):
         assert expected_param_shapes("cross_attn_fcnn")["w"] == (18, 2048)

@@ -35,13 +35,13 @@ from .fusion import (
     HEAD_KINDS,
     N_CLASSES,
     CLASS_IDS,
-    assign_labels_batch,
+    assign_label_matrix,
     fuse_logits,
     logits_to_probs,
     predict_logits,
 )
 from .metrics import confusion_counts, f1_per_class, macro_f1, mean_accuracy
-from .training import TrainConfig, fused_predictions, pseudo_label_loop, train_head
+from .training import TrainConfig, fused_probs, pseudo_label_loop, train_head
 from .vision_blocks import (
     ConvSpec,
     ScalingSpec,
@@ -135,8 +135,7 @@ def cmd_train_head(args) -> None:
     metrics = {}
     if val is not None:
         probs = logits_to_probs(predict_logits(result.model, val.text, val.image)).data
-        preds = assign_labels_batch(probs)
-        counts = confusion_counts(preds, list(val.labels))
+        counts = confusion_counts(assign_label_matrix(probs), val.labels)
         metrics = {"macro_f1": macro_f1(counts), "mean_accuracy": mean_accuracy(counts)}
     write_summary(
         out,
@@ -155,13 +154,13 @@ def cmd_predict(args) -> None:
     data = load_dataset(args.data)
     logits = predict_logits(model, data.text, data.image)
     probs = logits_to_probs(logits).data
-    preds = assign_labels_batch(probs, threshold=args.threshold)
+    preds = assign_label_matrix(probs, threshold=args.threshold)
     write_embeddings(logits, out / "logits.femb")
     write_ids(data.ids, out / "ids.csv")
     write_predictions(data.ids, preds, out / "predictions.csv")
     metrics = {}
     if data.labels is not None:
-        counts = confusion_counts(preds, list(data.labels))
+        counts = confusion_counts(preds, data.labels)
         metrics = {"macro_f1": macro_f1(counts), "mean_accuracy": mean_accuracy(counts)}
     write_summary(out, wall_ms=(time.perf_counter() - start) * 1e3, **metrics)
     print(f"wrote predictions for {len(data)} samples to {out}")
@@ -180,7 +179,7 @@ def cmd_fuse_logits(args) -> None:
     if any(block.shape[0] != len(ids) for block in blocks):
         raise DataError(f"logit files disagree with {args.ids} on the sample count")
     fused = fuse_logits(blocks).data
-    preds = assign_labels_batch(logits_to_probs(fused).data, threshold=args.threshold)
+    preds = assign_label_matrix(logits_to_probs(fused).data, threshold=args.threshold)
     write_embeddings(fused, out / "logits.femb")
     write_predictions(ids, preds, out / "predictions.csv")
     metrics = {}
@@ -203,6 +202,11 @@ def cmd_evaluate(args) -> None:
     missing = [i for i in pred_map if i not in truth_map]
     if missing:
         raise DataError(f"{args.truth}: no truth for {len(missing)} ids, first {missing[0]!r}")
+    unpredicted = [i for i in truth_map if i not in pred_map]
+    if unpredicted:
+        raise DataError(
+            f"{args.pred}: no prediction for {len(unpredicted)} truth ids, first {unpredicted[0]!r}"
+        )
     ids = list(pred_map)
     counts = confusion_counts([pred_map[i] for i in ids], [truth_map[i] for i in ids])
     per_class = f1_per_class(counts)
@@ -233,13 +237,10 @@ def cmd_pseudo_loop(args) -> None:
         save_model(model, models_dir / f"{kind}.fus1")
     rounds_lines = ["round,val_f1"] + [f"{r.round},{r.val_f1!r}" for r in result.history]
     (out / "rounds.csv").write_text("\n".join(rounds_lines) + "\n", encoding="utf-8")
-    if result.pseudo_labels:
-        ordered = [i for i in test.ids if i in result.pseudo_labels]
-        write_predictions(
-            ordered, [result.pseudo_labels[i] for i in ordered], out / "pseudo_labels.csv"
-        )
-    preds = fused_predictions(result.models, val)
-    fused_counts = confusion_counts(preds, list(val.labels))
+    if result.pseudo_labels:  # keyed by the test ids, in their order
+        write_predictions(*zip(*result.pseudo_labels.items()), out / "pseudo_labels.csv")
+    preds = assign_label_matrix(fused_probs(result.models, val))
+    fused_counts = confusion_counts(preds, val.labels)
     write_summary(
         out,
         macro_f1=macro_f1(fused_counts),

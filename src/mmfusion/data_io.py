@@ -33,7 +33,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -44,12 +44,14 @@ from .errors import (
     DuplicateIdError,
     KindMismatchError,
     LabelDomainError,
+    NonFiniteError,
     ShapeError,
     TruncatedFileError,
     UnknownKindError,
     VersionMismatchError,
 )
 from .fusion import (
+    CLASS_IDS,
     HEAD_KINDS,
     IMAGE_DIM,
     N_CLASSES,
@@ -97,6 +99,12 @@ def read_embeddings(path) -> np.ndarray:
     if len(blob) != expected:
         raise TruncatedFileError(f"{path}: header promises {expected} bytes, found {len(blob)}")
     flat = np.frombuffer(blob, dtype="<f4", offset=16)
+    # min and max propagate NaN and reach +-inf, so two reductions see any non-finite value
+    if flat.size and not (np.isfinite(flat.min()) and np.isfinite(flat.max())):
+        first = int(np.flatnonzero(~np.isfinite(flat))[0])
+        raise NonFiniteError(
+            f"{path}: non-finite value {flat[first]} at row {first // d}, column {first % d}"
+        )
     return flat.astype(np.float64).reshape(n, d)
 
 
@@ -150,16 +158,19 @@ def read_labels(path) -> dict[str, LabelVector]:
     return out
 
 
-def write_predictions(ids: Sequence[str], labels: Sequence[LabelVector], path) -> None:
-    """Write aligned ids and label vectors in the shared CSV schema."""
-    if len(ids) != len(labels):
-        raise DatasetError(f"{len(ids)} ids vs {len(labels)} label vectors")
+def write_predictions(ids: Sequence[str], labels, path) -> None:
+    """Write aligned ids and label sets (any form labels_to_matrix takes) as CSV."""
+    mask = labels_to_matrix(labels)
+    if len(ids) != len(mask):
+        raise DatasetError(f"{len(ids)} ids vs {len(mask)} label sets")
+    empty = ~mask.any(axis=1)
+    if empty.any():
+        raise LabelDomainError(f"refusing to write an empty label set for {ids[empty.argmax()]!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(LABELS_HEADER + "\n")
-        for sample_id, lv in zip(ids, labels):
-            if lv.is_empty:
-                raise LabelDomainError(f"refusing to write an empty label set for {sample_id!r}")
-            fh.write(f"{sample_id}," + " ".join(str(c) for c in lv.ids()) + "\n")
+        for sample_id, row in zip(ids, mask.tolist()):
+            class_ids = " ".join(str(c) for c, on in zip(CLASS_IDS, row) if on)
+            fh.write(f"{sample_id},{class_ids}\n")
 
 
 # -------------------------------------------------------------------- models
@@ -275,13 +286,13 @@ def load_model(path, expect_kind: str | None = None) -> FusionModel:
 class EmbeddingDataset:
     """Aligned sample ids, text embeddings [n, 128], image embeddings [n, 1792].
 
-    ``labels`` is either None (unlabeled pool) or one label vector per row.
+    ``labels`` is None (unlabeled pool) or the [n, 18] bool label matrix (see labels_to_matrix).
     """
 
     ids: tuple[str, ...]
     text: np.ndarray
     image: np.ndarray
-    labels: tuple[LabelVector, ...] | None = None
+    labels: np.ndarray | None = None
 
     def __post_init__(self):
         n = len(self.ids)
@@ -292,9 +303,10 @@ class EmbeddingDataset:
         if self.image.shape != (n, IMAGE_DIM):
             raise ShapeError(f"image embeddings must be ({n}, {IMAGE_DIM}), got {self.image.shape}")
         if self.labels is not None:
+            object.__setattr__(self, "labels", labels_to_matrix(self.labels))
             if len(self.labels) != n:
                 raise DatasetError(f"{len(self.labels)} labels for {n} samples")
-            if any(lv.is_empty for lv in self.labels):
+            if not self.labels.any(axis=1).all():
                 raise LabelDomainError("dataset labels must be non-empty")
 
     def __len__(self) -> int:
@@ -320,7 +332,7 @@ class EmbeddingDataset:
             ids=tuple(self.ids[i] for i in idx),
             text=self.text[idx],
             image=self.image[idx],
-            labels=None if self.labels is None else tuple(self.labels[i] for i in idx),
+            labels=None if self.labels is None else self.labels[idx],
         )
 
     def merge(self, other: "EmbeddingDataset") -> "EmbeddingDataset":
@@ -333,13 +345,13 @@ class EmbeddingDataset:
             ids=self.ids + other.ids,
             text=np.concatenate([self.text, other.text]),
             image=np.concatenate([self.image, other.image]),
-            labels=None if self.labels is None else self.labels + other.labels,
+            labels=None if self.labels is None else np.concatenate([self.labels, other.labels]),
         )
 
     def label_counts(self) -> np.ndarray:
         if self.labels is None:
             raise DatasetError("dataset has no labels to count")
-        return labels_to_matrix(self.labels).sum(axis=0).astype(np.int64)
+        return self.labels.sum(axis=0, dtype=np.int64)
 
 
 def save_dataset(dataset: EmbeddingDataset, directory) -> None:
@@ -428,18 +440,16 @@ def gen_synthetic(
     def build(prefix: str, count: int) -> EmbeddingDataset:
         text = noise * rng.standard_normal((count, TEXT_DIM))
         image = noise * rng.standard_normal((count, IMAGE_DIM))
-        labels = []
+        labels = np.zeros((count, N_CLASSES), dtype=bool)
         for row in range(count):
             k = int(rng.integers(1, 5))
             slots = rng.choice(N_CLASSES, size=k, replace=False)
-            mask = np.zeros(N_CLASSES, dtype=bool)
-            mask[slots] = True
-            labels.append(LabelVector.from_mask(mask))
+            labels[row, slots] = True
             for slot in slots:
                 modality, cols = signal_columns(int(slot))
                 target = text if modality == "text" else image
                 target[row, cols.start : cols.stop] += 1.0
         ids = tuple(f"{prefix}_{row:05d}" for row in range(count))
-        return EmbeddingDataset(ids=ids, text=text, image=image, labels=tuple(labels))
+        return EmbeddingDataset(ids=ids, text=text, image=image, labels=labels)
 
     return build("train", n_train), build("test", n_test), build("val", n_val)

@@ -53,6 +53,10 @@ class KindMismatchError(FileFormatError):
     """A model file holds a different architecture kind than the caller expected."""
 
 
+class NonFiniteError(DataError):
+    """An input file holds NaN or infinite values."""
+
+
 class LabelDomainError(DataError):
     """A label set uses class ids outside the supported alphabet."""
 

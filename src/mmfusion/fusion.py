@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .attention import AttentionParams, cross_attention
-from .errors import DomainError, LabelDomainError, ShapeError
+from .errors import DomainError, LabelDomainError, NumericError, ShapeError
 from .tensor import Tensor, as_tensor, concat, sigmoid, softmax_rows
 
 TEXT_DIM = 128
@@ -59,7 +59,7 @@ class LabelVector:
     bits: tuple[bool, ...]
 
     def __post_init__(self):
-        if len(self.bits) != N_CLASSES or not all(isinstance(b, bool) for b in self.bits):
+        if len(self.bits) != N_CLASSES or not set(map(type, self.bits)) <= {bool}:
             raise LabelDomainError(f"LabelVector needs exactly {N_CLASSES} booleans")
 
     @classmethod
@@ -82,9 +82,6 @@ class LabelVector:
     def ids(self) -> tuple[int, ...]:
         return tuple(CLASS_IDS[i] for i, b in enumerate(self.bits) if b)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.bits, dtype=np.float64)
-
     @property
     def is_empty(self) -> bool:
         return not any(self.bits)
@@ -93,16 +90,25 @@ class LabelVector:
         return sum(self.bits)
 
 
-def labels_to_matrix(labels: Sequence[LabelVector]) -> np.ndarray:
-    """Stack label vectors into an [n, 18] float 0/1 matrix."""
-    if not labels:
-        return np.zeros((0, N_CLASSES))
-    return np.stack([lv.as_array() for lv in labels])
+def labels_to_matrix(labels) -> np.ndarray:
+    """The [n, 18] bool matrix of a 0/1 matrix, a sequence of its rows, or label vectors."""
+    if not isinstance(labels, np.ndarray):
+        rows = [row.bits if isinstance(row, LabelVector) else row for row in labels]
+        labels = np.array(rows) if rows else np.zeros((0, N_CLASSES), dtype=bool)
+    if labels.ndim != 2 or labels.shape[1] != N_CLASSES:
+        raise ShapeError(f"labels must be [n, {N_CLASSES}], got shape {labels.shape}")
+    if labels.dtype != bool and not np.isin(labels, (0, 1)).all():
+        raise LabelDomainError("label entries must be booleans or 0/1 values")
+    return labels.astype(bool, copy=False)
 
 
 def _quantize(arr: np.ndarray) -> np.ndarray:
     # snap to float32-representable values so a saved model predicts identically
-    return np.ascontiguousarray(arr, dtype=np.float64).astype(np.float32).astype(np.float64)
+    with np.errstate(over="ignore"):
+        snapped = np.ascontiguousarray(arr, dtype=np.float64).astype(np.float32)
+    if not np.isfinite(snapped).all():
+        raise NumericError("parameter values are not finite in float32")
+    return snapped.astype(np.float64)
 
 
 _LINEAR_INPUT = {
@@ -231,30 +237,33 @@ def logits_to_probs(logits, mode: str = "sigmoid") -> Tensor:
     raise DomainError(f"mode must be one of {PROB_MODES}, got {mode!r}")
 
 
-def assign_labels(probs, threshold: float = 0.5) -> LabelVector:
-    """Pick every class above ``threshold``; fall back to the single best class.
+def assign_label_matrix(probs, threshold: float = 0.5) -> np.ndarray:
+    """Per row of an [n, 18] block, pick every class above ``threshold``.
 
-    The fallback takes the argmax, and ties resolve to the lowest slot, so the
-    result is never empty.
+    A row with none falls back to its argmax, and ties resolve to the lowest
+    slot, so no row of the [n, 18] bool result is ever empty.
     """
-    arr = np.asarray(probs.data if isinstance(probs, Tensor) else probs, dtype=np.float64)
-    if arr.shape != (N_CLASSES,):
-        raise ShapeError(f"probs must have shape ({N_CLASSES},), got {arr.shape}")
-    if not (0.0 <= threshold <= 1.0):
-        raise DomainError(f"threshold must lie in [0, 1], got {threshold}")
-    if np.any(~np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
-        raise DomainError("probabilities must be finite and lie in [0, 1]")
-    mask = arr > threshold
-    if not mask.any():
-        mask[int(arr.argmax())] = True
-    return LabelVector.from_mask(mask)
-
-
-def assign_labels_batch(probs: np.ndarray, threshold: float = 0.5) -> list[LabelVector]:
     arr = np.asarray(probs.data if isinstance(probs, Tensor) else probs, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != N_CLASSES:
         raise ShapeError(f"probs must be [n, {N_CLASSES}], got {arr.shape}")
-    return [assign_labels(row, threshold) for row in arr]
+    if not (0.0 <= threshold <= 1.0):
+        raise DomainError(f"threshold must lie in [0, 1], got {threshold}")
+    if not ((arr >= 0.0) & (arr <= 1.0)).all():
+        raise DomainError("probabilities must be finite and lie in [0, 1]")
+    mask = arr > threshold
+    empty = ~mask.any(axis=1)
+    mask[empty, arr[empty].argmax(axis=1)] = True
+    return mask
+
+
+def assign_labels(probs, threshold: float = 0.5) -> LabelVector:
+    """:func:`assign_label_matrix` for one [18] probability vector."""
+    arr = np.asarray(probs.data if isinstance(probs, Tensor) else probs, dtype=np.float64)
+    return assign_labels_batch(arr[None], threshold)[0]  # a shape other than [18] fails there
+
+
+def assign_labels_batch(probs, threshold: float = 0.5) -> list[LabelVector]:
+    return [LabelVector(tuple(row)) for row in assign_label_matrix(probs, threshold).tolist()]
 
 
 # named ensembles used by the ablation script and the label-refinement loop

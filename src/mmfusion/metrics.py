@@ -8,12 +8,11 @@ denominator is fixed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DatasetError, EmptyPredictionError, ShapeError
-from .fusion import N_CLASSES, LabelVector, labels_to_matrix
+from .fusion import N_CLASSES, labels_to_matrix
 
 
 @dataclass(frozen=True)
@@ -39,26 +38,21 @@ class ConfusionCounts:
         return int(self.tp[0] + self.fp[0] + self.tn[0] + self.fn[0])
 
 
-def confusion_counts(
-    predictions: Sequence[LabelVector], truths: Sequence[LabelVector]
-) -> ConfusionCounts:
+def confusion_counts(predictions, truths) -> ConfusionCounts:
     """Tally per-class confusion entries; every prediction must be non-empty."""
-    if len(predictions) != len(truths):
-        raise DatasetError(
-            f"prediction and truth counts differ: {len(predictions)} vs {len(truths)}"
-        )
-    if len(predictions) == 0:
+    pred = labels_to_matrix(predictions)
+    true = labels_to_matrix(truths)
+    if len(pred) != len(true):
+        raise DatasetError(f"prediction and truth counts differ: {len(pred)} vs {len(true)}")
+    if len(pred) == 0:
         raise DatasetError("cannot evaluate an empty set")
-    for i, p in enumerate(predictions):
-        if p.is_empty:
-            raise EmptyPredictionError(f"prediction {i} has no labels set")
-    pred = labels_to_matrix(predictions).astype(bool)
-    true = labels_to_matrix(truths).astype(bool)
+    if not pred.any(axis=1).all():
+        raise EmptyPredictionError(f"prediction {pred.any(axis=1).argmin()} has no labels set")
     return ConfusionCounts(
-        tp=(pred & true).sum(axis=0).astype(np.int64),
-        fp=(pred & ~true).sum(axis=0).astype(np.int64),
-        tn=(~pred & ~true).sum(axis=0).astype(np.int64),
-        fn=(~pred & true).sum(axis=0).astype(np.int64),
+        tp=(pred & true).sum(axis=0, dtype=np.int64),
+        fp=(pred & ~true).sum(axis=0, dtype=np.int64),
+        tn=(~pred & ~true).sum(axis=0, dtype=np.int64),
+        fn=(~pred & true).sum(axis=0, dtype=np.int64),
     )
 
 

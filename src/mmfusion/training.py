@@ -14,6 +14,7 @@ independent of the logarithm base.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -34,11 +35,11 @@ from .fusion import (
     TEXT_DIM,
     FusionModel,
     LabelVector,
+    assign_label_matrix,
     assign_labels_batch,
     expected_param_shapes,
     fuse_logits,
     head_forward_batch,
-    labels_to_matrix,
     logits_to_probs,
     predict_logits,
 )
@@ -268,7 +269,11 @@ def adam_step(
     state: AdamState,
     config: TrainConfig,
 ) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam update; inputs are not mutated."""
+    """One bias-corrected Adam update; inputs are not mutated.
+
+    Raises :class:`NumericError` as soon as a moment or a parameter stops
+    being finite, e.g. when the squared gradient overflows.
+    """
     if set(params) != set(state.m):
         raise ShapeError("optimizer state does not cover the parameter set")
     t = state.step + 1
@@ -280,11 +285,16 @@ def adam_step(
         g = np.zeros_like(p) if g is None else np.asarray(g, dtype=np.float64)
         if g.shape != p.shape:
             raise ShapeError(f"gradient for {name!r} has shape {g.shape}, parameter {p.shape}")
-        m = config.beta1 * state.m[name] + (1.0 - config.beta1) * g
-        v = config.beta2 * state.v[name] + (1.0 - config.beta2) * g * g
-        m_hat = m / (1.0 - config.beta1**t)
-        v_hat = v / (1.0 - config.beta2**t)
-        new_params[name] = p - config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = config.beta1 * state.m[name] + (1.0 - config.beta1) * g
+            v = config.beta2 * state.v[name] + (1.0 - config.beta2) * g * g
+            m_hat = m / (1.0 - config.beta1**t)
+            v_hat = v / (1.0 - config.beta2**t)
+            new_p = p - config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
+        # a non-finite first moment leaves the new value non-finite as well
+        if not (np.isfinite(v).all() and np.isfinite(new_p).all()):
+            raise NumericError(f"Adam step {t}: the moments or values of {name!r} are not finite")
+        new_params[name] = new_p
         new_m[name] = m
         new_v[name] = v
     return new_params, AdamState(step=t, m=new_m, v=new_v)
@@ -331,10 +341,20 @@ def evaluate_model(model: FusionModel, data: EmbeddingDataset, threshold: float 
     if data.labels is None:
         raise DatasetError("evaluation needs a labeled dataset")
     probs = logits_to_probs(predict_logits(model, data.text, data.image)).data
-    preds = assign_labels_batch(probs, threshold=threshold)
-    return macro_f1(confusion_counts(preds, list(data.labels)))
+    return macro_f1(confusion_counts(assign_label_matrix(probs, threshold), data.labels))
 
 
+@contextmanager
+def _overflow_raises():
+    """Turn numpy overflow and invalid-value results into :class:`NumericError`."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericError(f"training diverged: {exc}") from None
+
+
+@_overflow_raises()
 def train_head(
     train: EmbeddingDataset,
     val: EmbeddingDataset | None,
@@ -346,7 +366,9 @@ def train_head(
     Validation runs on a float32-quantized snapshot after every epoch, so the
     F1 recorded in the history is exactly the F1 of the model a caller would
     save and reload.  With no validation data the final epoch's snapshot is
-    returned and the history carries NaN in the F1 column.
+    returned and the history carries NaN in the F1 column.  A value that
+    overflows or turns invalid anywhere in training raises
+    :class:`NumericError`.
     """
     if len(train) == 0:
         raise DatasetError("training set is empty")
@@ -356,7 +378,6 @@ def train_head(
     if has_val and val.labels is None:
         raise DatasetError("validation set has no labels")
 
-    targets = labels_to_matrix(train.labels)
     if config.class_weighting:
         weights = class_weights(train.label_counts())
     else:
@@ -379,7 +400,7 @@ def train_head(
             idx = order[start : start + config.batch_size]
             leaves = {name: Tensor(arr, requires_grad=True) for name, arr in params.items()}
             logits = head_forward_batch(kind, leaves, train.text[idx], train.image[idx])
-            loss = bce_loss_node(logits, targets[idx], weights)
+            loss = bce_loss_node(logits, train.labels[idx], weights)
             loss.backward()
             grads = {name: leaf.grad for name, leaf in leaves.items()}
             params, state = adam_step(params, grads, state, config)
@@ -435,16 +456,20 @@ def fused_val_f1(
     """Macro F1 of mean-fused logits from several heads on labeled data."""
     if data.labels is None:
         raise DatasetError("fused evaluation needs a labeled dataset")
-    preds = fused_predictions(models, data, threshold)
-    return macro_f1(confusion_counts(preds, list(data.labels)))
+    probs = fused_probs(models, data)
+    return macro_f1(confusion_counts(assign_label_matrix(probs, threshold), data.labels))
+
+
+def fused_probs(models: Mapping[str, FusionModel], data: EmbeddingDataset) -> np.ndarray:
+    """Sigmoid probabilities of the heads' mean-fused logits, [n, 18]."""
+    logit_sets = [predict_logits(m, data.text, data.image) for m in models.values()]
+    return logits_to_probs(fuse_logits(logit_sets)).data
 
 
 def fused_predictions(
     models: Mapping[str, FusionModel], data: EmbeddingDataset, threshold: float = 0.5
 ) -> list[LabelVector]:
-    logit_sets = [predict_logits(m, data.text, data.image) for m in models.values()]
-    fused = fuse_logits(logit_sets)
-    return assign_labels_batch(logits_to_probs(fused).data, threshold=threshold)
+    return assign_labels_batch(fused_probs(models, data), threshold=threshold)
 
 
 def _train_fusion_heads(
@@ -497,16 +522,15 @@ def pseudo_label_loop(
 
     pool = test_unlabeled.without_labels()
     for round_index in range(1, max_rounds + 1):
-        pseudo = fused_predictions(best_models, pool)
-        pseudo_map = dict(zip(pool.ids, pseudo))
+        pseudo = assign_label_matrix(fused_probs(best_models, pool))
         merged = train.merge(
-            EmbeddingDataset(ids=pool.ids, text=pool.text, image=pool.image, labels=tuple(pseudo))
+            EmbeddingDataset(ids=pool.ids, text=pool.text, image=pool.image, labels=pseudo)
         )
         models, f1 = _train_fusion_heads(merged, val, config)
         history.append(RoundRecord(round=round_index, val_f1=f1))
         if f1 > best_f1 + eps:
             best_models = models
-            best_pseudo = pseudo_map
+            best_pseudo = dict(zip(pool.ids, map(LabelVector.from_mask, pseudo)))
             best_round = round_index
             best_f1 = f1
         else:

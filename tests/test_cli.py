@@ -1,9 +1,13 @@
 """End-to-end command-line tests via subprocess."""
 
+import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from mmfusion.data_io import read_embeddings, write_embeddings
 
 
 def run_cli(*argv, cwd=None):
@@ -195,6 +199,34 @@ class TestPredictAndFuse:
         class_rows = [line for line in proc.stdout.splitlines() if line.startswith("class")]
         assert len(class_rows) == 18
         assert summary_lines(ev)["macro_f1"] == summary_lines(fused)["macro_f1"]
+
+    def test_evaluate_requires_every_truth_id_predicted(self, tmp_path):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("ImageID,Labels\na,1\nb,2 3\nc,19\n")
+        pred = tmp_path / "pred.csv"
+        pred.write_text("ImageID,Labels\na,1\n")
+        proc = run_cli("evaluate", "--pred", pred, "--truth", truth, "--out", tmp_path / "ev")
+        assert proc.returncode == 2
+        assert "no prediction for 2 truth ids" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["train-head", "predict", "fuse-logits"])
+    def test_non_finite_embeddings_rejected_at_load(
+        self, command, trained_dir, data_dir, tmp_path
+    ):
+        bad = tmp_path / "bad"
+        shutil.copytree(data_dir / "test", bad)
+        text = read_embeddings(bad / "text.femb")
+        text[3, 7] = np.inf
+        write_embeddings(text, bad / "text.femb")
+        if command == "train-head":
+            argv = ("--train", bad, "--kind", "text_linear")
+        elif command == "predict":
+            argv = ("--model", trained_dir / "model.fus1", "--data", bad)
+        else:
+            argv = ("--logits", bad / "text.femb", bad / "text.femb", "--ids", bad / "ids.csv")
+        proc = run_cli(command, *argv, "--out", tmp_path / "o")
+        assert proc.returncode == 2
+        assert "non-finite" in proc.stderr
 
     def test_fuse_needs_two_files(self, trained_dir, data_dir, tmp_path):
         pred = tmp_path / "pred"

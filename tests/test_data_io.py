@@ -31,6 +31,7 @@ from mmfusion.errors import (
     FileFormatError,
     KindMismatchError,
     LabelDomainError,
+    NonFiniteError,
     ShapeError,
     TruncatedFileError,
     UnknownKindError,
@@ -111,6 +112,15 @@ class TestEmbeddingFormat:
     def test_requires_matrix(self, tmp_path):
         with pytest.raises(ShapeError):
             write_embeddings(np.zeros(5), tmp_path / "e.femb")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad, tmp_path):
+        values = np.zeros((3, 4))
+        values[2, 1] = bad
+        path = tmp_path / "e.femb"
+        write_embeddings(values, path)
+        with pytest.raises(NonFiniteError, match="row 2, column 1"):
+            read_embeddings(path)
 
 
 class TestIdsSidecar:
@@ -334,6 +344,34 @@ class TestEmbeddingDataset:
                 labels=(LabelVector.from_ids([1]),),
             )
 
+    def test_label_matrix_is_the_stored_form(self):
+        ds = tiny_dataset(3)
+        assert ds.labels.shape == (3, N_CLASSES) and ds.labels.dtype == bool
+        assert ds.labels[0].tolist() == list(LabelVector.from_ids([1, 13]).bits)
+        same = EmbeddingDataset(ids=ds.ids, text=ds.text, image=ds.image, labels=ds.labels * 1)
+        np.testing.assert_array_equal(same.labels, ds.labels)
+
+    def test_empty_label_row_rejected(self):
+        labels = np.zeros((2, N_CLASSES), dtype=bool)
+        labels[0, 3] = True
+        with pytest.raises(LabelDomainError):
+            EmbeddingDataset(
+                ids=("a", "b"),
+                text=np.zeros((2, TEXT_DIM)),
+                image=np.zeros((2, IMAGE_DIM)),
+                labels=labels,
+            )
+
+    @pytest.mark.parametrize("width", [N_CLASSES - 1, N_CLASSES + 1])
+    def test_label_matrix_width_enforced(self, width):
+        with pytest.raises(ShapeError):
+            EmbeddingDataset(
+                ids=("a", "b"),
+                text=np.zeros((2, TEXT_DIM)),
+                image=np.zeros((2, IMAGE_DIM)),
+                labels=np.ones((2, width), dtype=bool),
+            )
+
     def test_subset_and_merge(self):
         ds = tiny_dataset(6)
         front = ds.subset(range(3))
@@ -342,7 +380,7 @@ class TestEmbeddingDataset:
         assert merged.ids == ds.ids
         np.testing.assert_array_equal(merged.text, ds.text)
         np.testing.assert_array_equal(merged.image, ds.image)
-        assert merged.labels == ds.labels
+        np.testing.assert_array_equal(merged.labels, ds.labels)
 
     def test_merge_rejects_overlap(self):
         ds = tiny_dataset(4)
@@ -378,7 +416,7 @@ class TestDatasetDirectory:
         save_dataset(ds, tmp_path / "d")
         back = load_dataset(tmp_path / "d")
         assert back.ids == ds.ids
-        assert back.labels == ds.labels
+        np.testing.assert_array_equal(back.labels, ds.labels)
         # float32 storage: values equal after one quantization, then stable
         save_dataset(back, tmp_path / "d2")
         again = load_dataset(tmp_path / "d2")
@@ -419,7 +457,7 @@ class TestSynthetic:
             assert left.ids == right.ids
             np.testing.assert_array_equal(left.text, right.text)
             np.testing.assert_array_equal(left.image, right.image)
-            assert left.labels == right.labels
+            np.testing.assert_array_equal(left.labels, right.labels)
 
     def test_seed_changes_data(self):
         a, _, _ = gen_synthetic(seed=1, n_train=8, n_test=1, n_val=1, noise=0.2)
@@ -435,8 +473,7 @@ class TestSynthetic:
     def test_noise_free_signal_recipe(self):
         """With noise off, each class block is exactly its label indicator."""
         train, _, _ = gen_synthetic(seed=3, n_train=40, n_test=1, n_val=1, noise=0.0)
-        for row, lv in enumerate(train.labels):
-            mask = np.array(lv.bits)
+        for row, mask in enumerate(train.labels):
             for slot in range(18):
                 modality, cols = signal_columns(slot)
                 block = (train.text if modality == "text" else train.image)[row, cols.start:cols.stop]
@@ -446,9 +483,8 @@ class TestSynthetic:
 
     def test_label_cardinality_bounds(self):
         train, _, _ = gen_synthetic(seed=11, n_train=60, n_test=1, n_val=1, noise=0.5)
-        sizes = {len(lv) for lv in train.labels}
-        assert sizes <= {1, 2, 3, 4}
-        assert all(not lv.is_empty for lv in train.labels)
+        assert train.labels.shape == (60, N_CLASSES) and train.labels.dtype == bool
+        assert set(train.labels.sum(axis=1).tolist()) <= {1, 2, 3, 4}
 
     def test_negative_noise_rejected(self):
         with pytest.raises(DatasetError):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmfusion.attention import AttentionParams, cross_attention
-from mmfusion.errors import DomainError, LabelDomainError, ShapeError
+from mmfusion.errors import DomainError, LabelDomainError, NumericError, ShapeError
 from mmfusion.fusion import (
     CLASS_IDS,
     IMAGE_DIM,
@@ -14,6 +14,7 @@ from mmfusion.fusion import (
     TEXT_DIM,
     FusionModel,
     LabelVector,
+    assign_label_matrix,
     assign_labels,
     assign_labels_batch,
     class_index,
@@ -21,6 +22,7 @@ from mmfusion.fusion import (
     fuse_logits,
     head_forward_batch,
     index_to_class,
+    labels_to_matrix,
     logits_to_probs,
     predict_logits,
 )
@@ -158,6 +160,12 @@ class TestHeadForward:
         with pytest.raises(ShapeError):
             FusionModel(kind="text_linear", params={"w": np.zeros((18, TEXT_DIM))})
 
+    def test_float32_overflow_rejected(self):
+        params = {"w": np.zeros((N_CLASSES, TEXT_DIM)), "b": np.zeros(N_CLASSES)}
+        params["w"][2, 5] = 1e39  # finite in float64, past the float32 maximum
+        with pytest.raises(NumericError):
+            FusionModel(kind="text_linear", params=params)
+
     def test_gradients_flow_small_probe(self, rng):
         # full coordinate sweeps are exercised in the acceptance suite
         base = {
@@ -284,3 +292,69 @@ class TestAssignLabels:
         probs = rng.uniform(0.0, 1.0, size=(10, N_CLASSES))
         out = assign_labels_batch(probs)
         assert len(out) == 10 and all(not lv.is_empty for lv in out)
+
+    @pytest.mark.parametrize("threshold", [0.45, 0.5, 0.65])
+    def test_matrix_matches_per_row_assignment(self, threshold):
+        # criterion-5 style: a quarter of the rows can only take the fallback
+        rng = np.random.default_rng(5005)
+        probs = rng.random((2000, N_CLASSES))
+        probs[:500] *= 0.4
+        probs[:40] = 0.3  # all-equal rows tie to slot 0
+        probs[40:80, [4, 9]] = 0.42  # two-way ties at the maximum resolve to slot 4
+        mask = assign_label_matrix(probs, threshold)
+        assert mask.dtype == bool and mask.shape == probs.shape
+        reference = np.zeros_like(mask)  # the rule row by row, ties to the first maximum
+        for i, row in enumerate(probs):
+            reference[i] = row > threshold
+            if not reference[i].any():
+                reference[i, np.flatnonzero(row == row.max())[0]] = True
+        np.testing.assert_array_equal(mask, reference)
+        per_row = [assign_labels(row, threshold) for row in probs]
+        assert [lv.bits for lv in per_row] == [tuple(row) for row in mask.tolist()]
+        assert assign_labels_batch(probs, threshold) == per_row
+        fallback = ~(probs > threshold).any(axis=1)
+        assert fallback[:500].all()
+        assert (mask[fallback].sum(axis=1) == 1).all()
+        assert mask[:40, 0].all() and mask[40:80, 4].all() and not mask[40:80, 9].any()
+
+    def test_empty_block(self):
+        mask = assign_label_matrix(np.zeros((0, N_CLASSES)))
+        assert mask.shape == (0, N_CLASSES) and mask.dtype == bool
+        assert assign_labels_batch(np.zeros((0, N_CLASSES))) == []
+
+    def test_whole_block_validated(self, rng):
+        probs = rng.uniform(0.0, 1.0, size=(300, N_CLASSES))
+        probs[250, 7] = np.nan
+        with pytest.raises(DomainError):
+            assign_label_matrix(probs)
+        with pytest.raises(ShapeError):
+            assign_label_matrix(np.full(N_CLASSES, 0.5))
+        with pytest.raises(ShapeError):
+            assign_labels_batch(np.full((3, N_CLASSES - 1), 0.5))
+
+
+class TestLabelsToMatrix:
+    def test_inputs_agree(self):
+        lvs = [LabelVector.from_ids([1, 19]), LabelVector.from_ids([13])]
+        mask = labels_to_matrix(lvs)
+        assert mask.dtype == bool and mask.shape == (2, N_CLASSES)
+        assert labels_to_matrix(mask) is mask
+        np.testing.assert_array_equal(labels_to_matrix(list(mask)), mask)
+        np.testing.assert_array_equal(labels_to_matrix(mask.astype(np.float64)), mask)
+        np.testing.assert_array_equal(labels_to_matrix(mask.astype(np.int8)), mask)
+        assert [LabelVector.from_mask(row) for row in mask] == lvs
+        assert labels_to_matrix([]).shape == (0, N_CLASSES)
+
+    @pytest.mark.parametrize("width", [N_CLASSES - 1, N_CLASSES + 1])
+    def test_wrong_width_rejected(self, width):
+        with pytest.raises(ShapeError):
+            labels_to_matrix(np.ones((2, width), dtype=bool))
+        with pytest.raises(ShapeError):
+            labels_to_matrix([np.ones(width, dtype=bool)] * 2)
+
+    @pytest.mark.parametrize("value", [2, -1, 0.5, np.nan])
+    def test_values_other_than_zero_one_rejected(self, value):
+        block = np.zeros((2, N_CLASSES))
+        block[1, 3] = value
+        with pytest.raises(LabelDomainError):
+            labels_to_matrix(block)

@@ -1,13 +1,14 @@
 """Weighting, loss, optimizer, and training-loop tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from mmfusion.data_io import EmbeddingDataset, gen_synthetic
 from mmfusion.errors import DatasetError, DomainError, NumericError, ShapeError
-from mmfusion.fusion import FUSION_SETS, N_CLASSES, TEXT_DIM, IMAGE_DIM, LabelVector
+from mmfusion.fusion import FUSION_SETS, HEAD_KINDS, N_CLASSES, TEXT_DIM, IMAGE_DIM, LabelVector
 from mmfusion.tensor import Tensor, grad_check
 from mmfusion.training import (
     AdamState,
@@ -306,6 +307,14 @@ class TestAdam:
         with pytest.raises(ShapeError):
             adam_step(params, {"w": np.ones(4)}, init_adam_state(params), TrainConfig())
 
+    @pytest.mark.parametrize("grad", [1e200, np.inf, np.nan])
+    def test_non_finite_moment_raises(self, grad):
+        params = {"w": np.ones(3)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="'w'"):
+                adam_step(params, {"w": np.full(3, grad)}, init_adam_state(params), TrainConfig())
+
 
 # ----------------------------------------------------------------- the loop
 
@@ -375,6 +384,18 @@ class TestTrainHead:
         train, _, val = small_splits(n_train=24, n_val=12)
         with pytest.raises(DatasetError):
             train_head(train.without_labels(), val, "text_linear", TrainConfig())
+
+    @pytest.mark.parametrize("kind", HEAD_KINDS)
+    def test_overflowing_inputs_raise_numeric_error(self, kind):
+        train, _, val = small_splits(n_train=64, n_val=32)
+        scaled = [
+            EmbeddingDataset(ids=d.ids, text=d.text * 1e200, image=d.image * 1e200, labels=d.labels)
+            for d in (train, val)
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError):
+                train_head(*scaled, kind, TrainConfig(lr=1e-2, max_epochs=2))
 
     def test_empty_train_rejected(self):
         train, _, val = small_splits(n_train=24, n_val=12)

@@ -19,11 +19,12 @@ import numpy as np
 from .data_io import (
     EmbeddingDataset,
     gen_synthetic,
+    labels_in_order,
     load_dataset,
     load_model,
     read_embeddings,
     read_ids,
-    read_labels,
+    read_label_matrix,
     save_dataset,
     save_model,
     write_embeddings,
@@ -184,11 +185,8 @@ def cmd_fuse_logits(args) -> None:
     write_predictions(ids, preds, out / "predictions.csv")
     metrics = {}
     if args.labels:
-        truth = read_labels(args.labels)
-        missing = [i for i in ids if i not in truth]
-        if missing:
-            raise DataError(f"{args.labels}: no labels for {len(missing)} ids, first {missing[0]!r}")
-        counts = confusion_counts(preds, [truth[i] for i in ids])
+        truth = labels_in_order(ids, *read_label_matrix(args.labels), args.labels)
+        counts = confusion_counts(preds, truth)
         metrics = {"macro_f1": macro_f1(counts), "mean_accuracy": mean_accuracy(counts)}
     write_summary(out, wall_ms=(time.perf_counter() - start) * 1e3, **metrics)
     print(f"fused {len(args.logits)} logit sets over {len(ids)} samples")
@@ -197,18 +195,16 @@ def cmd_fuse_logits(args) -> None:
 def cmd_evaluate(args) -> None:
     start = time.perf_counter()
     out = _out_dir(args)
-    pred_map = read_labels(args.pred)
-    truth_map = read_labels(args.truth)
-    missing = [i for i in pred_map if i not in truth_map]
-    if missing:
-        raise DataError(f"{args.truth}: no truth for {len(missing)} ids, first {missing[0]!r}")
-    unpredicted = [i for i in truth_map if i not in pred_map]
-    if unpredicted:
+    pred_ids, preds = read_label_matrix(args.pred)
+    truth_ids, truth = read_label_matrix(args.truth)
+    truth = labels_in_order(pred_ids, truth_ids, truth, args.truth)
+    if len(truth_ids) > len(pred_ids):  # every prediction has its truth row, so some truth has none
+        predicted = set(pred_ids)
+        unpredicted = [i for i in truth_ids if i not in predicted]
         raise DataError(
             f"{args.pred}: no prediction for {len(unpredicted)} truth ids, first {unpredicted[0]!r}"
         )
-    ids = list(pred_map)
-    counts = confusion_counts([pred_map[i] for i in ids], [truth_map[i] for i in ids])
+    counts = confusion_counts(preds, truth)
     per_class = f1_per_class(counts)
     macro = macro_f1(counts)
     acc = mean_accuracy(counts)

@@ -29,6 +29,7 @@ and per row a sample id plus space-separated ascending class ids.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -70,38 +71,58 @@ FORMAT_VERSION = 1
 # ---------------------------------------------------------------- embeddings
 
 
+def _first_non_finite(flat: np.ndarray) -> int | None:
+    """Index of the first NaN or +-inf in a flat array, None when every value is finite."""
+    # min and max propagate NaN and reach +-inf, so two reductions see any non-finite value
+    if flat.size and not (np.isfinite(flat.min()) and np.isfinite(flat.max())):
+        return int(np.flatnonzero(~np.isfinite(flat))[0])
+    return None
+
+
 def write_embeddings(values: np.ndarray, path) -> None:
-    """Write an [n, d] array as a version-1 embedding file (float32 payload)."""
+    """Write an [n, d] array as a version-1 embedding file (float32 payload).
+
+    A value that is not finite in float32 raises :class:`NonFiniteError` and
+    no file is created, so every file written here reads back.
+    """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"embeddings must be [n, d], got shape {arr.shape}")
     n, d = arr.shape
-    payload = arr.astype("<f4").tobytes(order="C")
+    with np.errstate(over="ignore"):  # beyond the float32 range becomes +-inf, caught below
+        payload = arr.astype("<f4")
+    first = _first_non_finite(payload.ravel())
+    if first is not None:
+        raise NonFiniteError(
+            f"{path}: value {arr.flat[first]} at row {first // d}, column {first % d} "
+            "is not finite in float32"
+        )
     with open(path, "wb") as fh:
         fh.write(EMBEDDING_MAGIC)
         fh.write(struct.pack("<III", FORMAT_VERSION, n, d))
-        fh.write(payload)
+        fh.write(payload.tobytes(order="C"))
 
 
 def read_embeddings(path) -> np.ndarray:
     """Read an embedding file back as float64, validating the header strictly."""
-    blob = Path(path).read_bytes()
-    if len(blob) < 4:
-        raise TruncatedFileError(f"{path}: only {len(blob)} bytes, no room for magic")
-    if blob[:4] != EMBEDDING_MAGIC:
-        raise BadMagicError(f"{path}: expected magic {EMBEDDING_MAGIC!r}, found {blob[:4]!r}")
-    if len(blob) < 16:
-        raise TruncatedFileError(f"{path}: header needs 16 bytes, found {len(blob)}")
-    version, n, d = struct.unpack_from("<III", blob, 4)
-    if version != FORMAT_VERSION:
-        raise VersionMismatchError(f"{path}: version {version}, this reader speaks {FORMAT_VERSION}")
-    expected = 16 + 4 * n * d
-    if len(blob) != expected:
-        raise TruncatedFileError(f"{path}: header promises {expected} bytes, found {len(blob)}")
-    flat = np.frombuffer(blob, dtype="<f4", offset=16)
-    # min and max propagate NaN and reach +-inf, so two reductions see any non-finite value
-    if flat.size and not (np.isfinite(flat.min()) and np.isfinite(flat.max())):
-        first = int(np.flatnonzero(~np.isfinite(flat))[0])
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(16)
+        if len(head) < 4:
+            raise TruncatedFileError(f"{path}: only {size} bytes, no room for magic")
+        if head[:4] != EMBEDDING_MAGIC:
+            raise BadMagicError(f"{path}: expected magic {EMBEDDING_MAGIC!r}, found {head[:4]!r}")
+        if len(head) < 16:
+            raise TruncatedFileError(f"{path}: header needs 16 bytes, found {size}")
+        version, n, d = struct.unpack_from("<III", head, 4)
+        if version != FORMAT_VERSION:
+            raise VersionMismatchError(f"{path}: version {version}, this reader speaks {FORMAT_VERSION}")
+        expected = 16 + 4 * n * d
+        if size != expected:
+            raise TruncatedFileError(f"{path}: header promises {expected} bytes, found {size}")
+        flat = np.fromfile(fh, dtype="<f4", count=n * d)
+    first = _first_non_finite(flat)
+    if first is not None:
         raise NonFiniteError(
             f"{path}: non-finite value {flat[first]} at row {first // d}, column {first % d}"
         )
@@ -114,14 +135,20 @@ def write_ids(ids: Sequence[str], path) -> None:
             fh.write(f"{sample_id}\n")
 
 
+def _first_repeat(ids: Sequence[str]) -> int:
+    """Index of the first id that appeared before it, ``len(ids)`` when all are unique."""
+    if len(set(ids)) == len(ids):
+        return len(ids)
+    seen: set[str] = set()
+    return next(r for r, sample_id in enumerate(ids) if sample_id in seen or seen.add(sample_id))
+
+
 def read_ids(path) -> tuple[str, ...]:
     with open(path, "r", encoding="utf-8") as fh:
         ids = tuple(line.rstrip("\n") for line in fh if line.strip())
-    seen = set()
-    for sample_id in ids:
-        if sample_id in seen:
-            raise DuplicateIdError(f"{path}: id {sample_id!r} appears twice")
-        seen.add(sample_id)
+    repeat = _first_repeat(ids)
+    if repeat < len(ids):
+        raise DuplicateIdError(f"{path}: id {ids[repeat]!r} appears twice")
     return ids
 
 
@@ -130,32 +157,96 @@ def read_ids(path) -> tuple[str, ...]:
 LABELS_HEADER = "ImageID,Labels"
 
 
-def read_labels(path) -> dict[str, LabelVector]:
-    """Parse a labels CSV into id -> label vector, rejecting malformed rows."""
+# the slot of each class id, -1 where an id is not a class; ids outside 1..19 clip to an end
+_SLOT_OF_ID = np.full(CLASS_IDS[-1] + 2, -1, dtype=np.intp)
+_SLOT_OF_ID[list(CLASS_IDS)] = np.arange(N_CLASSES)
+_CLASS_ID_STRS = np.array([str(c) for c in CLASS_IDS], dtype=object)
+
+
+def read_label_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
+    """Parse a labels CSV into its ids and their [n, 18] bool label matrix, in file order.
+
+    One pass over the lines splits each row into its id and integer class
+    ids; id uniqueness, emptiness, order and the class-id range are then
+    checked as array ops.  A malformed file raises for its first bad line,
+    naming ``path:lineno``.  Blank lines are skipped.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != LABELS_HEADER:
-        raise LabelDomainError(f"{path}: first line must be {LABELS_HEADER!r}")
-    out: dict[str, LabelVector] = {}
+        raise LabelDomainError(f"{path}:1: first line must be {LABELS_HEADER!r}")
+    ids: list[str] = []
+    linenos: list[int] = []
+    counts: list[int] = []
+    values: list[int] = []
+    unparsed = None  # the first line the pass cannot split, raised unless an earlier one is bad
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        if "," not in line:
-            raise LabelDomainError(f"{path}:{lineno}: expected 'id,labels', got {line!r}")
-        sample_id, _, spec = line.partition(",")
-        if sample_id in out:
-            raise DuplicateIdError(f"{path}:{lineno}: id {sample_id!r} appears twice")
-        fields = spec.split()
-        if not fields:
-            raise LabelDomainError(f"{path}:{lineno}: empty label set for {sample_id!r}")
+        sample_id, comma, spec = line.partition(",")
+        if not comma:
+            if not line.strip():
+                continue
+            unparsed = LabelDomainError(f"{path}:{lineno}: expected 'id,labels', got {line!r}")
+            break
         try:
-            ids = [int(f) for f in fields]
+            row = list(map(int, spec.split()))
         except ValueError:
-            raise LabelDomainError(f"{path}:{lineno}: non-integer class id in {spec!r}")
-        if any(b <= a for a, b in zip(ids, ids[1:])):
-            raise LabelDomainError(f"{path}:{lineno}: class ids must be strictly ascending")
-        out[sample_id] = LabelVector.from_ids(ids)
-    return out
+            unparsed = LabelDomainError(f"{path}:{lineno}: non-integer class id in {spec!r}")
+            break
+        ids.append(sample_id)
+        linenos.append(lineno)
+        counts.append(len(row))
+        values += row
+
+    n = len(ids)
+    try:
+        cids = np.array(values, dtype=np.int64)
+    except OverflowError:  # out of range either way; clamping keeps the order check meaningful
+        cids = np.array([min(max(v, -(2**62)), 2**62) for v in values], dtype=np.int64)
+    row_of_value = np.repeat(np.arange(n), counts)
+    slots = _SLOT_OF_ID[np.clip(cids, 0, len(_SLOT_OF_ID) - 1)]
+    empty = np.flatnonzero(np.array(counts) == 0)
+    descending = np.flatnonzero((np.diff(cids) <= 0) & (np.diff(row_of_value) == 0)) + 1
+    outside = np.flatnonzero(slots < 0)
+    # the first bad row of each check, listed in the order the checks apply within one line
+    faults = [
+        (_first_repeat(ids), DuplicateIdError, "id {id!r} appears twice"),
+        (empty[0] if empty.size else n, LabelDomainError, "empty label set for {id!r}"),
+        (row_of_value[descending[0]] if descending.size else n, LabelDomainError,
+         "class ids must be strictly ascending"),
+        (row_of_value[outside[0]] if outside.size else n, LabelDomainError,
+         "class id must be in 1..19 excluding 12, got {value}"),
+    ]
+    row, error, template = min(faults, key=lambda fault: fault[0])
+    if row < n:
+        value = values[outside[0]] if outside.size else None
+        raise error(f"{path}:{linenos[row]}: " + template.format(id=ids[row], value=value))
+    if unparsed is not None:
+        raise unparsed
+    matrix = np.zeros((n, N_CLASSES), dtype=bool)
+    matrix[row_of_value, slots] = True
+    return tuple(ids), matrix
+
+
+def read_labels(path) -> dict[str, LabelVector]:
+    """:func:`read_label_matrix` as an id -> :class:`LabelVector` mapping, in file order."""
+    ids, matrix = read_label_matrix(path)
+    return dict(zip(ids, map(LabelVector, map(tuple, matrix.tolist()))))
+
+
+def labels_in_order(
+    ids: Sequence[str], label_ids: Sequence[str], matrix: np.ndarray, source
+) -> np.ndarray:
+    """The rows of ``matrix`` (one per ``label_ids``) in the order of ``ids``.
+
+    Raises :class:`DatasetError` naming ``source`` when an id has no row.
+    """
+    if tuple(label_ids) == tuple(ids):
+        return matrix
+    row_of = dict(zip(label_ids, range(len(label_ids))))
+    missing = [i for i in ids if i not in row_of]
+    if missing:
+        raise DatasetError(f"{source}: no labels for {len(missing)} ids, first {missing[0]!r}")
+    return matrix[[row_of[i] for i in ids]]
 
 
 def write_predictions(ids: Sequence[str], labels, path) -> None:
@@ -163,14 +254,18 @@ def write_predictions(ids: Sequence[str], labels, path) -> None:
     mask = labels_to_matrix(labels)
     if len(ids) != len(mask):
         raise DatasetError(f"{len(ids)} ids vs {len(mask)} label sets")
-    empty = ~mask.any(axis=1)
-    if empty.any():
-        raise LabelDomainError(f"refusing to write an empty label set for {ids[empty.argmax()]!r}")
+    counts = mask.sum(axis=1)
+    if not counts.all():
+        raise LabelDomainError(f"refusing to write an empty label set for {ids[counts.argmin()]!r}")
+    names = _CLASS_ID_STRS[np.nonzero(mask)[1]].tolist()
+    ends = np.cumsum(counts).tolist()
+    rows = (
+        f"{sample_id},{' '.join(names[start:end])}\n"
+        for sample_id, start, end in zip(ids, [0] + ends, ends)
+    )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(LABELS_HEADER + "\n")
-        for sample_id, row in zip(ids, mask.tolist()):
-            class_ids = " ".join(str(c) for c, on in zip(CLASS_IDS, row) if on)
-            fh.write(f"{sample_id},{class_ids}\n")
+        fh.write("".join(rows))
 
 
 # -------------------------------------------------------------------- models
@@ -385,14 +480,11 @@ def load_dataset(directory, require_labels: bool = False) -> EmbeddingDataset:
     labels_path = directory / "labels.csv"
     labels = None
     if labels_path.exists():
-        mapping = read_labels(labels_path)
-        extra = set(mapping) - set(ids)
+        label_ids, matrix = read_label_matrix(labels_path)
+        extra = set(label_ids).difference(ids)
         if extra:
             raise DatasetError(f"{directory}: labels for unknown ids, e.g. {next(iter(extra))!r}")
-        missing = [i for i in ids if i not in mapping]
-        if missing:
-            raise DatasetError(f"{directory}: no labels for {len(missing)} ids, first {missing[0]!r}")
-        labels = tuple(mapping[i] for i in ids)
+        labels = labels_in_order(ids, label_ids, matrix, directory)
     elif require_labels:
         raise DatasetError(f"{directory} has no labels.csv")
     return EmbeddingDataset(ids=tuple(ids), text=text, image=image, labels=labels)

@@ -17,6 +17,7 @@ Ensembles average logits element-wise before thresholding.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -205,8 +206,22 @@ def head_forward_batch(kind: str, params: Mapping[str, object], text: object, im
     return feats @ w.transpose_last() + p["b"]
 
 
+@contextmanager
+def overflow_raises():
+    """Turn numpy overflow and invalid-value results into :class:`NumericError`."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericError(f"non-finite result: {exc}") from None
+
+
+@overflow_raises()
 def predict_logits(model: FusionModel, text: np.ndarray, image: np.ndarray) -> np.ndarray:
-    """Batched inference as a plain array; the canonical prediction path."""
+    """Batched inference as a plain array; the canonical prediction path.
+
+    A value that overflows or turns invalid raises :class:`NumericError`.
+    """
     return head_forward_batch(model.kind, model.params, text, image).data
 
 

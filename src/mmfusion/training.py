@@ -14,7 +14,6 @@ independent of the logarithm base.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -41,6 +40,7 @@ from .fusion import (
     fuse_logits,
     head_forward_batch,
     logits_to_probs,
+    overflow_raises,
     predict_logits,
 )
 from .metrics import confusion_counts, macro_f1
@@ -344,17 +344,7 @@ def evaluate_model(model: FusionModel, data: EmbeddingDataset, threshold: float 
     return macro_f1(confusion_counts(assign_label_matrix(probs, threshold), data.labels))
 
 
-@contextmanager
-def _overflow_raises():
-    """Turn numpy overflow and invalid-value results into :class:`NumericError`."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise NumericError(f"training diverged: {exc}") from None
-
-
-@_overflow_raises()
+@overflow_raises()
 def train_head(
     train: EmbeddingDataset,
     val: EmbeddingDataset | None,

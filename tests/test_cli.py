@@ -1,13 +1,22 @@
-"""End-to-end command-line tests via subprocess."""
+"""End-to-end command-line tests, mostly via subprocess."""
 
 import shutil
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from mmfusion.data_io import read_embeddings, write_embeddings
+from mmfusion import cli
+from mmfusion.data_io import (
+    EMBEDDING_MAGIC,
+    EmbeddingDataset,
+    load_dataset,
+    read_embeddings,
+    save_model,
+)
+from mmfusion.fusion import FusionModel, expected_param_shapes
 
 
 def run_cli(*argv, cwd=None):
@@ -17,6 +26,14 @@ def run_cli(*argv, cwd=None):
         text=True,
         cwd=cwd,
     )
+
+
+def write_shuffled_rows(src, dst, seed=0):
+    """Copy a labels CSV with its data rows in a shuffled order."""
+    header, *rows = src.read_text().splitlines()
+    order = np.random.default_rng(seed).permutation(len(rows))
+    assert (order != np.arange(len(rows))).any()
+    dst.write_text("\n".join([header, *(rows[i] for i in order)]) + "\n")
 
 
 def summary_lines(out_dir):
@@ -217,7 +234,8 @@ class TestPredictAndFuse:
         shutil.copytree(data_dir / "test", bad)
         text = read_embeddings(bad / "text.femb")
         text[3, 7] = np.inf
-        write_embeddings(text, bad / "text.femb")
+        header = EMBEDDING_MAGIC + struct.pack("<III", 1, *text.shape)  # write_embeddings refuses inf
+        (bad / "text.femb").write_bytes(header + text.astype("<f4").tobytes())
         if command == "train-head":
             argv = ("--train", bad, "--kind", "text_linear")
         elif command == "predict":
@@ -227,6 +245,60 @@ class TestPredictAndFuse:
         proc = run_cli(command, *argv, "--out", tmp_path / "o")
         assert proc.returncode == 2
         assert "non-finite" in proc.stderr
+
+    def test_truth_in_any_row_order_scores_the_same(self, trained_dir, data_dir, tmp_path):
+        truth = data_dir / "test" / "labels.csv"
+        shuffled = tmp_path / "shuffled.csv"
+        write_shuffled_rows(truth, shuffled)
+        pred = tmp_path / "pred"
+        assert run_cli("predict", "--model", trained_dir / "model.fus1",
+                       "--data", data_dir / "test", "--out", pred).returncode == 0
+        scores = []
+        for labels in (truth, shuffled):
+            fused, ev = tmp_path / f"fused_{labels.stem}", tmp_path / f"eval_{labels.stem}"
+            proc = run_cli("fuse-logits", "--logits", pred / "logits.femb", pred / "logits.femb",
+                           "--ids", pred / "ids.csv", "--labels", labels, "--out", fused)
+            assert proc.returncode == 0, proc.stderr
+            proc = run_cli("evaluate", "--pred", fused / "predictions.csv", "--truth", labels,
+                           "--out", ev)
+            assert proc.returncode == 0, proc.stderr
+            scores.append([
+                {k: summary_lines(d)[k] for k in ("macro_f1", "mean_accuracy")}
+                for d in (fused, ev)
+            ])
+        assert scores[0] == scores[1]
+        assert scores[0][0] == scores[0][1] and scores[0][0]["macro_f1"] != "nan"
+
+    def test_predict_reads_labels_in_any_row_order(self, trained_dir, data_dir, tmp_path):
+        shuffled = tmp_path / "shuffled"
+        shutil.copytree(data_dir / "test", shuffled)
+        write_shuffled_rows(data_dir / "test" / "labels.csv", shuffled / "labels.csv")
+        outs = []
+        for data in (data_dir / "test", shuffled):
+            out = tmp_path / f"pred_{data.name}"
+            proc = run_cli("predict", "--model", trained_dir / "model.fus1", "--data", data,
+                           "--out", out)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out)
+        for key in ("macro_f1", "mean_accuracy"):
+            assert summary_lines(outs[0])[key] == summary_lines(outs[1])[key]
+        assert (outs[0] / "predictions.csv").read_bytes() == (outs[1] / "predictions.csv").read_bytes()
+
+    def test_predict_overflow_is_numeric_failure(self, data_dir, tmp_path, monkeypatch):
+        # float32 files bound the logits far below the float64 range, so the
+        # overflowing inputs come in through the loader
+        rng = np.random.default_rng(5)
+        params = {name: rng.standard_normal(shape) * 0.1
+                  for name, shape in expected_param_shapes("cross_attn_fcnn").items()}
+        save_model(FusionModel(kind="cross_attn_fcnn", params=params), tmp_path / "m.fus1")
+        data = load_dataset(data_dir / "test")
+        huge = EmbeddingDataset(ids=data.ids, text=data.text * 1e200, image=data.image * 1e200)
+        monkeypatch.setattr(cli, "load_dataset", lambda *args, **kwargs: huge)
+        out = tmp_path / "o"
+        code = cli.main(["predict", "--model", str(tmp_path / "m.fus1"),
+                         "--data", str(data_dir / "test"), "--out", str(out)])
+        assert code == 3
+        assert not (out / "logits.femb").exists()
 
     def test_fuse_needs_two_files(self, trained_dir, data_dir, tmp_path):
         pred = tmp_path / "pred"

@@ -1,10 +1,13 @@
 """File format and dataset tests, including byte-level golden files."""
 
 import struct
+import warnings
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmfusion.data_io import (
     EMBEDDING_MAGIC,
@@ -16,6 +19,7 @@ from mmfusion.data_io import (
     load_model,
     read_embeddings,
     read_ids,
+    read_label_matrix,
     read_labels,
     save_dataset,
     save_model,
@@ -38,6 +42,7 @@ from mmfusion.errors import (
     VersionMismatchError,
 )
 from mmfusion.fusion import (
+    CLASS_IDS,
     HEAD_KINDS,
     IMAGE_DIM,
     N_CLASSES,
@@ -45,6 +50,7 @@ from mmfusion.fusion import (
     FusionModel,
     LabelVector,
     expected_param_shapes,
+    labels_to_matrix,
 )
 
 
@@ -58,6 +64,12 @@ def make_model(kind, seed=0):
 
 
 # ------------------------------------------------------------- embedding file
+
+
+def write_raw_embeddings(values, path):
+    """An embedding file built byte by byte, for payloads write_embeddings refuses."""
+    arr = np.asarray(values, dtype="<f4")
+    path.write_bytes(EMBEDDING_MAGIC + struct.pack("<III", 1, *arr.shape) + arr.tobytes())
 
 
 class TestEmbeddingFormat:
@@ -113,12 +125,21 @@ class TestEmbeddingFormat:
         with pytest.raises(ShapeError):
             write_embeddings(np.zeros(5), tmp_path / "e.femb")
 
+    @pytest.mark.parametrize("bad", [1e39, -1e39, np.nan, np.inf])
+    def test_writer_refuses_values_not_finite_in_float32(self, bad, tmp_path):
+        path = tmp_path / "e.femb"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="row 0, column 0"):
+                write_embeddings(np.array([[bad, 0.0]]), path)
+        assert not path.exists()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_rejected(self, bad, tmp_path):
         values = np.zeros((3, 4))
         values[2, 1] = bad
         path = tmp_path / "e.femb"
-        write_embeddings(values, path)
+        write_raw_embeddings(values, path)
         with pytest.raises(NonFiniteError, match="row 2, column 1"):
             read_embeddings(path)
 
@@ -136,6 +157,23 @@ class TestIdsSidecar:
 
 
 # ---------------------------------------------------------------- labels CSV
+
+# sample ids: any text without the CSV's comma or a character str.splitlines breaks on
+ID_TEXT = st.text(
+    st.characters(
+        blacklist_categories=("Cs",),
+        blacklist_characters=",\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029",
+    ),
+    max_size=6,
+)
+
+
+def reference_prediction_bytes(ids, matrix) -> bytes:
+    """The labels CSV of a bool matrix, written one row and one slot at a time."""
+    lines = ["ImageID,Labels"]
+    for sample_id, row in zip(ids, matrix):
+        lines.append(f"{sample_id}," + " ".join(str(c) for c, on in zip(CLASS_IDS, row) if on))
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 class TestLabelsCsv:
@@ -196,6 +234,97 @@ class TestLabelsCsv:
         empty = LabelVector(tuple([False] * N_CLASSES))
         with pytest.raises(LabelDomainError):
             write_predictions(("img_a",), (empty,), tmp_path / "labels.csv")
+
+    def test_read_labels_wraps_the_matrix_parser(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("ImageID,Labels\nb,2 19\na,1\n")
+        ids, matrix = read_label_matrix(path)
+        assert ids == ("b", "a")
+        assert matrix.dtype == bool and matrix.shape == (2, N_CLASSES)
+        back = read_labels(path)
+        assert list(back) == ["b", "a"]
+        assert back["b"] == LabelVector.from_ids([2, 19])
+        assert back["a"] == LabelVector.from_ids([1])
+        assert [v.bits for v in back.values()] == [tuple(row) for row in matrix.tolist()]
+
+    def test_header_only_is_empty(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("ImageID,Labels\n")
+        ids, matrix = read_label_matrix(path)
+        assert ids == () and matrix.shape == (0, N_CLASSES)
+
+    def test_blank_lines_and_crlf_accepted(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_bytes(b"ImageID,Labels\r\na,1 3\r\n\r\n   \r\nb,19\r\n\r\n")
+        ids, matrix = read_label_matrix(path)
+        assert ids == ("a", "b")
+        np.testing.assert_array_equal(matrix, labels_to_matrix(
+            [LabelVector.from_ids([1, 3]), LabelVector.from_ids([19])]))
+
+    @pytest.mark.parametrize(
+        "body, lineno, error, message",
+        [
+            ("id,labels\na,1\n", 1, LabelDomainError, "first line"),
+            ("ImageID,Labels\na,1\nb 2\n", 3, LabelDomainError, "expected 'id,labels'"),
+            ("ImageID,Labels\na,1.5\n", 2, LabelDomainError, "non-integer"),
+            ("ImageID,Labels\na,1\n\nb,2 x\n", 4, LabelDomainError, "non-integer"),
+            ("ImageID,Labels\na,99999999999999999999\n", 2, LabelDomainError,
+             "got 99999999999999999999"),
+            ("ImageID,Labels\na,1 -99999999999999999999\n", 2, LabelDomainError, "ascending"),
+            ("ImageID,Labels\na,0\n", 2, LabelDomainError, "got 0"),
+            ("ImageID,Labels\na,1\nb,12\n", 3, LabelDomainError, "got 12"),
+            ("ImageID,Labels\na,1\nb,20\n", 3, LabelDomainError, "got 20"),
+            ("ImageID,Labels\na,3 1\n", 2, LabelDomainError, "ascending"),
+            ("ImageID,Labels\na,3 3\n", 2, LabelDomainError, "ascending"),
+            ("ImageID,Labels\na,1\nb,\n", 3, LabelDomainError, "empty label set for 'b'"),
+            ("ImageID,Labels\na,1\nb,2\na,3\n", 4, DuplicateIdError, "'a' appears twice"),
+            # several faults: the first bad line wins, whichever check finds it
+            ("ImageID,Labels\na,20\nb,x\n", 2, LabelDomainError, "got 20"),
+            ("ImageID,Labels\na,x\nb,20\n", 2, LabelDomainError, "non-integer"),
+            ("ImageID,Labels\na,1\nb,5 4\nc,\nb,1\n", 3, LabelDomainError, "ascending"),
+            ("ImageID,Labels\na,1\nb,2 20\nc\n", 3, LabelDomainError, "got 20"),
+            # within one line, the checks keep their order: repeat, empty, order, range
+            ("ImageID,Labels\na,1\na,\n", 3, DuplicateIdError, "appears twice"),
+            ("ImageID,Labels\na,20 3\n", 2, LabelDomainError, "ascending"),
+        ],
+    )
+    def test_errors_name_path_and_line(self, body, lineno, error, message, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text(body)
+        with pytest.raises(error, match=message) as info:
+            read_label_matrix(path)
+        assert str(info.value).startswith(f"{path}:{lineno}: ")
+        with pytest.raises(error):
+            read_labels(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), codes=st.lists(st.integers(1, 2**N_CLASSES - 1), max_size=40))
+    def test_round_trip_any_matrix(self, tmp_path_factory, data, codes):
+        matrix = (np.array(codes, dtype=np.int64)[:, None] >> np.arange(N_CLASSES)) & 1 == 1
+        ids = data.draw(st.lists(ID_TEXT, min_size=len(codes), max_size=len(codes), unique=True))
+        path = tmp_path_factory.mktemp("rt") / "labels.csv"
+        write_predictions(ids, matrix, path)
+        back_ids, back = read_label_matrix(path)
+        assert back_ids == tuple(ids)
+        np.testing.assert_array_equal(back, matrix)
+
+    def test_writer_golden_bytes(self, tmp_path):
+        matrix = np.zeros((5, N_CLASSES), dtype=bool)
+        matrix[0] = True  # all 18 classes
+        matrix[1, N_CLASSES - 1] = True  # class 19 alone
+        matrix[2, [0, 10, 11]] = True  # 1, 11 and 13 around the reserved 12
+        matrix[3, 5] = True
+        matrix[4, [3, 16]] = True
+        ids = ("all", "only 19", " spaced id ", "x", "ünï")
+        path = tmp_path / "labels.csv"
+        write_predictions(ids, matrix, path)
+        expected = reference_prediction_bytes(ids, matrix)
+        assert path.read_bytes() == expected
+        assert expected.splitlines()[1:4] == [
+            b"all,1 2 3 4 5 6 7 8 9 10 11 13 14 15 16 17 18 19",
+            b"only 19,19",
+            b" spaced id ,1 11 13",
+        ]
 
 
 # ----------------------------------------------------------------- model file
@@ -422,6 +551,26 @@ class TestDatasetDirectory:
         again = load_dataset(tmp_path / "d2")
         np.testing.assert_array_equal(again.text, back.text)
         np.testing.assert_array_equal(again.image, back.image)
+
+    def test_labels_follow_the_ids_file_not_the_csv_order(self, tmp_path):
+        ds = tiny_dataset(6, seed=4)
+        save_dataset(ds, tmp_path / "d")
+        order = [3, 0, 5, 1, 4, 2]
+        write_predictions([ds.ids[i] for i in order], ds.labels[order], tmp_path / "d" / "labels.csv")
+        back = load_dataset(tmp_path / "d")
+        assert back.ids == ds.ids
+        np.testing.assert_array_equal(back.labels, ds.labels)
+
+    def test_labels_must_match_the_ids(self, tmp_path):
+        ds = tiny_dataset(3)
+        save_dataset(ds, tmp_path / "d")
+        labels = tmp_path / "d" / "labels.csv"
+        write_predictions(ds.ids[:2], ds.labels[:2], labels)
+        with pytest.raises(DatasetError, match="no labels for 1 ids, first 's_2'"):
+            load_dataset(tmp_path / "d")
+        write_predictions(ds.ids + ("extra",), np.vstack([ds.labels, ds.labels[:1]]), labels)
+        with pytest.raises(DatasetError, match="unknown ids, e.g. 'extra'"):
+            load_dataset(tmp_path / "d")
 
     def test_round_trip_unlabeled(self, tmp_path):
         ds = tiny_dataset(3, labeled=False)

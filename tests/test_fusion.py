@@ -1,5 +1,7 @@
 """Label vocabulary, head forwards, logit fusion, and label assignment."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,6 +167,14 @@ class TestHeadForward:
         params["w"][2, 5] = 1e39  # finite in float64, past the float32 maximum
         with pytest.raises(NumericError):
             FusionModel(kind="text_linear", params=params)
+
+    def test_overflowing_inputs_raise_numeric_error(self, rng):
+        model = make_model("cross_attn_fcnn", rng)
+        text, image = make_batch(rng, 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="overflow"):
+                predict_logits(model, text * 1e200, image * 1e200)
 
     def test_gradients_flow_small_probe(self, rng):
         # full coordinate sweeps are exercised in the acceptance suite

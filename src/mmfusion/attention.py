@@ -1,4 +1,4 @@
-"""Scaled dot-product attention over embedding rows, plus a factorized lookup table.
+"""Scaled dot-product attention over embedding rows.
 
 Self-attention projects one sequence into queries, keys, and values.
 Cross-attention lets one sequence (the queries) read another (the key/value
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ShapeError
+from .errors import ShapeError
 from .tensor import Tensor, as_tensor, layer_norm, softmax_rows
 
 
@@ -127,46 +127,3 @@ def cross_attention(
     weights = softmax_rows(_scores(q, k, params.d_k))
     out = layer_norm(weights @ v + xq, params.ln_gain, params.ln_bias, eps=eps)
     return (out, weights) if return_weights else out
-
-
-@dataclass
-class FactorizedEmbedding:
-    """Vocabulary lookup factorised through a narrow middle width.
-
-    ``table`` is [vocab, e]; ``expand`` is [e, hidden] and is applied on the
-    right, so a looked-up row maps to ``table[w] @ expand``.
-    """
-
-    table: object
-    expand: object
-
-    def __post_init__(self):
-        self.table = as_tensor(self.table)
-        self.expand = as_tensor(self.expand)
-        if self.table.ndim != 2 or self.expand.ndim != 2:
-            raise ShapeError(
-                f"table and expand must be matrices, got {self.table.shape} and {self.expand.shape}"
-            )
-        if self.table.shape[1] != self.expand.shape[0]:
-            raise ShapeError(
-                f"middle widths differ: table {self.table.shape} vs expand {self.expand.shape}"
-            )
-        if self.table.shape[1] > self.expand.shape[1]:
-            raise ShapeError(
-                f"middle width {self.table.shape[1]} must not exceed hidden width {self.expand.shape[1]}"
-            )
-
-    @property
-    def param_count(self) -> int:
-        v, e = self.table.shape
-        _, h = self.expand.shape
-        return v * e + e * h
-
-
-def factorized_embed(word: int, emb: FactorizedEmbedding) -> Tensor:
-    """Look up one vocabulary row and expand it to the hidden width."""
-    v = emb.table.shape[0]
-    if not 0 <= word < v:
-        raise DomainError(f"word id {word} outside vocabulary of size {v}")
-    row = Tensor(emb.table.data[word : word + 1])
-    return (row @ emb.expand).reshape(emb.expand.shape[1])

@@ -9,13 +9,16 @@ Embedding file (magic ``FEMB``), little-endian throughout::
     bytes 16..    f32    n * d values, row major
 
 Sample ids live beside the embeddings in a sidecar text file, one id per
-line, row-aligned with the payload.
+line, row-aligned with the payload.  An id is not blank and holds no comma
+and no character that ``str.splitlines`` breaks on, so every reader here
+gets it back unchanged.
 
 Model file (magic ``FUS1``), little-endian::
 
     magic b"FUS1", u32 version
     u32 kind length, kind bytes (utf-8)
     u32 text width, u32 image width, u32 class count, u32 key width
+    (always 128, 1792, 18, 128)
     u32 tensor count, then per tensor:
         u32 name length, name bytes, u32 rank, u32 dims..., f32 payload
     u32 crc32 over everything between the magic and this field
@@ -34,7 +37,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -129,7 +132,20 @@ def read_embeddings(path) -> np.ndarray:
     return flat.astype(np.float64).reshape(n, d)
 
 
+def _check_ids(ids: Sequence[str], source) -> None:
+    """Raise :class:`DatasetError` for the first id the readers cannot read back.
+
+    The common case is a join, a split and a strip per id, all inside C.
+    """
+    joined = "\n".join(ids)
+    if "," not in joined and joined.splitlines() == list(ids) and "" not in map(str.strip, ids):
+        return
+    bad = next(i for i in ids if "," in i or i.splitlines() != [i] or not i.strip())
+    raise DatasetError(f"{source}: sample id {bad!r} is blank or holds a comma or a line break")
+
+
 def write_ids(ids: Sequence[str], path) -> None:
+    _check_ids(ids, path)
     with open(path, "w", encoding="utf-8") as fh:
         for sample_id in ids:
             fh.write(f"{sample_id}\n")
@@ -146,6 +162,7 @@ def _first_repeat(ids: Sequence[str]) -> int:
 def read_ids(path) -> tuple[str, ...]:
     with open(path, "r", encoding="utf-8") as fh:
         ids = tuple(line.rstrip("\n") for line in fh if line.strip())
+    _check_ids(ids, path)
     repeat = _first_repeat(ids)
     if repeat < len(ids):
         raise DuplicateIdError(f"{path}: id {ids[repeat]!r} appears twice")
@@ -257,6 +274,7 @@ def write_predictions(ids: Sequence[str], labels, path) -> None:
     counts = mask.sum(axis=1)
     if not counts.all():
         raise LabelDomainError(f"refusing to write an empty label set for {ids[counts.argmin()]!r}")
+    _check_ids(ids, path)
     names = _CLASS_ID_STRS[np.nonzero(mask)[1]].tolist()
     ends = np.cumsum(counts).tolist()
     rows = (
@@ -269,6 +287,10 @@ def write_predictions(ids: Sequence[str], labels, path) -> None:
 
 
 # -------------------------------------------------------------------- models
+
+
+# text width, image width, class count and attention key width
+_DESCRIPTOR = (TEXT_DIM, IMAGE_DIM, N_CLASSES, TEXT_DIM)
 
 
 class _Reader:
@@ -298,7 +320,7 @@ def save_model(model: FusionModel, path) -> None:
     body += struct.pack("<I", FORMAT_VERSION)
     kind_bytes = model.kind.encode("utf-8")
     body += struct.pack("<I", len(kind_bytes)) + kind_bytes
-    body += struct.pack("<IIII", TEXT_DIM, IMAGE_DIM, N_CLASSES, model.d_k)
+    body += struct.pack("<IIII", *_DESCRIPTOR)
     names = sorted(model.params)
     body += struct.pack("<I", len(names))
     for name in names:
@@ -339,13 +361,12 @@ def load_model(path, expect_kind: str | None = None) -> FusionModel:
         raise UnknownKindError(f"{path}: unknown head kind {kind!r}")
     if expect_kind is not None and kind != expect_kind:
         raise KindMismatchError(f"{path}: holds {kind!r}, caller expected {expect_kind!r}")
-    text_dim, img_dim, classes, d_k = (reader.u32() for _ in range(4))
-    if (text_dim, img_dim, classes) != (TEXT_DIM, IMAGE_DIM, N_CLASSES):
+    dims = tuple(reader.u32() for _ in range(4))
+    if dims != _DESCRIPTOR:
         raise ShapeError(
-            f"{path}: descriptor dims {(text_dim, img_dim, classes)} are not "
-            f"{(TEXT_DIM, IMAGE_DIM, N_CLASSES)}"
+            f"{path}: descriptor dims (text, image, classes, key width) {dims} are not {_DESCRIPTOR}"
         )
-    expected = expected_param_shapes(kind, d_k)
+    expected = expected_param_shapes(kind)
     count = reader.u32()
     if count != len(expected):
         raise ShapeError(f"{path}: {kind} needs {len(expected)} tensors, file declares {count}")
@@ -371,7 +392,7 @@ def load_model(path, expect_kind: str | None = None) -> FusionModel:
         params[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
     if reader.pos != len(body):
         raise TruncatedFileError(f"{path}: {len(body) - reader.pos} unexpected trailing bytes")
-    return FusionModel(kind=kind, params=params, d_k=d_k)
+    return FusionModel(kind=kind, params=params)
 
 
 # ------------------------------------------------------------------ datasets
@@ -409,17 +430,6 @@ class EmbeddingDataset:
 
     def without_labels(self) -> "EmbeddingDataset":
         return EmbeddingDataset(ids=self.ids, text=self.text, image=self.image)
-
-    def with_labels(self, mapping: Mapping[str, LabelVector]) -> "EmbeddingDataset":
-        missing = [i for i in self.ids if i not in mapping]
-        if missing:
-            raise DatasetError(f"labels missing for {len(missing)} ids, first {missing[0]!r}")
-        return EmbeddingDataset(
-            ids=self.ids,
-            text=self.text,
-            image=self.image,
-            labels=tuple(mapping[i] for i in self.ids),
-        )
 
     def subset(self, indices: Sequence[int]) -> "EmbeddingDataset":
         idx = list(indices)

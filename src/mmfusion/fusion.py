@@ -25,7 +25,7 @@ import numpy as np
 
 from .attention import AttentionParams, cross_attention
 from .errors import DomainError, LabelDomainError, NumericError, ShapeError
-from .tensor import Tensor, as_tensor, concat, sigmoid, softmax_rows
+from .tensor import Tensor, as_tensor, concat, sigmoid
 
 TEXT_DIM = 128
 IMAGE_DIM = 1792
@@ -37,7 +37,6 @@ CONCAT_DIM = TEXT_DIM + IMAGE_DIM
 CLASS_IDS = tuple(i for i in range(1, 20) if i != 12)
 
 HEAD_KINDS = ("vision_linear", "text_linear", "concat_fcnn", "cross_attn_fcnn")
-PROB_MODES = ("sigmoid", "softmax")
 
 
 def class_index(class_id: int) -> int:
@@ -45,12 +44,6 @@ def class_index(class_id: int) -> int:
     if not isinstance(class_id, (int, np.integer)) or class_id < 1 or class_id > 19 or class_id == 12:
         raise LabelDomainError(f"class id must be in 1..19 excluding 12, got {class_id!r}")
     return class_id - 1 if class_id <= 11 else class_id - 2
-
-
-def index_to_class(index: int) -> int:
-    if not 0 <= index < N_CLASSES:
-        raise LabelDomainError(f"slot index must be in 0..{N_CLASSES - 1}, got {index}")
-    return CLASS_IDS[index]
 
 
 @dataclass(frozen=True)
@@ -120,7 +113,7 @@ _LINEAR_INPUT = {
 }
 
 
-def expected_param_shapes(kind: str, d_k: int = TEXT_DIM) -> dict[str, tuple[int, ...]]:
+def expected_param_shapes(kind: str) -> dict[str, tuple[int, ...]]:
     """Parameter table for one head kind; final layer weights are [18, input]."""
     if kind not in HEAD_KINDS:
         raise DomainError(f"unknown head kind {kind!r}, expected one of {HEAD_KINDS}")
@@ -130,8 +123,8 @@ def expected_param_shapes(kind: str, d_k: int = TEXT_DIM) -> dict[str, tuple[int
     }
     if kind == "cross_attn_fcnn":
         shapes.update(
-            wq=(TEXT_DIM, d_k),
-            wk=(TEXT_DIM, d_k),
+            wq=(TEXT_DIM, TEXT_DIM),
+            wk=(TEXT_DIM, TEXT_DIM),
             wv=(TEXT_DIM, TEXT_DIM),
             ln_gain=(TEXT_DIM,),
             ln_bias=(TEXT_DIM,),
@@ -149,12 +142,11 @@ class FusionModel:
 
     kind: str
     params: dict[str, np.ndarray]
-    d_k: int = TEXT_DIM
 
     def __post_init__(self):
         if self.kind not in HEAD_KINDS:
             raise DomainError(f"unknown head kind {self.kind!r}, expected one of {HEAD_KINDS}")
-        expected = expected_param_shapes(self.kind, self.d_k)
+        expected = expected_param_shapes(self.kind)
         if set(self.params) != set(expected):
             raise ShapeError(
                 f"{self.kind} needs parameters {sorted(expected)}, got {sorted(self.params)}"
@@ -240,16 +232,9 @@ def fuse_logits(logit_sets: Sequence) -> Tensor:
     return total * (1.0 / len(ts))
 
 
-def logits_to_probs(logits, mode: str = "sigmoid") -> Tensor:
-    """Independent per-class probabilities by default; ``softmax`` for a single-label view."""
-    t = as_tensor(logits)
-    if mode == "sigmoid":
-        return sigmoid(t)
-    if mode == "softmax":
-        if t.ndim == 1:
-            return softmax_rows(t.reshape(1, t.shape[0])).reshape(t.shape[0])
-        return softmax_rows(t)
-    raise DomainError(f"mode must be one of {PROB_MODES}, got {mode!r}")
+def logits_to_probs(logits) -> Tensor:
+    """Independent per-class probabilities: the sigmoid of each logit."""
+    return sigmoid(logits)
 
 
 def assign_label_matrix(probs, threshold: float = 0.5) -> np.ndarray:

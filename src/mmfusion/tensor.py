@@ -55,9 +55,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         flag = ", requires_grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -139,8 +139,6 @@ def bce_loss_node(logits: Tensor, targets, weights) -> Tensor:
 
 # -------------------------------------------------------------------- config
 
-DEFAULT_FUSION_SET = ("vision_linear", "text_linear")
-
 _CONFIG_KEYS = (
     "lr",
     "batch_size",
@@ -158,6 +156,14 @@ _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
 
 
+def _parse_number(key: str, raw: str, convert: type):
+    try:
+        return convert(raw)
+    except ValueError:
+        noun = "a number" if convert is float else "an integer"
+        raise DomainError(f"{key} must be {noun}, got {raw!r}") from None
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 5e-4
@@ -169,7 +175,7 @@ class TrainConfig:
     eps: float = 1e-8
     seed: int = 0
     class_weighting: bool = True
-    fusion_set: tuple[str, ...] = DEFAULT_FUSION_SET
+    fusion_set: tuple[str, ...] = FUSION_SETS["fm1"]
 
     def __post_init__(self):
         # lr == 0 is allowed so no-op training stays expressible.
@@ -199,9 +205,9 @@ class TrainConfig:
     @staticmethod
     def parse_value(key: str, raw: str):
         if key in ("lr", "beta1", "beta2", "eps"):
-            return float(raw)
+            return _parse_number(key, raw, float)
         if key in ("batch_size", "max_epochs", "patience", "seed"):
-            return int(raw)
+            return _parse_number(key, raw, int)
         if key == "class_weighting":
             word = raw.strip().lower()
             if word in _TRUE_WORDS:
@@ -317,12 +323,12 @@ class TrainResult:
     best_epoch: int
 
 
-def init_head_params(kind: str, seed: int, d_k: int = TEXT_DIM) -> dict[str, np.ndarray]:
+def init_head_params(kind: str, seed: int) -> dict[str, np.ndarray]:
     """Zero linear layer; attention projections drawn at scale 128^-0.5."""
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
     scale = 1.0 / math.sqrt(TEXT_DIM)
-    for name, shape in expected_param_shapes(kind, d_k).items():
+    for name, shape in expected_param_shapes(kind).items():
         if name in ("wq", "wk", "wv"):
             params[name] = scale * rng.standard_normal(shape)
         elif name == "ln_gain":
@@ -336,12 +342,12 @@ def _snapshot(kind: str, params: Mapping[str, np.ndarray]) -> FusionModel:
     return FusionModel(kind=kind, params={k: np.array(v) for k, v in params.items()})
 
 
-def evaluate_model(model: FusionModel, data: EmbeddingDataset, threshold: float = 0.5) -> float:
-    """Macro F1 of thresholded sigmoid predictions against the data's labels."""
+def evaluate_model(model: FusionModel, data: EmbeddingDataset) -> float:
+    """Macro F1 of sigmoid predictions thresholded at 0.5 against the data's labels."""
     if data.labels is None:
         raise DatasetError("evaluation needs a labeled dataset")
     probs = logits_to_probs(predict_logits(model, data.text, data.image)).data
-    return macro_f1(confusion_counts(assign_label_matrix(probs, threshold), data.labels))
+    return macro_f1(confusion_counts(assign_label_matrix(probs), data.labels))
 
 
 @overflow_raises()
@@ -440,14 +446,12 @@ class PseudoLabelResult:
         return self.history[self.best_round].val_f1
 
 
-def fused_val_f1(
-    models: Mapping[str, FusionModel], data: EmbeddingDataset, threshold: float = 0.5
-) -> float:
+def fused_val_f1(models: Mapping[str, FusionModel], data: EmbeddingDataset) -> float:
     """Macro F1 of mean-fused logits from several heads on labeled data."""
     if data.labels is None:
         raise DatasetError("fused evaluation needs a labeled dataset")
     probs = fused_probs(models, data)
-    return macro_f1(confusion_counts(assign_label_matrix(probs, threshold), data.labels))
+    return macro_f1(confusion_counts(assign_label_matrix(probs), data.labels))
 
 
 def fused_probs(models: Mapping[str, FusionModel], data: EmbeddingDataset) -> np.ndarray:
@@ -457,9 +461,9 @@ def fused_probs(models: Mapping[str, FusionModel], data: EmbeddingDataset) -> np
 
 
 def fused_predictions(
-    models: Mapping[str, FusionModel], data: EmbeddingDataset, threshold: float = 0.5
+    models: Mapping[str, FusionModel], data: EmbeddingDataset
 ) -> list[LabelVector]:
-    return assign_labels_batch(fused_probs(models, data), threshold=threshold)
+    return assign_labels_batch(fused_probs(models, data))
 
 
 def _train_fusion_heads(

@@ -1,4 +1,4 @@
-"""Self/cross attention forwards, gradients, and the factorized embedding."""
+"""Self/cross attention forwards and gradients."""
 
 import math
 
@@ -7,12 +7,10 @@ import pytest
 
 from mmfusion.attention import (
     AttentionParams,
-    FactorizedEmbedding,
     cross_attention,
-    factorized_embed,
     self_attention,
 )
-from mmfusion.errors import DomainError, ShapeError
+from mmfusion.errors import ShapeError
 from mmfusion.tensor import Tensor, grad_check, layer_norm
 
 
@@ -238,39 +236,3 @@ class TestCrossAttention:
         ):
             with pytest.raises(ShapeError):
                 cross_attention(Tensor(xq), Tensor(ykv), params)
-
-
-class TestFactorizedEmbedding:
-    def test_identity_expansion_returns_table_row(self, rng):
-        table = rng.standard_normal((10, 4))
-        emb = FactorizedEmbedding(table=table, expand=np.eye(4))
-        np.testing.assert_array_equal(factorized_embed(3, emb).data, table[3])
-
-    def test_param_count(self, rng):
-        emb = FactorizedEmbedding(
-            table=np.zeros((1000, 64)), expand=np.zeros((64, 512))
-        )
-        assert emb.param_count == 1000 * 64 + 64 * 512 == 96768
-        assert emb.param_count < 1000 * 512
-
-    def test_same_word_same_vector(self, rng):
-        emb = FactorizedEmbedding(
-            table=rng.standard_normal((20, 6)), expand=rng.standard_normal((6, 16))
-        )
-        np.testing.assert_array_equal(factorized_embed(7, emb).data, factorized_embed(7, emb).data)
-
-    def test_matches_direct_product(self, rng):
-        table = rng.standard_normal((12, 5))
-        expand = rng.standard_normal((5, 9))
-        emb = FactorizedEmbedding(table=table, expand=expand)
-        np.testing.assert_allclose(factorized_embed(4, emb).data, table[4] @ expand, atol=1e-12)
-
-    def test_out_of_vocab_rejected(self):
-        emb = FactorizedEmbedding(table=np.zeros((5, 2)), expand=np.zeros((2, 4)))
-        for bad in (-1, 5):
-            with pytest.raises(DomainError):
-                factorized_embed(bad, emb)
-
-    def test_middle_wider_than_hidden_rejected(self):
-        with pytest.raises(ShapeError):
-            FactorizedEmbedding(table=np.zeros((5, 8)), expand=np.zeros((8, 4)))

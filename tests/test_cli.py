@@ -151,6 +151,21 @@ class TestTrainHead:
         assert proc.returncode == 0, proc.stderr
         assert summary_lines(out_flag)["epochs"] == "3"
 
+    @pytest.mark.parametrize("flag, raw", [("--lr", "abc"), ("--batch-size", "1.5")])
+    def test_non_numeric_flag_is_data_error(self, flag, raw, data_dir, tmp_path):
+        proc = run_cli("train-head", "--train", data_dir / "train", "--kind", "text_linear",
+                       flag, raw, "--out", tmp_path / "o")
+        assert proc.returncode == 2
+        assert repr(raw) in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_non_numeric_config_value_is_data_error(self, data_dir, tmp_path):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("max_epochs = 2\nlr = abc\n")
+        proc = run_cli("train-head", "--train", data_dir / "train", "--kind", "text_linear",
+                       "--config", cfg, "--out", tmp_path / "o")
+        assert proc.returncode == 2
+        assert "lr must be a number, got 'abc'" in proc.stderr
+
     def test_missing_train_dir_is_data_error(self, tmp_path):
         proc = run_cli("train-head", "--train", tmp_path / "nowhere",
                        "--kind", "text_linear", "--out", tmp_path / "o")
@@ -299,6 +314,19 @@ class TestPredictAndFuse:
                          "--data", str(data_dir / "test"), "--out", str(out)])
         assert code == 3
         assert not (out / "logits.femb").exists()
+
+    def test_ids_a_labels_csv_cannot_hold_rejected_at_load(self, trained_dir, data_dir, tmp_path):
+        bad = tmp_path / "bad"
+        shutil.copytree(data_dir / "test", bad)
+        (bad / "labels.csv").unlink()
+        ids = (bad / "ids.csv").read_text().splitlines()
+        (bad / "ids.csv").write_text("\n".join(["a,7", *ids[1:]]) + "\n")
+        out = tmp_path / "o"
+        proc = run_cli("predict", "--model", trained_dir / "model.fus1", "--data", bad,
+                       "--out", out)
+        assert proc.returncode == 2
+        assert "'a,7'" in proc.stderr
+        assert not (out / "predictions.csv").exists()
 
     def test_fuse_needs_two_files(self, trained_dir, data_dir, tmp_path):
         pred = tmp_path / "pred"

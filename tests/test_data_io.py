@@ -155,17 +155,44 @@ class TestIdsSidecar:
         with pytest.raises(DuplicateIdError):
             read_ids(tmp_path / "ids.csv")
 
+    # a comma splits a labels CSV row; the others break or drop an ids.csv line
+    @pytest.mark.parametrize(
+        "bad",
+        ["a,7", "a\nb", "a\rb", "a\u2028b", "x\x0b", "", "  "],
+        ids=["comma", "newline", "return", "line-separator", "vertical-tab", "empty", "spaces"],
+    )
+    @pytest.mark.parametrize("writer", ["write_ids", "write_predictions"])
+    def test_writers_refuse_ids_that_do_not_read_back(self, writer, bad, tmp_path):
+        ids = ("first", bad, "last")
+        path = tmp_path / "out.csv"
+        with pytest.raises(DatasetError) as info:
+            if writer == "write_ids":
+                write_ids(ids, path)
+            else:
+                write_predictions(ids, np.ones((3, N_CLASSES), dtype=bool), path)
+        assert repr(bad) in str(info.value)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad", ["a,7", "a\x0bb", "a\x85b"], ids=["comma", "vertical-tab", "nel"])
+    def test_read_refuses_ids_a_labels_csv_cannot_hold(self, bad, tmp_path):
+        path = tmp_path / "ids.csv"
+        path.write_text(f"x\n{bad}\ny\n", encoding="utf-8")
+        with pytest.raises(DatasetError) as info:
+            read_ids(path)
+        assert repr(bad) in str(info.value) and str(path) in str(info.value)
+
 
 # ---------------------------------------------------------------- labels CSV
 
-# sample ids: any text without the CSV's comma or a character str.splitlines breaks on
+# sample ids: any non-blank text without the CSV's comma or a character str.splitlines breaks on
 ID_TEXT = st.text(
     st.characters(
         blacklist_categories=("Cs",),
         blacklist_characters=",\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029",
     ),
+    min_size=1,
     max_size=6,
-)
+).filter(str.strip)
 
 
 def reference_prediction_bytes(ids, matrix) -> bytes:
@@ -434,6 +461,28 @@ class TestModelFormat:
         save_model(make_model("text_linear"), path)
         assert path.read_bytes()[:4] == MODEL_MAGIC == b"FUS1"
 
+    def test_key_width_other_than_128_rejected(self, tmp_path):
+        def cross_attn_file(key_width):
+            """A zero cross-attention model file whose queries and keys are key_width wide."""
+            shapes = {"b": (18,), "ln_bias": (128,), "ln_gain": (128,), "w": (18, 2048),
+                      "wk": (128, key_width), "wq": (128, key_width), "wv": (128, 128)}
+            body = struct.pack("<II", 1, 15) + b"cross_attn_fcnn"
+            body += struct.pack("<IIIII", 128, 1792, 18, key_width, len(shapes))
+            for name, shape in shapes.items():
+                body += struct.pack("<I", len(name)) + name.encode() + struct.pack("<I", len(shape))
+                body += struct.pack(f"<{len(shape)}I", *shape) + np.zeros(shape, "<f4").tobytes()
+            return MODEL_MAGIC + body + struct.pack("<I", zlib.crc32(body))
+
+        shapes = expected_param_shapes("cross_attn_fcnn")
+        zeros = {name: np.zeros(shape) for name, shape in shapes.items()}
+        save_model(FusionModel(kind="cross_attn_fcnn", params=zeros), tmp_path / "saved.fus1")
+        assert (tmp_path / "saved.fus1").read_bytes() == cross_attn_file(128)
+        path = tmp_path / "narrow.fus1"
+        path.write_bytes(cross_attn_file(64))
+        with pytest.raises(ShapeError, match="key width") as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+
 
 # ------------------------------------------------------------------- datasets
 
@@ -521,11 +570,6 @@ class TestEmbeddingDataset:
         b = tiny_dataset(2, prefix="b", labeled=False)
         with pytest.raises(DatasetError):
             a.merge(b)
-
-    def test_with_labels_requires_cover(self):
-        ds = tiny_dataset(3, labeled=False)
-        with pytest.raises(DatasetError):
-            ds.with_labels({"s_0": LabelVector.from_ids([1])})
 
     def test_label_counts(self):
         ds = EmbeddingDataset(

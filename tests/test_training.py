@@ -257,6 +257,20 @@ class TestTrainConfig:
         with pytest.raises(DomainError):
             TrainConfig.from_file(path)
 
+    @pytest.mark.parametrize(
+        "key, raw, noun",
+        [("lr", "abc", "a number"), ("eps", "", "a number"),
+         ("batch_size", "1.5", "an integer"), ("seed", "x", "an integer")],
+    )
+    def test_non_numeric_value_is_domain_error(self, key, raw, noun, tmp_path):
+        message = f"{key} must be {noun}, got {raw!r}"
+        with pytest.raises(DomainError, match=message):
+            TrainConfig().with_overrides({key: raw})
+        path = tmp_path / "train.cfg"
+        path.write_text(f"{key} = {raw}\n")
+        with pytest.raises(DomainError, match=message):
+            TrainConfig.from_file(path)
+
 
 # ---------------------------------------------------------------------- adam
 

@@ -36,15 +36,12 @@ from .vision_blocks import (
     CompoundScaling,
     ConvSpec,
     ScalingSpec,
-    channel_shuffle,
     compound_scale,
     conv2d_forward,
     cost_depthwise_separable,
     cost_grouped,
     cost_standard,
     depthwise_separable_forward,
-    inverted_residual,
-    se_block,
     separable_ratio,
 )
 from .attention import (

@@ -1,7 +1,9 @@
 """Command-line surface for the fusion pipeline.
 
-Every subcommand writes a ``summary.txt`` of key=value lines into its --out
-directory with the keys macro_f1, mean_accuracy, epochs, seed, wall_ms
+Every subcommand works inside its --out directory.  ``main`` creates that
+directory, times the subcommand and, only when it succeeds, writes
+``summary.txt`` there: key=value lines with the keys macro_f1,
+mean_accuracy, epochs, seed, wall_ms taken from what the subcommand returns
 (``nan`` where a key does not apply; for pseudo-loop, ``epochs`` counts
 executed rounds).  Exit codes: 0 success, 1 usage error, 2 data or shape
 error, 3 numeric failure.  wall_ms is the only nondeterministic output.
@@ -12,12 +14,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .data_io import (
-    EmbeddingDataset,
     gen_synthetic,
     labels_in_order,
     load_dataset,
@@ -53,32 +55,21 @@ from .vision_blocks import (
     separable_ratio,
 )
 
-_CONFIG_FLAGS = (
-    ("--lr", "lr"),
-    ("--batch-size", "batch_size"),
-    ("--max-epochs", "max_epochs"),
-    ("--patience", "patience"),
-    ("--beta1", "beta1"),
-    ("--beta2", "beta2"),
-    ("--adam-eps", "eps"),
-    ("--seed", "seed"),
-    ("--class-weighting", "class_weighting"),
-    ("--fusion-set", "fusion_set"),
-)
+def _config_flag(key: str) -> str:
+    # pseudo-loop's --eps is the loop's stopping margin, so Adam's eps is --adam-eps
+    return "--adam-eps" if key == "eps" else "--" + key.replace("_", "-")
 
 
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
+    """One flag per TrainConfig field, stored as ``cfg_<field>``."""
     sub.add_argument("--config", help="key=value config file")
-    for flag, key in _CONFIG_FLAGS:
-        sub.add_argument(flag, dest=f"cfg_{key}", metavar="VALUE")
+    for field in fields(TrainConfig):
+        sub.add_argument(_config_flag(field.name), dest=f"cfg_{field.name}", metavar="VALUE")
 
 
 def _resolve_config(args) -> TrainConfig:
-    overrides = {
-        key: getattr(args, f"cfg_{key}")
-        for _, key in _CONFIG_FLAGS
-        if getattr(args, f"cfg_{key}") is not None
-    }
+    flags = {field.name: getattr(args, f"cfg_{field.name}") for field in fields(TrainConfig)}
+    overrides = {key: raw for key, raw in flags.items() if raw is not None}
     if args.config:
         return TrainConfig.from_file(args.config, overrides)
     return TrainConfig().with_overrides(overrides)
@@ -99,31 +90,26 @@ def write_summary(out_dir: Path, **values) -> None:
     (out_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _scores(preds: np.ndarray, truth: np.ndarray) -> dict:
+    counts = confusion_counts(preds, truth)
+    return {"macro_f1": macro_f1(counts), "mean_accuracy": mean_accuracy(counts)}
 
 
 # ---------------------------------------------------------------- subcommands
 
 
-def cmd_gen_synthetic(args) -> None:
-    start = time.perf_counter()
-    out = _out_dir(args)
+def cmd_gen_synthetic(args, out: Path) -> dict:
     train, test, val = gen_synthetic(
         seed=args.seed, n_train=args.n_train, n_test=args.n_test, n_val=args.n_val, noise=args.noise
     )
     save_dataset(train, out / "train")
     save_dataset(test, out / "test")
     save_dataset(val, out / "val")
-    write_summary(out, seed=args.seed, wall_ms=(time.perf_counter() - start) * 1e3)
     print(f"wrote train/test/val splits under {out}")
+    return {"seed": args.seed}
 
 
-def cmd_train_head(args) -> None:
-    start = time.perf_counter()
-    out = _out_dir(args)
+def cmd_train_head(args, out: Path) -> dict:
     config = _resolve_config(args)
     train = load_dataset(args.train, require_labels=True)
     val = load_dataset(args.val, require_labels=True) if args.val else None
@@ -133,24 +119,15 @@ def cmd_train_head(args) -> None:
     history_lines += [f"{r.epoch},{r.train_loss!r},{r.val_f1!r}" for r in result.history]
     (out / "history.csv").write_text("\n".join(history_lines) + "\n", encoding="utf-8")
     best = result.history[result.best_epoch - 1]
-    metrics = {}
+    summary = {"epochs": len(result.history), "seed": config.seed}
     if val is not None:
         probs = logits_to_probs(predict_logits(result.model, val.text, val.image)).data
-        counts = confusion_counts(assign_label_matrix(probs), val.labels)
-        metrics = {"macro_f1": macro_f1(counts), "mean_accuracy": mean_accuracy(counts)}
-    write_summary(
-        out,
-        epochs=len(result.history),
-        seed=config.seed,
-        wall_ms=(time.perf_counter() - start) * 1e3,
-        **metrics,
-    )
+        summary.update(_scores(assign_label_matrix(probs), val.labels))
     print(f"trained {args.kind}: best epoch {result.best_epoch}, val f1 {best.val_f1!r}")
+    return summary
 
 
-def cmd_predict(args) -> None:
-    start = time.perf_counter()
-    out = _out_dir(args)
+def cmd_predict(args, out: Path) -> dict:
     model = load_model(args.model, expect_kind=args.kind)
     data = load_dataset(args.data)
     logits = predict_logits(model, data.text, data.image)
@@ -159,17 +136,11 @@ def cmd_predict(args) -> None:
     write_embeddings(logits, out / "logits.femb")
     write_ids(data.ids, out / "ids.csv")
     write_predictions(data.ids, preds, out / "predictions.csv")
-    metrics = {}
-    if data.labels is not None:
-        counts = confusion_counts(preds, data.labels)
-        metrics = {"macro_f1": macro_f1(counts), "mean_accuracy": mean_accuracy(counts)}
-    write_summary(out, wall_ms=(time.perf_counter() - start) * 1e3, **metrics)
     print(f"wrote predictions for {len(data)} samples to {out}")
+    return {} if data.labels is None else _scores(preds, data.labels)
 
 
-def cmd_fuse_logits(args) -> None:
-    start = time.perf_counter()
-    out = _out_dir(args)
+def cmd_fuse_logits(args, out: Path) -> dict:
     if len(args.logits) < 2:
         raise DomainError("fuse-logits needs at least two logits files")
     blocks = [read_embeddings(path) for path in args.logits]
@@ -183,18 +154,15 @@ def cmd_fuse_logits(args) -> None:
     preds = assign_label_matrix(logits_to_probs(fused).data, threshold=args.threshold)
     write_embeddings(fused, out / "logits.femb")
     write_predictions(ids, preds, out / "predictions.csv")
-    metrics = {}
+    summary = {}
     if args.labels:
         truth = labels_in_order(ids, *read_label_matrix(args.labels), args.labels)
-        counts = confusion_counts(preds, truth)
-        metrics = {"macro_f1": macro_f1(counts), "mean_accuracy": mean_accuracy(counts)}
-    write_summary(out, wall_ms=(time.perf_counter() - start) * 1e3, **metrics)
+        summary = _scores(preds, truth)
     print(f"fused {len(args.logits)} logit sets over {len(ids)} samples")
+    return summary
 
 
-def cmd_evaluate(args) -> None:
-    start = time.perf_counter()
-    out = _out_dir(args)
+def cmd_evaluate(args, out: Path) -> dict:
     pred_ids, preds = read_label_matrix(args.pred)
     truth_ids, truth = read_label_matrix(args.truth)
     truth = labels_in_order(pred_ids, truth_ids, truth, args.truth)
@@ -212,14 +180,10 @@ def cmd_evaluate(args) -> None:
         print(f"class{class_id}_f1={float(score)!r}")
     print(f"macro_f1={macro!r}")
     print(f"mean_accuracy={acc!r}")
-    write_summary(
-        out, macro_f1=macro, mean_accuracy=acc, wall_ms=(time.perf_counter() - start) * 1e3
-    )
+    return {"macro_f1": macro, "mean_accuracy": acc}
 
 
-def cmd_pseudo_loop(args) -> None:
-    start = time.perf_counter()
-    out = _out_dir(args)
+def cmd_pseudo_loop(args, out: Path) -> dict:
     config = _resolve_config(args)
     train = load_dataset(args.train, require_labels=True)
     test = load_dataset(args.test).without_labels()
@@ -236,24 +200,14 @@ def cmd_pseudo_loop(args) -> None:
     if result.pseudo_labels:  # keyed by the test ids, in their order
         write_predictions(*zip(*result.pseudo_labels.items()), out / "pseudo_labels.csv")
     preds = assign_label_matrix(fused_probs(result.models, val))
-    fused_counts = confusion_counts(preds, val.labels)
-    write_summary(
-        out,
-        macro_f1=macro_f1(fused_counts),
-        mean_accuracy=mean_accuracy(fused_counts),
-        epochs=len(result.history),
-        seed=config.seed,
-        wall_ms=(time.perf_counter() - start) * 1e3,
-    )
     print(
         f"pseudo-label loop: best round {result.best_round} "
         f"with fused val f1 {result.best_val_f1!r}"
     )
+    return {"epochs": len(result.history), "seed": config.seed, **_scores(preds, val.labels)}
 
 
-def cmd_flops(args) -> None:
-    start = time.perf_counter()
-    out = _out_dir(args)
+def cmd_flops(args, out: Path) -> dict:
     lines = []
     if args.dk is not None:
         for name in ("m", "n", "df"):
@@ -276,31 +230,15 @@ def cmd_flops(args) -> None:
                 )
             )
             lines.append(f"grouped_macs={grouped}")
-    if args.phi is not None:
-        spec = ScalingSpec(
-            d0=args.d0,
-            w0=args.w0,
-            r0=args.r0,
-            alpha=args.alpha,
-            beta=args.beta,
-            gamma=args.gamma,
-            phi=args.phi,
-            budget=args.budget,
-        )
-        scaled = compound_scale(spec)
-        lines += [
-            f"depth={scaled.depth!r}",
-            f"width={scaled.width!r}",
-            f"resolution={scaled.resolution!r}",
-            f"flops_factor={scaled.flops_factor!r}",
-            f"constraint_residual={scaled.constraint_residual!r}",
-        ]
+    if args.phi is not None:  # each ScalingSpec field has the flag of its name
+        spec = ScalingSpec(**{f.name: getattr(args, f.name) for f in fields(ScalingSpec)})
+        lines += [f"{key}={value!r}" for key, value in compound_scale(spec)._asdict().items()]
     if not lines:
         raise DomainError("flops needs --dk (cost model) or --phi (compound scaling) flags")
     for line in lines:
         print(line)
     (out / "flops.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    write_summary(out, wall_ms=(time.perf_counter() - start) * 1e3)
+    return {}
 
 
 # --------------------------------------------------------------------- parser
@@ -389,7 +327,11 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage problems; keep 0 for --help, map the rest to 1
         return 0 if exc.code == 0 else 1
     try:
-        args.handler(args)
+        start = time.perf_counter()
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        summary = args.handler(args, out)
+        write_summary(out, wall_ms=(time.perf_counter() - start) * 1e3, **summary)
     except (NumericError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

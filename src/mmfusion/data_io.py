@@ -82,28 +82,40 @@ def _first_non_finite(flat: np.ndarray) -> int | None:
     return None
 
 
+def _float32_payload(values: np.ndarray, path) -> np.ndarray:
+    """The [n, d] float32 payload of an embedding file for ``path``, checked before any write.
+
+    A value that is not finite in float32 raises :class:`NonFiniteError`.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ShapeError(f"embeddings must be [n, d], got shape {arr.shape}")
+    with np.errstate(over="ignore"):  # beyond the float32 range becomes +-inf, caught below
+        payload = arr.astype("<f4")
+    first = _first_non_finite(payload.ravel())
+    if first is not None:
+        d = arr.shape[1]
+        raise NonFiniteError(
+            f"{path}: value {arr.flat[first]} at row {first // d}, column {first % d} "
+            "is not finite in float32"
+        )
+    return payload
+
+
+def _write_payload(payload: np.ndarray, path) -> None:
+    with open(path, "wb") as fh:
+        fh.write(EMBEDDING_MAGIC)
+        fh.write(struct.pack("<III", FORMAT_VERSION, *payload.shape))
+        fh.write(payload.tobytes(order="C"))
+
+
 def write_embeddings(values: np.ndarray, path) -> None:
     """Write an [n, d] array as a version-1 embedding file (float32 payload).
 
     A value that is not finite in float32 raises :class:`NonFiniteError` and
     no file is created, so every file written here reads back.
     """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeError(f"embeddings must be [n, d], got shape {arr.shape}")
-    n, d = arr.shape
-    with np.errstate(over="ignore"):  # beyond the float32 range becomes +-inf, caught below
-        payload = arr.astype("<f4")
-    first = _first_non_finite(payload.ravel())
-    if first is not None:
-        raise NonFiniteError(
-            f"{path}: value {arr.flat[first]} at row {first // d}, column {first % d} "
-            "is not finite in float32"
-        )
-    with open(path, "wb") as fh:
-        fh.write(EMBEDDING_MAGIC)
-        fh.write(struct.pack("<III", FORMAT_VERSION, n, d))
-        fh.write(payload.tobytes(order="C"))
+    _write_payload(_float32_payload(values, path), path)
 
 
 def read_embeddings(path) -> np.ndarray:
@@ -132,16 +144,24 @@ def read_embeddings(path) -> np.ndarray:
     return flat.astype(np.float64).reshape(n, d)
 
 
-def _check_ids(ids: Sequence[str], source) -> None:
-    """Raise :class:`DatasetError` for the first id the readers cannot read back.
+def _first_bad_id(ids: Sequence[str]) -> int:
+    """Index of the first id the readers cannot read back, ``len(ids)`` when all can.
 
     The common case is a join, a split and a strip per id, all inside C.
     """
     joined = "\n".join(ids)
     if "," not in joined and joined.splitlines() == list(ids) and "" not in map(str.strip, ids):
-        return
-    bad = next(i for i in ids if "," in i or i.splitlines() != [i] or not i.strip())
-    raise DatasetError(f"{source}: sample id {bad!r} is blank or holds a comma or a line break")
+        return len(ids)
+    return next(r for r, i in enumerate(ids) if "," in i or i.splitlines() != [i] or not i.strip())
+
+
+def _check_ids(ids: Sequence[str], source) -> None:
+    """Raise :class:`DatasetError` for the first id the readers cannot read back."""
+    bad = _first_bad_id(ids)
+    if bad < len(ids):
+        raise DatasetError(
+            f"{source}: sample id {ids[bad]!r} is blank or holds a comma or a line break"
+        )
 
 
 def write_ids(ids: Sequence[str], path) -> None:
@@ -184,9 +204,11 @@ def read_label_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
     """Parse a labels CSV into its ids and their [n, 18] bool label matrix, in file order.
 
     One pass over the lines splits each row into its id and integer class
-    ids; id uniqueness, emptiness, order and the class-id range are then
-    checked as array ops.  A malformed file raises for its first bad line,
-    naming ``path:lineno``.  Blank lines are skipped.
+    ids; the writers' id rule (here that leaves blank ids, since a row's id
+    holds no comma or line break), id uniqueness, emptiness, order and the
+    class-id range are then checked as join and array ops.  A malformed file
+    raises for its first bad line, naming ``path:lineno``.  Blank lines are
+    skipped.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -226,6 +248,7 @@ def read_label_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
     outside = np.flatnonzero(slots < 0)
     # the first bad row of each check, listed in the order the checks apply within one line
     faults = [
+        (_first_bad_id(ids), DatasetError, "sample id {id!r} is blank"),
         (_first_repeat(ids), DuplicateIdError, "id {id!r} appears twice"),
         (empty[0] if empty.size else n, LabelDomainError, "empty label set for {id!r}"),
         (row_of_value[descending[0]] if descending.size else n, LabelDomainError,
@@ -460,10 +483,14 @@ class EmbeddingDataset:
 
 
 def save_dataset(dataset: EmbeddingDataset, directory) -> None:
+    """Write a dataset directory; a dataset the files cannot hold raises before any write."""
     directory = Path(directory)
+    text = _float32_payload(dataset.text, directory / "text.femb")
+    image = _float32_payload(dataset.image, directory / "image.femb")
+    _check_ids(dataset.ids, directory / "ids.csv")
     directory.mkdir(parents=True, exist_ok=True)
-    write_embeddings(dataset.text, directory / "text.femb")
-    write_embeddings(dataset.image, directory / "image.femb")
+    _write_payload(text, directory / "text.femb")
+    _write_payload(image, directory / "image.femb")
     write_ids(dataset.ids, directory / "ids.csv")
     if dataset.labels is not None:
         write_predictions(dataset.ids, dataset.labels, directory / "labels.csv")

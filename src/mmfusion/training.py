@@ -14,7 +14,7 @@ independent of the logarithm base.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -139,19 +139,6 @@ def bce_loss_node(logits: Tensor, targets, weights) -> Tensor:
 
 # -------------------------------------------------------------------- config
 
-_CONFIG_KEYS = (
-    "lr",
-    "batch_size",
-    "max_epochs",
-    "patience",
-    "beta1",
-    "beta2",
-    "eps",
-    "seed",
-    "class_weighting",
-    "fusion_set",
-)
-
 _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
 
@@ -204,23 +191,24 @@ class TrainConfig:
 
     @staticmethod
     def parse_value(key: str, raw: str):
-        if key in ("lr", "beta1", "beta2", "eps"):
-            return _parse_number(key, raw, float)
-        if key in ("batch_size", "max_epochs", "patience", "seed"):
-            return _parse_number(key, raw, int)
-        if key == "class_weighting":
+        """Parse a raw string setting by the type of the field's default value."""
+        defaults = {field.name: field.default for field in fields(TrainConfig)}
+        if key not in defaults:
+            raise DomainError(f"unknown config key {key!r}, expected one of {tuple(defaults)}")
+        kind = type(defaults[key])
+        if kind is bool:
             word = raw.strip().lower()
             if word in _TRUE_WORDS:
                 return True
             if word in _FALSE_WORDS:
                 return False
-            raise DomainError(f"class_weighting must be true/false, got {raw!r}")
-        if key == "fusion_set":
+            raise DomainError(f"{key} must be true/false, got {raw!r}")
+        if kind is tuple:  # a named fusion set or comma-separated head kinds
             name = raw.strip()
             if name in FUSION_SETS:
                 return FUSION_SETS[name]
             return tuple(part.strip() for part in raw.split(",") if part.strip())
-        raise DomainError(f"unknown config key {key!r}, expected one of {_CONFIG_KEYS}")
+        return _parse_number(key, raw, kind)
 
     def with_overrides(self, overrides: Mapping[str, str]) -> "TrainConfig":
         """Apply raw string overrides (CLI flags beat file values)."""

@@ -1,6 +1,6 @@
-"""Cost models and reference forwards for lightweight CNN building blocks.
+"""Convolution cost model, MAC-counted conv forwards, and compound scaling.
 
-Everything here is plain float64 numpy: these blocks are analysed and
+Everything here is plain float64 numpy: the convolutions are analysed and
 sanity-checked, not trained, so no gradient bookkeeping is attached.
 Convolutions use stride 1 and zero padding that preserves the spatial side,
 with the feature map laid out as ``[H, W, channels]``.
@@ -18,7 +18,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .tensor import _sigmoid_values
 
 CONV_MODES = ("standard", "depthwise", "pointwise", "grouped")
 
@@ -141,110 +140,6 @@ def depthwise_separable_forward(
     pw_spec = ConvSpec(1, spec.m, spec.n, spec.df, mode="pointwise")
     out, pw_macs = conv2d_forward(mid, pw_kernels, pw_spec)
     return out, dw_macs + pw_macs
-
-
-def channel_shuffle(x: np.ndarray, groups: int) -> np.ndarray:
-    """Mix channels across groups: output group i, slot j reads group (i+j) mod groups, slot j."""
-    x = np.asarray(x, dtype=np.float64)
-    c = x.shape[-1]
-    if groups < 1 or c % groups:
-        raise ShapeError(f"groups={groups} must be positive and divide the {c} channels")
-    per = c // groups
-    perm = np.empty(c, dtype=np.int64)
-    for i in range(groups):
-        for j in range(per):
-            perm[i * per + j] = ((i + j) % groups) * per + j
-    return x[..., perm]
-
-
-def channel_means(x: np.ndarray) -> np.ndarray:
-    """Spatial mean of each channel: the squeeze step of the SE block."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ShapeError(f"expected [H, W, C], got shape {x.shape}")
-    return x.mean(axis=(0, 1))
-
-
-def se_block(x: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """Squeeze-and-excitation: rescale each channel by a learned gate.
-
-    The per-channel means pass through a bottleneck ``w1: [C, C/r]`` with relu,
-    then ``w2: [C/r, C]`` with sigmoid, and the result multiplies the channels.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    w1 = np.asarray(w1, dtype=np.float64)
-    w2 = np.asarray(w2, dtype=np.float64)
-    c = x.shape[-1]
-    if x.ndim != 3 or w1.ndim != 2 or w1.shape[0] != c:
-        raise ShapeError(f"w1 shape {w1.shape} does not match {c} input channels")
-    reduced = w1.shape[1]
-    if c % reduced:
-        raise ShapeError(f"reduction width {reduced} must divide the {c} channels")
-    if w2.shape != (reduced, c):
-        raise ShapeError(f"w2 shape {w2.shape} must be {(reduced, c)}")
-    z = channel_means(x)
-    hidden = np.maximum(z @ w1, 0.0)
-    gates = _sigmoid_values(hidden @ w2)
-    return x * gates[None, None, :]
-
-
-@dataclass(frozen=True)
-class InvertedResidualParams:
-    """Weights for expand (1x1), depthwise (3x3), and linear project (1x1) stages."""
-
-    w_expand: np.ndarray
-    b_expand: np.ndarray
-    w_dw: np.ndarray
-    w_project: np.ndarray
-    b_project: np.ndarray
-
-
-def make_inverted_residual_params(
-    c: int, t: int, rng: np.random.Generator | None = None
-) -> InvertedResidualParams:
-    """Build parameter arrays for ``inverted_residual``; zeros unless ``rng`` is given."""
-    if t < 1:
-        raise DomainError(f"expansion factor t must be >= 1, got {t}")
-    tc = t * c
-    if rng is None:
-        draw = lambda *shape: np.zeros(shape)
-    else:
-        draw = lambda *shape: rng.standard_normal(shape) * 0.5
-    return InvertedResidualParams(
-        w_expand=draw(1, 1, c, tc),
-        b_expand=draw(tc),
-        w_dw=draw(3, 3, tc),
-        w_project=draw(1, 1, tc, c),
-        b_project=draw(c),
-    )
-
-
-def inverted_residual(x: np.ndarray, params: InvertedResidualParams, t: int) -> np.ndarray:
-    """Expand with relu, filter depthwise 3x3, project linearly, add the input back."""
-    x = np.asarray(x, dtype=np.float64)
-    if t < 1:
-        raise DomainError(f"expansion factor t must be >= 1, got {t}")
-    if x.ndim != 3:
-        raise ShapeError(f"expected [H, W, C], got shape {x.shape}")
-    h, w, c = x.shape
-    if min(h, w) < 3:
-        raise ShapeError(f"spatial side must be >= 3 for the 3x3 depthwise stage, got {h}x{w}")
-    tc = t * c
-    if params.w_expand.shape != (1, 1, c, tc) or params.b_expand.shape != (tc,):
-        raise ShapeError(f"expand weights do not match c={c}, t={t}")
-    if params.w_dw.shape != (3, 3, tc):
-        raise ShapeError(f"depthwise kernel must be (3, 3, {tc}), got {params.w_dw.shape}")
-    if params.w_project.shape != (1, 1, tc, c) or params.b_project.shape != (c,):
-        raise ShapeError(f"project weights do not match c={c}, t={t}")
-
-    expanded = np.maximum(np.einsum("hwc,ck->hwk", x, params.w_expand[0, 0]) + params.b_expand, 0.0)
-    padded = np.pad(expanded, ((1, 1), (1, 1), (0, 0)))
-    filtered = np.zeros_like(expanded)
-    for di in range(3):
-        for dj in range(3):
-            filtered += padded[di : di + h, dj : dj + w, :] * params.w_dw[di, dj][None, None, :]
-    projected = np.einsum("hwk,kc->hwc", filtered, params.w_project[0, 0]) + params.b_project
-    return x + projected
 
 
 @dataclass(frozen=True)

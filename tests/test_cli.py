@@ -4,6 +4,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from mmfusion.data_io import (
     read_embeddings,
     save_model,
 )
-from mmfusion.fusion import FusionModel, expected_param_shapes
+from mmfusion.fusion import FUSION_SETS, FusionModel, expected_param_shapes
+from mmfusion.training import TrainConfig
 
 
 def run_cli(*argv, cwd=None):
@@ -85,6 +87,110 @@ class TestBasics:
 
     def test_missing_required_flag_is_usage_error(self):
         assert run_cli("gen-synthetic").returncode == 1
+
+
+@pytest.fixture(scope="module")
+def pred_dir(tmp_path_factory, trained_dir, data_dir):
+    out = tmp_path_factory.mktemp("cli_pred")
+    proc = run_cli("predict", "--model", trained_dir / "model.fus1",
+                   "--data", data_dir / "test", "--out", out)
+    assert proc.returncode == 0, proc.stderr
+    return out
+
+
+SUBCOMMAND_ARGS = {
+    "gen-synthetic": lambda data, model, pred: [
+        "--n-train", 8, "--n-test", 4, "--n-val", 4],
+    "train-head": lambda data, model, pred: [
+        "--train", data / "train", "--val", data / "val", "--kind", "text_linear",
+        "--max-epochs", 2],
+    "predict": lambda data, model, pred: ["--model", model, "--data", data / "test"],
+    "fuse-logits": lambda data, model, pred: [
+        "--logits", pred / "logits.femb", pred / "logits.femb", "--ids", pred / "ids.csv",
+        "--labels", data / "test" / "labels.csv"],
+    "evaluate": lambda data, model, pred: [
+        "--pred", pred / "predictions.csv", "--truth", data / "test" / "labels.csv"],
+    "pseudo-loop": lambda data, model, pred: [
+        "--train", data / "train", "--test", data / "test", "--val", data / "val",
+        "--max-epochs", 2, "--max-rounds", 1],
+    "flops": lambda data, model, pred: ["--dk", 3, "--m", 4, "--n", 8, "--df", 5],
+}
+
+# one failing call per subcommand, each a data or domain error (exit 2)
+FAILING_ARGS = {
+    "gen-synthetic": lambda data, model, pred: ["--n-train", 0],
+    "train-head": lambda data, model, pred: [
+        "--train", data / "train", "--kind", "text_linear", "--lr", "-1"],
+    "predict": lambda data, model, pred: [
+        "--model", model, "--kind", "vision_linear", "--data", data / "test"],
+    "fuse-logits": lambda data, model, pred: [
+        "--logits", pred / "logits.femb", "--ids", pred / "ids.csv"],
+    "evaluate": lambda data, model, pred: [
+        "--pred", pred / "predictions.csv", "--truth", data / "nowhere.csv"],
+    "pseudo-loop": lambda data, model, pred: [
+        "--train", data / "train", "--test", data / "train", "--val", data / "val"],
+    "flops": lambda data, model, pred: [],
+}
+
+
+class TestSummaryContract:
+    """``main`` owns --out, the timer and summary.txt for every subcommand."""
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
+    def test_summary_holds_the_keys_in_order(
+        self, command, data_dir, trained_dir, pred_dir, tmp_path
+    ):
+        argv = SUBCOMMAND_ARGS[command](data_dir, trained_dir / "model.fus1", pred_dir)
+        out = tmp_path / "nested" / "out"
+        code = cli.main([command, *map(str, argv), "--out", str(out)])
+        assert code == 0
+        keys = [line.split("=", 1)[0] for line in (out / "summary.txt").read_text().splitlines()]
+        assert tuple(keys) == cli.SUMMARY_KEYS
+        assert float(summary_lines(out)["wall_ms"]) >= 0.0
+
+    @pytest.mark.parametrize("command", sorted(FAILING_ARGS))
+    def test_failure_leaves_no_summary(self, command, data_dir, trained_dir, pred_dir, tmp_path):
+        argv = FAILING_ARGS[command](data_dir, trained_dir / "model.fus1", pred_dir)
+        out = tmp_path / "out"
+        assert cli.main([command, *map(str, argv), "--out", str(out)]) == 2
+        assert not (out / "summary.txt").exists()
+
+    def test_every_subcommand_is_covered(self):
+        subs = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        assert set(subs.choices) == set(SUBCOMMAND_ARGS) == set(FAILING_ARGS)
+
+
+# each TrainConfig field, its documented flag, and a value that is not its default
+CONFIG_FLAGS = [
+    ("lr", "--lr", "0.125", 0.125),
+    ("batch_size", "--batch-size", "7", 7),
+    ("max_epochs", "--max-epochs", "9", 9),
+    ("patience", "--patience", "3", 3),
+    ("beta1", "--beta1", "0.5", 0.5),
+    ("beta2", "--beta2", "0.75", 0.75),
+    ("eps", "--adam-eps", "1e-06", 1e-6),
+    ("seed", "--seed", "13", 13),
+    ("class_weighting", "--class-weighting", "false", False),
+    ("fusion_set", "--fusion-set", "fm3", FUSION_SETS["fm3"]),
+]
+
+
+class TestConfigFlags:
+    def test_flags_cover_every_field(self):
+        assert [key for key, *_ in CONFIG_FLAGS] == [f.name for f in fields(TrainConfig)]
+
+    @pytest.mark.parametrize("command, required", [
+        ("train-head", ["--train", "t", "--kind", "text_linear"]),
+        ("pseudo-loop", ["--train", "t", "--test", "p", "--val", "v"]),
+    ])
+    @pytest.mark.parametrize("key, flag, raw, value", CONFIG_FLAGS)
+    def test_flag_reaches_its_field(self, command, required, key, flag, raw, value):
+        args = cli.build_parser().parse_args([command, *required, flag, raw, "--out", "o"])
+        config = cli._resolve_config(args)
+        assert getattr(config, key) == value
+        assert getattr(config, key) != getattr(TrainConfig(), key)
+        others = {f.name for f in fields(TrainConfig)} - {key}
+        assert all(getattr(config, name) == getattr(TrainConfig(), name) for name in others)
 
 
 class TestFlops:

@@ -313,6 +313,10 @@ class TestLabelsCsv:
             # within one line, the checks keep their order: repeat, empty, order, range
             ("ImageID,Labels\na,1\na,\n", 3, DuplicateIdError, "appears twice"),
             ("ImageID,Labels\na,20 3\n", 2, LabelDomainError, "ascending"),
+            # blank ids, which no writer produces, come first of all
+            ("ImageID,Labels\n ,1\n,2\n", 2, DatasetError, "sample id ' ' is blank"),
+            ("ImageID,Labels\na,1\n,2\n", 3, DatasetError, "sample id '' is blank"),
+            ("ImageID,Labels\na,1\n\t,\n", 3, DatasetError, r"sample id '\\t' is blank"),
         ],
     )
     def test_errors_name_path_and_line(self, body, lineno, error, message, tmp_path):
@@ -630,6 +634,23 @@ class TestDatasetDirectory:
         (tmp_path / "d" / "image.femb").unlink()
         with pytest.raises(DatasetError):
             load_dataset(tmp_path / "d")
+
+    def test_bad_id_leaves_no_file(self, tmp_path):
+        ds = tiny_dataset(3)
+        bad = EmbeddingDataset(ids=("s_0", "a,7", "s_2"), text=ds.text, image=ds.image,
+                               labels=ds.labels)
+        with pytest.raises(DatasetError, match="'a,7'"):
+            save_dataset(bad, tmp_path / "d")
+        assert not (tmp_path / "d").exists()
+
+    def test_value_beyond_float32_leaves_no_file(self, tmp_path):
+        ds = tiny_dataset(3)
+        image = ds.image.copy()
+        image[1, 5] = 1e39
+        bad = EmbeddingDataset(ids=ds.ids, text=ds.text, image=image, labels=ds.labels)
+        with pytest.raises(NonFiniteError, match="image.femb: value 1e"):
+            save_dataset(bad, tmp_path / "d")
+        assert not (tmp_path / "d").exists()
 
     def test_row_count_mismatch_reported(self, tmp_path):
         ds = tiny_dataset(3)

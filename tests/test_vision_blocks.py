@@ -1,4 +1,4 @@
-"""Cost models, convolution forwards, shuffling, SE gating, residual blocks, scaling."""
+"""Cost models, MAC-counted convolution forwards, compound scaling."""
 
 import numpy as np
 import pytest
@@ -9,19 +9,13 @@ from mmfusion.errors import DomainError, ShapeError
 from mmfusion.vision_blocks import (
     CompoundScaling,
     ConvSpec,
-    InvertedResidualParams,
     ScalingSpec,
-    channel_means,
-    channel_shuffle,
     compound_scale,
     conv2d_forward,
     cost_depthwise_separable,
     cost_grouped,
     cost_standard,
     depthwise_separable_forward,
-    inverted_residual,
-    make_inverted_residual_params,
-    se_block,
     separable_ratio,
 )
 
@@ -156,110 +150,6 @@ class TestConv2dForward:
         spec = ConvSpec(dk=3, m=2, n=2, df=3)
         with pytest.raises(ShapeError):
             conv2d_forward(rng.standard_normal((3, 3, 2)), np.zeros((3, 3, 2, 3)), spec)
-
-
-class TestChannelShuffle:
-    def test_identity_for_one_group(self, rng):
-        x = rng.standard_normal((2, 2, 6))
-        np.testing.assert_array_equal(channel_shuffle(x, 1), x)
-
-    def test_two_groups_of_two(self):
-        # channels [A0, A1, B0, B1] interleave to [A0, B1, B0, A1]
-        x = np.arange(4.0).reshape(1, 1, 4)
-        out = channel_shuffle(x, 2)
-        np.testing.assert_array_equal(out[0, 0], [0.0, 3.0, 2.0, 1.0])
-
-    def test_multiset_preserved(self, rng):
-        x = rng.standard_normal((1, 1, 12))
-        out = channel_shuffle(x, 3)
-        assert sorted(out.ravel()) == sorted(x.ravel())
-
-    @given(st.integers(1, 8), st.integers(1, 8))
-    @settings(max_examples=40)
-    def test_bijection_with_inverse(self, g, per):
-        c = g * per
-        x = np.arange(float(c)).reshape(1, 1, c)
-        shuffled = channel_shuffle(x, g)
-        assert sorted(shuffled.ravel()) == list(x.ravel())
-        # invert by applying the inverse permutation derived from positions
-        forward = {int(v): i for i, v in enumerate(shuffled[0, 0])}
-        restored = shuffled[0, 0][np.argsort([forward[i] for i in range(c)])]
-        np.testing.assert_array_equal(np.sort(restored), x[0, 0])
-
-    def test_non_dividing_groups_rejected(self):
-        with pytest.raises(ShapeError):
-            channel_shuffle(np.zeros((1, 1, 5)), 2)
-
-
-class TestSeBlock:
-    def test_squeeze_means(self):
-        x = np.full((3, 3, 2), 4.0)
-        x[:, :, 1] = 6.0
-        np.testing.assert_array_equal(channel_means(x), [4.0, 6.0])
-
-    def test_zero_weights_halve_everything(self, rng):
-        x = rng.standard_normal((4, 4, 8))
-        out = se_block(x, np.zeros((8, 2)), np.zeros((2, 8)))
-        np.testing.assert_allclose(out, 0.5 * x, atol=1e-15)
-
-    def test_matches_two_layer_oracle(self, rng):
-        x = rng.standard_normal((5, 5, 8))
-        w1 = rng.standard_normal((8, 2))
-        w2 = rng.standard_normal((2, 8))
-        z = x.mean(axis=(0, 1))
-        gate = 1.0 / (1.0 + np.exp(-(np.maximum(z @ w1, 0.0) @ w2)))
-        np.testing.assert_allclose(se_block(x, w1, w2), x * gate, atol=1e-12)
-
-    def test_gates_shrink_toward_zero_for_large_negative_logits(self, rng):
-        x = np.ones((2, 2, 4))
-        out = se_block(x, np.ones((4, 2)), np.full((2, 4), -50.0))
-        assert np.all(out < 1e-9)
-
-    def test_bad_reduction_rejected(self):
-        with pytest.raises(ShapeError):
-            se_block(np.zeros((2, 2, 8)), np.zeros((8, 3)), np.zeros((3, 8)))
-
-
-class TestInvertedResidual:
-    def test_expansion_width(self):
-        params = make_inverted_residual_params(c=8, t=6)
-        assert params.w_expand.shape == (1, 1, 8, 48)
-        assert params.w_dw.shape == (3, 3, 48)
-
-    def test_zero_weights_pass_input_through(self, rng):
-        x = rng.standard_normal((4, 4, 5))
-        params = make_inverted_residual_params(c=5, t=2)
-        np.testing.assert_array_equal(inverted_residual(x, params, t=2), x)
-
-    def test_matches_conv2d_composition(self, rng):
-        c, t, side = 3, 2, 4
-        x = rng.standard_normal((side, side, c))
-        params = make_inverted_residual_params(c, t, rng)
-        tc = t * c
-
-        expanded, _ = conv2d_forward(
-            x, params.w_expand, ConvSpec(1, c, tc, side, mode="pointwise")
-        )
-        expanded = np.maximum(expanded + params.b_expand, 0.0)
-        filtered, _ = conv2d_forward(
-            expanded,
-            params.w_dw[:, :, None, :],
-            ConvSpec(3, tc, tc, side, groups=tc, mode="depthwise"),
-        )
-        projected, _ = conv2d_forward(
-            filtered, params.w_project, ConvSpec(1, tc, c, side, mode="pointwise")
-        )
-        expected = x + projected + params.b_project
-        np.testing.assert_allclose(inverted_residual(x, params, t), expected, atol=1e-12)
-
-    def test_small_spatial_side_rejected(self):
-        params = make_inverted_residual_params(c=2, t=1)
-        with pytest.raises(ShapeError):
-            inverted_residual(np.zeros((2, 2, 2)), params, t=1)
-
-    def test_fractional_expansion_rejected(self):
-        with pytest.raises(DomainError):
-            make_inverted_residual_params(c=4, t=0)
 
 
 class TestCompoundScale:

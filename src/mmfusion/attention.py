@@ -89,9 +89,7 @@ def _project(x: Tensor, w: Tensor) -> Tensor:
     return (x.reshape(-1, x.shape[-1]) @ w).reshape(lead + (w.shape[1],))
 
 
-def cross_attention(
-    xq, ykv, params: AttentionParams, eps: float = 1e-5, return_weights: bool = False
-):
+def cross_attention(xq, ykv, params: AttentionParams, return_weights: bool = False):
     """Let query rows read the key/value sequence, then add-and-normalise.
 
     Row i of the result is ``layer_norm((A V)_i + xq_i)`` with
@@ -125,5 +123,5 @@ def cross_attention(
     k = _project(ykv, params.wk)
     v = _project(ykv, params.wv)
     weights = softmax_rows(_scores(q, k, params.d_k))
-    out = layer_norm(weights @ v + xq, params.ln_gain, params.ln_bias, eps=eps)
+    out = layer_norm(weights @ v + xq, params.ln_gain, params.ln_bias)
     return (out, weights) if return_weights else out

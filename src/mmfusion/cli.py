@@ -150,28 +150,21 @@ def cmd_fuse_logits(args, out: Path) -> dict:
     ids = read_ids(args.ids)
     if any(block.shape[0] != len(ids) for block in blocks):
         raise DataError(f"logit files disagree with {args.ids} on the sample count")
+    truth = None
+    if args.labels:  # checked before any output is written
+        truth = labels_in_order(ids, *read_label_matrix(args.labels), args.labels)
     fused = fuse_logits(blocks).data
     preds = assign_label_matrix(logits_to_probs(fused).data, threshold=args.threshold)
     write_embeddings(fused, out / "logits.femb")
     write_predictions(ids, preds, out / "predictions.csv")
-    summary = {}
-    if args.labels:
-        truth = labels_in_order(ids, *read_label_matrix(args.labels), args.labels)
-        summary = _scores(preds, truth)
     print(f"fused {len(args.logits)} logit sets over {len(ids)} samples")
-    return summary
+    return {} if truth is None else _scores(preds, truth)
 
 
 def cmd_evaluate(args, out: Path) -> dict:
     pred_ids, preds = read_label_matrix(args.pred)
     truth_ids, truth = read_label_matrix(args.truth)
     truth = labels_in_order(pred_ids, truth_ids, truth, args.truth)
-    if len(truth_ids) > len(pred_ids):  # every prediction has its truth row, so some truth has none
-        predicted = set(pred_ids)
-        unpredicted = [i for i in truth_ids if i not in predicted]
-        raise DataError(
-            f"{args.pred}: no prediction for {len(unpredicted)} truth ids, first {unpredicted[0]!r}"
-        )
     counts = confusion_counts(preds, truth)
     per_class = f1_per_class(counts)
     macro = macro_f1(counts)
@@ -208,6 +201,9 @@ def cmd_pseudo_loop(args, out: Path) -> dict:
 
 
 def cmd_flops(args, out: Path) -> dict:
+    stray = [f"--{name}" for name in ("m", "n", "df", "groups") if getattr(args, name) is not None]
+    if args.dk is None and stray:
+        raise DomainError(f"flops needs --dk alongside {', '.join(stray)}")
     lines = []
     if args.dk is not None:
         for name in ("m", "n", "df"):

@@ -278,7 +278,9 @@ def labels_in_order(
 ) -> np.ndarray:
     """The rows of ``matrix`` (one per ``label_ids``) in the order of ``ids``.
 
-    Raises :class:`DatasetError` naming ``source`` when an id has no row.
+    Both id lists are free of repeats and must hold the same ids: raises
+    :class:`DatasetError` naming ``source`` when an id has no row or a row
+    has an id outside ``ids``.
     """
     if tuple(label_ids) == tuple(ids):
         return matrix
@@ -286,6 +288,10 @@ def labels_in_order(
     missing = [i for i in ids if i not in row_of]
     if missing:
         raise DatasetError(f"{source}: no labels for {len(missing)} ids, first {missing[0]!r}")
+    if len(label_ids) > len(ids):  # every id has its row, so some rows have no id
+        known = set(ids)
+        extra = [i for i in label_ids if i not in known]
+        raise DatasetError(f"{source}: labels for {len(extra)} unknown ids, first {extra[0]!r}")
     return matrix[[row_of[i] for i in ids]]
 
 
@@ -517,11 +523,7 @@ def load_dataset(directory, require_labels: bool = False) -> EmbeddingDataset:
     labels_path = directory / "labels.csv"
     labels = None
     if labels_path.exists():
-        label_ids, matrix = read_label_matrix(labels_path)
-        extra = set(label_ids).difference(ids)
-        if extra:
-            raise DatasetError(f"{directory}: labels for unknown ids, e.g. {next(iter(extra))!r}")
-        labels = labels_in_order(ids, label_ids, matrix, directory)
+        labels = labels_in_order(ids, *read_label_matrix(labels_path), directory)
     elif require_labels:
         raise DatasetError(f"{directory} has no labels.csv")
     return EmbeddingDataset(ids=tuple(ids), text=text, image=image, labels=labels)
@@ -529,19 +531,7 @@ def load_dataset(directory, require_labels: bool = False) -> EmbeddingDataset:
 
 # ----------------------------------------------------------------- synthetic
 
-TEXT_CLASS_SLOTS = tuple(range(9))
-IMAGE_CLASS_SLOTS = tuple(range(9, N_CLASSES))
 SIGNAL_BLOCK = 8
-
-
-def signal_columns(slot: int) -> tuple[str, range]:
-    """The modality and embedding columns that carry a class slot's signal."""
-    if slot in TEXT_CLASS_SLOTS:
-        return "text", range(slot * SIGNAL_BLOCK, (slot + 1) * SIGNAL_BLOCK)
-    if slot in IMAGE_CLASS_SLOTS:
-        base = (slot - 9) * SIGNAL_BLOCK
-        return "image", range(base, base + SIGNAL_BLOCK)
-    raise LabelDomainError(f"class slot must be in 0..{N_CLASSES - 1}, got {slot}")
 
 
 def gen_synthetic(
@@ -572,12 +562,11 @@ def gen_synthetic(
         labels = np.zeros((count, N_CLASSES), dtype=bool)
         for row in range(count):
             k = int(rng.integers(1, 5))
-            slots = rng.choice(N_CLASSES, size=k, replace=False)
-            labels[row, slots] = True
-            for slot in slots:
-                modality, cols = signal_columns(int(slot))
-                target = text if modality == "text" else image
-                target[row, cols.start : cols.stop] += 1.0
+            labels[row, rng.choice(N_CLASSES, size=k, replace=False)] = True
+        for target, present in ((text, labels[:, :9]), (image, labels[:, 9:])):
+            signal = target[:, : present.shape[1] * SIGNAL_BLOCK]
+            # add only where a class is present: absent columns keep their -0.0 at zero noise
+            np.add(signal, 1.0, out=signal, where=np.repeat(present, SIGNAL_BLOCK, axis=1))
         ids = tuple(f"{prefix}_{row:05d}" for row in range(count))
         return EmbeddingDataset(ids=ids, text=text, image=image, labels=labels)
 

@@ -183,14 +183,14 @@ def head_forward_batch(kind: str, params: Mapping[str, object], text: object, im
     elif kind == "text_linear":
         feats = ft
     elif kind == "concat_fcnn":
-        feats = concat([ft, fi], axis=1)
+        feats = concat([ft, fi])
     else:
         n = ft.shape[0]
         attn = AttentionParams(p["wq"], p["wk"], p["wv"], p["ln_gain"], p["ln_bias"])
         attended = cross_attention(
             ft.reshape(n, 1, TEXT_DIM), fi.reshape(n, TOKEN_COUNT, TEXT_DIM), attn
         )
-        feats = concat([attended.reshape(n, TEXT_DIM), ft, fi], axis=1)
+        feats = concat([attended.reshape(n, TEXT_DIM), ft, fi])
 
     w = p["w"]
     if w.ndim != 2 or w.shape[1] != feats.shape[1]:

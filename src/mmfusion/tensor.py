@@ -22,6 +22,9 @@ Array = np.ndarray
 
 ACTIVATION_KINDS = ("sigmoid", "relu", "relu6", "hswish")
 
+# added to the variance inside layer_norm's square root
+LAYER_NORM_EPS = 1e-5
+
 
 def as_tensor(value) -> "Tensor":
     """Wrap ``value`` in a Tensor; pass existing tensors through untouched."""
@@ -31,9 +34,9 @@ def as_tensor(value) -> "Tensor":
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_links")
 
-    # keep numpy from consuming us in mixed expressions; reflected ops run instead
+    # numpy defers to us in mixed expressions: an ndarray on the left of an
+    # operator raises TypeError instead of building an object array
     __array_ufunc__ = None
-    __array_priority__ = 1000
 
     def __init__(self, data, requires_grad: bool = False, _links: Sequence = ()):
         if isinstance(data, Tensor):
@@ -50,10 +53,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def __repr__(self) -> str:
         flag = ", requires_grad" if self.requires_grad else ""
@@ -92,33 +91,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         return mul(self, other)
 
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(as_tensor(other), -1.0))
-
-    def __rsub__(self, other):
-        return add(as_tensor(other), mul(self, -1.0))
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(as_tensor(other), self)
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(as_tensor(other), self)
 
     # shape ops
 
@@ -143,34 +120,13 @@ class Tensor:
             return Tensor(data)
         return Tensor(data, _links=[(self, lambda g: np.swapaxes(g, -1, -2))])
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        data = self.data.sum(axis=axis, keepdims=keepdims)
+    def sum(self) -> "Tensor":
+        """Sum of every element, as a scalar tensor."""
+        data = self.data.sum()
         if not self.requires_grad:
             return Tensor(data)
         src = self.data.shape
-
-        def pull(g: Array) -> Array:
-            if axis is None:
-                return np.broadcast_to(g, src)
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            axes = tuple(a % len(src) for a in axes)
-            gg = g
-            if not keepdims:
-                for a in sorted(axes):
-                    gg = np.expand_dims(gg, a)
-            return np.broadcast_to(gg, src)
-
-        return Tensor(data, _links=[(self, pull)])
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        if axis is None:
-            count = self.data.size
-        else:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            count = 1
-            for a in axes:
-                count *= self.data.shape[a]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+        return Tensor(data, _links=[(self, lambda g: np.broadcast_to(g, src))])
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -210,16 +166,6 @@ def mul(a, b) -> Tensor:
     return _binary(a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
-def div(a, b) -> Tensor:
-    return _binary(
-        a,
-        b,
-        np.divide,
-        lambda g, x, y: g / y,
-        lambda g, x, y: -g * x / (y * y),
-    )
-
-
 def matmul(a, b) -> Tensor:
     """Matrix product; rank >= 2 on both sides, leading axes broadcast."""
     a, b = as_tensor(a), as_tensor(b)
@@ -243,24 +189,21 @@ def matmul(a, b) -> Tensor:
     return Tensor(data, _links=links)
 
 
-def concat(parts: Sequence, axis: int = -1) -> Tensor:
-    """Concatenate tensors along ``axis``."""
+def concat(parts: Sequence) -> Tensor:
+    """Concatenate tensors along the last axis."""
     ts = [as_tensor(p) for p in parts]
     if not ts:
         raise ShapeError("concat needs at least one tensor")
     try:
-        data = np.concatenate([t.data for t in ts], axis=axis)
+        data = np.concatenate([t.data for t in ts], axis=-1)
     except ValueError as exc:
         raise ShapeError(f"concat got mismatched shapes {[t.shape for t in ts]}") from exc
-    ax = axis % data.ndim
     links = []
     start = 0
     for t in ts:
-        width = t.data.shape[ax]
+        width = t.data.shape[-1]
         if t.requires_grad:
-            window = [slice(None)] * data.ndim
-            window[ax] = slice(start, start + width)
-            links.append((t, lambda g, w=tuple(window): g[w]))
+            links.append((t, lambda g, w=slice(start, start + width): g[..., w]))
         start += width
     return Tensor(data, _links=links)
 
@@ -348,11 +291,12 @@ def softmax_rows(m) -> Tensor:
     return Tensor(s, _links=[(t, pull)])
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalise the last axis to zero mean and unit population variance, then scale and shift."""
+def layer_norm(x, gain, bias) -> Tensor:
+    """Normalise the last axis to zero mean and unit population variance, then scale and shift.
+
+    The variance is taken with ``LAYER_NORM_EPS`` added, so a constant row maps to ``bias``.
+    """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    if eps < 0.0:
-        raise DomainError(f"layer_norm eps must be >= 0, got {eps}")
     d = x.shape[-1] if x.ndim else 0
     if d < 2:
         raise ShapeError(f"layer_norm needs a last axis of size >= 2, got shape {x.shape}")
@@ -362,7 +306,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         )
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (x.data - mu) * inv
     out = gain.data * xhat + bias.data
     links = []
@@ -394,12 +338,13 @@ def make_scalar_node(value: float, links: Sequence) -> Tensor:
     return Tensor(np.float64(value), _links=links)
 
 
-def grad_check(f, x, h: float = 1e-5, coords: Sequence[int] | None = None) -> float:
+def grad_check(f, x, coords: Sequence[int] | None = None) -> float:
     """Compare the analytic gradient of scalar ``f`` at ``x`` against central differences.
 
-    Returns the max over checked coordinates of ``|a - n| / max(1e-8, |a| + |n|)``.
-    ``coords`` limits the sweep to a subset of flat indices; by default every
-    coordinate is probed.
+    Each coordinate is probed at a step of 1e-5 either side.  Returns the max
+    over checked coordinates of ``|a - n| / max(1e-8, |a| + |n|)``.  ``coords``
+    limits the sweep to a subset of flat indices; by default every coordinate
+    is probed.
     """
     x0 = np.array(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
     leaf = Tensor(x0, requires_grad=True)
@@ -419,6 +364,7 @@ def grad_check(f, x, h: float = 1e-5, coords: Sequence[int] | None = None) -> fl
             raise NumericError("f(x) is not finite at a perturbed point")
         return value
 
+    h = 1e-5
     flat = x0.reshape(-1)
     indices = range(flat.size) if coords is None else coords
     worst = 0.0

@@ -13,7 +13,6 @@ import pytest
 
 from mmfusion.attention import AttentionParams, cross_attention, self_attention
 from mmfusion.data_io import (
-    EmbeddingDataset,
     gen_synthetic,
     load_model,
     read_embeddings,

@@ -97,7 +97,7 @@ class TestSelfAttention:
                 out = self_attention(Tensor(x), AttentionParams(**arrays))
                 return (out * probe).sum()
 
-            assert grad_check(f, base[name], h=1e-5) < 1e-4
+            assert grad_check(f, base[name]) < 1e-4
 
 
 class TestCrossAttention:
@@ -109,13 +109,12 @@ class TestCrossAttention:
     def test_hand_worked_two_key_case(self):
         xq = np.array([[1.0, 0.0]])
         ykv = np.array([[1.0, 0.0], [1.0, 0.0]])
-        eps = 1e-5
         out, weights = cross_attention(
-            Tensor(xq), Tensor(ykv), self._identity_params(2), eps=eps, return_weights=True
+            Tensor(xq), Tensor(ykv), self._identity_params(2), return_weights=True
         )
         np.testing.assert_allclose(weights.data, [[0.5, 0.5]], atol=1e-15)
         # mixed row [1, 0] plus the query gives [2, 0]; normalising gives +-1/sqrt(1+eps)
-        unit = 1.0 / math.sqrt(1.0 + eps)
+        unit = 1.0 / math.sqrt(1.0 + 1e-5)  # layer_norm's eps
         np.testing.assert_allclose(out.data, [[unit, -unit]], atol=1e-12)
 
     def test_zero_values_reduce_to_normalised_query(self, rng):
@@ -192,7 +191,7 @@ class TestCrossAttention:
                 out = cross_attention(Tensor(xq), Tensor(ykv), AttentionParams(**arrays))
                 return (out * probe).sum()
 
-            assert grad_check(f, base[name], h=1e-5) < 1e-4
+            assert grad_check(f, base[name]) < 1e-4
 
     def test_batch_axis_matches_per_sample_calls(self, rng):
         n, t = 3, 4

@@ -16,6 +16,8 @@ from mmfusion.data_io import (
     load_dataset,
     read_embeddings,
     save_model,
+    write_embeddings,
+    write_ids,
 )
 from mmfusion.fusion import FUSION_SETS, FusionModel, expected_param_shapes
 from mmfusion.training import TrainConfig
@@ -220,6 +222,12 @@ class TestFlops:
     def test_no_flags_is_data_error(self, tmp_path):
         assert run_cli("flops", "--out", tmp_path / "f").returncode == 2
 
+    def test_cost_flags_without_dk_rejected(self, tmp_path):
+        proc = run_cli("flops", "--phi", 1, "--groups", 3, "--m", 4, "--out", tmp_path / "f")
+        assert proc.returncode == 2
+        assert "--m, --groups" in proc.stderr
+        assert not (tmp_path / "f" / "flops.txt").exists()
+
 
 class TestGenSynthetic:
     def test_writes_three_splits(self, data_dir):
@@ -345,7 +353,20 @@ class TestPredictAndFuse:
         pred.write_text("ImageID,Labels\na,1\n")
         proc = run_cli("evaluate", "--pred", pred, "--truth", truth, "--out", tmp_path / "ev")
         assert proc.returncode == 2
-        assert "no prediction for 2 truth ids" in proc.stderr
+        assert "labels for 2 unknown ids, first 'b'" in proc.stderr
+
+    def test_fuse_logits_requires_every_truth_id_fused(self, tmp_path):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("ImageID,Labels\na,1\nb,2 3\nc,19\n")
+        logits = tmp_path / "a.femb"
+        write_embeddings(np.zeros((1, 18)), logits)
+        write_ids(("a",), tmp_path / "ids.csv")
+        out = tmp_path / "fused"
+        proc = run_cli("fuse-logits", "--logits", logits, logits, "--ids", tmp_path / "ids.csv",
+                       "--labels", truth, "--out", out)
+        assert proc.returncode == 2
+        assert "labels for 2 unknown ids, first 'b'" in proc.stderr
+        assert not (out / "summary.txt").exists()
 
     @pytest.mark.parametrize("command", ["train-head", "predict", "fuse-logits"])
     def test_non_finite_embeddings_rejected_at_load(

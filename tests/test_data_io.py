@@ -14,7 +14,6 @@ from mmfusion.data_io import (
     MODEL_MAGIC,
     EmbeddingDataset,
     gen_synthetic,
-    signal_columns,
     load_dataset,
     load_model,
     read_embeddings,
@@ -617,7 +616,7 @@ class TestDatasetDirectory:
         with pytest.raises(DatasetError, match="no labels for 1 ids, first 's_2'"):
             load_dataset(tmp_path / "d")
         write_predictions(ds.ids + ("extra",), np.vstack([ds.labels, ds.labels[:1]]), labels)
-        with pytest.raises(DatasetError, match="unknown ids, e.g. 'extra'"):
+        with pytest.raises(DatasetError, match="labels for 1 unknown ids, first 'extra'"):
             load_dataset(tmp_path / "d")
 
     def test_round_trip_unlabeled(self, tmp_path):
@@ -685,12 +684,16 @@ class TestSynthetic:
         assert len(all_ids) == 17
 
     def test_noise_free_signal_recipe(self):
-        """With noise off, each class block is exactly its label indicator."""
+        """With noise off, each class block is exactly its label indicator.
+
+        Slots 0..8 own text columns 8s..8s+7 and slots 9..17 image columns
+        8(s-9)..8(s-9)+7; every other column carries no signal.
+        """
         train, _, _ = gen_synthetic(seed=3, n_train=40, n_test=1, n_val=1, noise=0.0)
         for row, mask in enumerate(train.labels):
             for slot in range(18):
-                modality, cols = signal_columns(slot)
-                block = (train.text if modality == "text" else train.image)[row, cols.start:cols.stop]
+                start = 8 * (slot % 9)
+                block = (train.text if slot < 9 else train.image)[row, start:start + 8]
                 np.testing.assert_array_equal(block, float(mask[slot]) * np.ones(8))
             assert not train.text[row, 72:].any()
             assert not train.image[row, 72:].any()

@@ -189,7 +189,7 @@ class TestHeadForward:
             return head_forward_batch("cross_attn_fcnn", params, text, image).sum()
 
         sample = list(np.random.default_rng(0).choice(128 * 128, size=24, replace=False))
-        assert grad_check(f, base["wq"], h=1e-5, coords=sample) < 1e-4
+        assert grad_check(f, base["wq"], coords=sample) < 1e-4
 
 
 class TestFuseLogits:

@@ -8,10 +8,9 @@ import pytest
 
 from mmfusion.data_io import EmbeddingDataset, gen_synthetic
 from mmfusion.errors import DatasetError, DomainError, NumericError, ShapeError
-from mmfusion.fusion import FUSION_SETS, HEAD_KINDS, N_CLASSES, TEXT_DIM, IMAGE_DIM, LabelVector
+from mmfusion.fusion import FUSION_SETS, HEAD_KINDS, N_CLASSES
 from mmfusion.tensor import Tensor, grad_check
 from mmfusion.training import (
-    AdamState,
     TrainConfig,
     adam_step,
     bce_loss_node,

@@ -1,4 +1,4 @@
-"""Every module-level import in the package modules and the scripts is used.
+"""Every module-level import in the package modules, the scripts and the tests is used.
 
 A stdlib ``ast`` walk, so the check needs no linter: it collects the names a
 module binds through top-level imports and fails for any that the module
@@ -14,6 +14,7 @@ REPO = Path(__file__).resolve().parents[1]
 MODULES = sorted(
     [p for p in (REPO / "src" / "mmfusion").glob("*.py") if p.name != "__init__.py"]
     + list((REPO / "scripts").glob("*.py"))
+    + list((REPO / "tests").glob("*.py"))
 )
 
 

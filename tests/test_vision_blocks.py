@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mmfusion.errors import DomainError, ShapeError
 from mmfusion.vision_blocks import (
-    CompoundScaling,
     ConvSpec,
     ScalingSpec,
     compound_scale,

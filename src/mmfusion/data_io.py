@@ -32,6 +32,7 @@ and per row a sample id plus space-separated ascending class ids.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
@@ -63,6 +64,7 @@ from .fusion import (
     FusionModel,
     LabelVector,
     expected_param_shapes,
+    label_vectors,
     labels_to_matrix,
 )
 
@@ -270,7 +272,7 @@ def read_label_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
 def read_labels(path) -> dict[str, LabelVector]:
     """:func:`read_label_matrix` as an id -> :class:`LabelVector` mapping, in file order."""
     ids, matrix = read_label_matrix(path)
-    return dict(zip(ids, map(LabelVector, map(tuple, matrix.tolist()))))
+    return dict(zip(ids, label_vectors(matrix)))
 
 
 def labels_in_order(
@@ -550,8 +552,8 @@ def gen_synthetic(
     while the 8-column blocks make every class linearly separable to both
     modalities combined for any noise level well below 1.
     """
-    if noise < 0.0:
-        raise DatasetError(f"noise must be >= 0, got {noise}")
+    if not (noise >= 0.0 and math.isfinite(noise)):
+        raise DatasetError(f"noise must be a finite value >= 0, got {noise}")
     if min(n_train, n_test, n_val) < 1:
         raise DatasetError("every split needs at least one sample")
     rng = np.random.default_rng(seed)

@@ -38,6 +38,10 @@ CLASS_IDS = tuple(i for i in range(1, 20) if i != 12)
 
 HEAD_KINDS = ("vision_linear", "text_linear", "concat_fcnn", "cross_attn_fcnn")
 
+# inference runs a head over at most this many rows at a time, which bounds
+# the transient feature and attention blocks whatever the pool size
+PREDICT_BLOCK_ROWS = 256
+
 
 def class_index(class_id: int) -> int:
     """Map a class id to its slot: ids below 12 shift by one, above by two."""
@@ -94,6 +98,23 @@ def labels_to_matrix(labels) -> np.ndarray:
     if labels.dtype != bool and not np.isin(labels, (0, 1)).all():
         raise LabelDomainError("label entries must be booleans or 0/1 values")
     return labels.astype(bool, copy=False)
+
+
+# a label-matrix row packs to one integer code, bit i for slot i
+_SLOT_BITS = 1 << np.arange(N_CLASSES, dtype=np.int64)
+
+
+def label_vectors(mask) -> list[LabelVector]:
+    """The :class:`LabelVector` of each row of an [n, 18] label matrix.
+
+    Each distinct row is validated and built once; identical rows share
+    that one instance.
+    """
+    mask = labels_to_matrix(mask)
+    codes = mask @ _SLOT_BITS
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    distinct = [LabelVector(tuple(row)) for row in mask[first].tolist()]
+    return [distinct[i] for i in inverse.tolist()]
 
 
 def _quantize(arr: np.ndarray) -> np.ndarray:
@@ -160,14 +181,7 @@ class FusionModel:
         self.params = clean
 
 
-def head_forward_batch(kind: str, params: Mapping[str, object], text: object, image: object) -> Tensor:
-    """Run one head over a batch; ``text`` is [n, 128] and ``image`` [n, 1792].
-
-    Parameter entries may be plain arrays or gradient-requiring tensors; the
-    same code path serves inference and training.
-    """
-    if kind not in HEAD_KINDS:
-        raise DomainError(f"unknown head kind {kind!r}, expected one of {HEAD_KINDS}")
+def _embedding_batch(text: object, image: object) -> tuple[Tensor, Tensor]:
     ft = as_tensor(text)
     fi = as_tensor(image)
     if ft.ndim != 2 or ft.shape[1] != TEXT_DIM:
@@ -176,6 +190,18 @@ def head_forward_batch(kind: str, params: Mapping[str, object], text: object, im
         raise ShapeError(f"image batch must be [n, {IMAGE_DIM}], got {fi.shape}")
     if ft.shape[0] != fi.shape[0]:
         raise ShapeError(f"batch sizes differ: {ft.shape[0]} text vs {fi.shape[0]} image rows")
+    return ft, fi
+
+
+def head_forward_batch(kind: str, params: Mapping[str, object], text: object, image: object) -> Tensor:
+    """Run one head over a batch; ``text`` is [n, 128] and ``image`` [n, 1792].
+
+    Parameter entries may be plain arrays or gradient-requiring tensors; the
+    same code path serves inference and training.
+    """
+    if kind not in HEAD_KINDS:
+        raise DomainError(f"unknown head kind {kind!r}, expected one of {HEAD_KINDS}")
+    ft, fi = _embedding_batch(text, image)
     p = {name: as_tensor(value) for name, value in params.items()}
 
     if kind == "vision_linear":
@@ -212,9 +238,20 @@ def overflow_raises():
 def predict_logits(model: FusionModel, text: np.ndarray, image: np.ndarray) -> np.ndarray:
     """Batched inference as a plain array; the canonical prediction path.
 
-    A value that overflows or turns invalid raises :class:`NumericError`.
+    The rows run through the head in near-equal blocks of at most
+    :data:`PREDICT_BLOCK_ROWS`.  No block holds a lone row unless the batch
+    is one row, since numpy routes a one-row product through a different
+    kernel.  A value that overflows or turns invalid raises
+    :class:`NumericError`.
     """
-    return head_forward_batch(model.kind, model.params, text, image).data
+    ft, fi = _embedding_batch(text, image)
+    n = ft.shape[0]
+    blocks = max(1, -(-n // PREDICT_BLOCK_ROWS))
+    bounds = [n * i // blocks for i in range(blocks + 1)]
+    out = np.empty((n, N_CLASSES))
+    for lo, hi in zip(bounds, bounds[1:]):
+        out[lo:hi] = head_forward_batch(model.kind, model.params, ft.data[lo:hi], fi.data[lo:hi]).data
+    return out
 
 
 def fuse_logits(logit_sets: Sequence) -> Tensor:
@@ -263,7 +300,7 @@ def assign_labels(probs, threshold: float = 0.5) -> LabelVector:
 
 
 def assign_labels_batch(probs, threshold: float = 0.5) -> list[LabelVector]:
-    return [LabelVector(tuple(row)) for row in assign_label_matrix(probs, threshold).tolist()]
+    return label_vectors(assign_label_matrix(probs, threshold))
 
 
 # named ensembles used by the ablation script and the label-refinement loop

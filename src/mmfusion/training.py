@@ -39,6 +39,7 @@ from .fusion import (
     expected_param_shapes,
     fuse_logits,
     head_forward_batch,
+    label_vectors,
     logits_to_probs,
     overflow_raises,
     predict_logits,
@@ -177,8 +178,8 @@ class TrainConfig:
         for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not 0.0 <= beta < 1.0:
                 raise DomainError(f"{name} must lie in [0, 1), got {beta}")
-        if self.eps <= 0.0:
-            raise DomainError(f"eps must be > 0, got {self.eps}")
+        if not (self.eps > 0.0 and math.isfinite(self.eps)):
+            raise DomainError(f"eps must be a finite value > 0, got {self.eps}")
         kinds = tuple(self.fusion_set)
         if len(kinds) < 2:
             raise DomainError("fusion_set needs at least two head kinds")
@@ -478,8 +479,8 @@ def pseudo_label_loop(
     """
     if max_rounds < 0:
         raise DomainError(f"max_rounds must be >= 0, got {max_rounds}")
-    if eps < 0.0:
-        raise DomainError(f"eps must be >= 0, got {eps}")
+    if not (eps >= 0.0 and math.isfinite(eps)):
+        raise DomainError(f"eps must be a finite value >= 0, got {eps}")
     if train.labels is None or val.labels is None:
         raise DatasetError("train and val splits must be labeled")
     pools = {"train": set(train.ids), "test": set(test_unlabeled.ids), "val": set(val.ids)}
@@ -512,7 +513,7 @@ def pseudo_label_loop(
         history.append(RoundRecord(round=round_index, val_f1=f1))
         if f1 > best_f1 + eps:
             best_models = models
-            best_pseudo = dict(zip(pool.ids, map(LabelVector.from_mask, pseudo)))
+            best_pseudo = dict(zip(pool.ids, label_vectors(pseudo)))
             best_round = round_index
             best_f1 = f1
         else:

@@ -703,6 +703,7 @@ class TestSynthetic:
         assert train.labels.shape == (60, N_CLASSES) and train.labels.dtype == bool
         assert set(train.labels.sum(axis=1).tolist()) <= {1, 2, 3, 4}
 
-    def test_negative_noise_rejected(self):
-        with pytest.raises(DatasetError):
-            gen_synthetic(seed=0, n_train=1, n_test=1, n_val=1, noise=-0.1)
+    @pytest.mark.parametrize("noise", [-0.1, float("nan"), float("inf")])
+    def test_negative_noise_rejected(self, noise):
+        with pytest.raises(DatasetError, match=str(noise)):
+            gen_synthetic(seed=0, n_train=1, n_test=1, n_val=1, noise=noise)

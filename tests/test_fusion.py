@@ -1,16 +1,18 @@
 """Label vocabulary, head forwards, logit fusion, and label assignment."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmfusion.attention import AttentionParams, cross_attention
 from mmfusion.errors import DomainError, LabelDomainError, NumericError, ShapeError
 from mmfusion.fusion import (
     CLASS_IDS,
+    HEAD_KINDS,
     IMAGE_DIM,
     N_CLASSES,
     TEXT_DIM,
@@ -23,6 +25,7 @@ from mmfusion.fusion import (
     expected_param_shapes,
     fuse_logits,
     head_forward_batch,
+    label_vectors,
     labels_to_matrix,
     logits_to_probs,
     predict_logits,
@@ -153,6 +156,11 @@ class TestHeadForward:
         ):
             with pytest.raises(ShapeError):
                 head_forward_batch(model.kind, model.params, bad_text, bad_image)
+            with pytest.raises(ShapeError):
+                predict_logits(model, bad_text, bad_image)
+        text, image = make_batch(rng, 600)
+        with pytest.raises(ShapeError, match="600 text vs 599 image"):  # before any block runs
+            predict_logits(model, text, image[:599])
 
     def test_cross_attn_final_width(self):
         assert expected_param_shapes("cross_attn_fcnn")["w"] == (18, 2048)
@@ -190,6 +198,31 @@ class TestHeadForward:
 
         sample = list(np.random.default_rng(0).choice(128 * 128, size=24, replace=False))
         assert grad_check(f, base["wq"], coords=sample) < 1e-4
+
+
+class TestPredictBlocks:
+    @pytest.mark.parametrize("kind", HEAD_KINDS)
+    @pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257, 513])
+    def test_blocks_match_one_batch(self, kind, n, rng):
+        # a tolerance, not bitwise: whether a row-split GEMM is exact depends on the BLAS kernel
+        model = make_model(kind, rng)
+        text, image = make_batch(rng, n)
+        out = predict_logits(model, text, image)
+        whole = head_forward_batch(kind, model.params, text, image).data
+        assert out.shape == (n, N_CLASSES) and out.dtype == np.float64
+        np.testing.assert_allclose(out, whole, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ["concat_fcnn", "cross_attn_fcnn"])
+    def test_transient_memory_bounded(self, kind, rng):
+        model = make_model(kind, rng)
+        text, image = make_batch(rng, 4096)
+        tracemalloc.start()
+        try:
+            predict_logits(model, text, image)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestFuseLogits:
@@ -328,6 +361,30 @@ class TestAssignLabels:
             assign_label_matrix(np.full(N_CLASSES, 0.5))
         with pytest.raises(ShapeError):
             assign_labels_batch(np.full((3, N_CLASSES - 1), 0.5))
+
+
+@st.composite
+def repeating_masks(draw):
+    """[n, 18] bool masks whose rows repeat, drawn from a small set of rows."""
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=N_CLASSES, max_size=N_CLASSES),
+                         min_size=1, max_size=6))
+    picks = draw(st.lists(st.sampled_from(rows), max_size=40))
+    return np.array(picks, dtype=bool).reshape(-1, N_CLASSES)
+
+
+class TestLabelVectors:
+    @given(repeating_masks())
+    @example(np.zeros((0, N_CLASSES), dtype=bool))
+    @example(np.tile(np.arange(N_CLASSES) % 7 == 2, (50, 1)))  # all equal
+    @example((np.arange(1, 301)[:, None] >> np.arange(N_CLASSES)) & 1 == 1)  # all distinct
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_row_build_and_shares_equal_rows(self, mask):
+        out = label_vectors(mask)
+        assert out == [LabelVector(tuple(row)) for row in mask.tolist()]
+        first = {}
+        for row, lv in zip(mask.tolist(), out):
+            assert first.setdefault(tuple(row), lv) is lv
+        assert len({id(lv) for lv in out}) == len(first)
 
 
 class TestLabelsToMatrix:

@@ -209,6 +209,8 @@ class TestTrainConfig:
             dict(beta1=1.0),
             dict(beta2=-0.1),
             dict(eps=0.0),
+            dict(eps=math.inf),
+            dict(eps=math.nan),
             dict(fusion_set=("vision_linear",)),
             dict(fusion_set=("vision_linear", "vision_linear")),
             dict(fusion_set=("vision_linear", "bogus")),
@@ -441,6 +443,12 @@ class TestPseudoLabelLoop:
             assert all(not lv.is_empty for lv in result.pseudo_labels.values())
         else:
             assert result.pseudo_labels == {}
+
+    def test_bad_stopping_settings_rejected(self):
+        train, test, val = small_splits(n_train=48, n_test=24, n_val=24)
+        for name, value in (("eps", -1e-4), ("eps", math.nan), ("max_rounds", -1)):
+            with pytest.raises(DomainError, match=f"{name} must .* got {value}"):
+                pseudo_label_loop(train, test.without_labels(), val, self.CFG, **{name: value})
 
     def test_overlapping_ids_rejected(self):
         train, test, val = small_splits(n_train=48, n_test=24, n_val=24)

@@ -23,6 +23,7 @@ from .data_io import (
     gen_synthetic,
     labels_in_order,
     load_dataset,
+    load_inputs,
     load_model,
     read_embeddings,
     read_ids,
@@ -35,6 +36,7 @@ from .data_io import (
 )
 from .errors import DataError, DomainError, NumericError, ShapeError
 from .fusion import (
+    HEAD_INPUTS,
     HEAD_KINDS,
     N_CLASSES,
     CLASS_IDS,
@@ -129,15 +131,15 @@ def cmd_train_head(args, out: Path) -> dict:
 
 def cmd_predict(args, out: Path) -> dict:
     model = load_model(args.model, expect_kind=args.kind)
-    data = load_dataset(args.data)
-    logits = predict_logits(model, data.text, data.image)
+    ids, blocks, labels = load_inputs(args.data, HEAD_INPUTS[model.kind])
+    logits = predict_logits(model, blocks.get("text"), blocks.get("image"))
     probs = logits_to_probs(logits).data
     preds = assign_label_matrix(probs, threshold=args.threshold)
     write_embeddings(logits, out / "logits.femb")
-    write_ids(data.ids, out / "ids.csv")
-    write_predictions(data.ids, preds, out / "predictions.csv")
-    print(f"wrote predictions for {len(data)} samples to {out}")
-    return {} if data.labels is None else _scores(preds, data.labels)
+    write_ids(ids, out / "ids.csv")
+    write_predictions(ids, preds, out / "predictions.csv")
+    print(f"wrote predictions for {len(ids)} samples to {out}")
+    return {} if labels is None else _scores(preds, labels)
 
 
 def cmd_fuse_logits(args, out: Path) -> dict:

@@ -8,6 +8,10 @@ Embedding file (magic ``FEMB``), little-endian throughout::
     bytes 12..15  u32    width d
     bytes 16..    f32    n * d values, row major
 
+Embedding files load as the float32 arrays they store, and datasets read
+from files hold those arrays: a fusion head widens only the blocks it reads,
+one batch at a time, and widening float32 to float64 is exact.
+
 Sample ids live beside the embeddings in a sidecar text file, one id per
 line, row-aligned with the payload.  An id is not blank and holds no comma
 and no character that ``str.splitlines`` breaks on, so every reader here
@@ -23,8 +27,8 @@ Model file (magic ``FUS1``), little-endian::
         u32 name length, name bytes, u32 rank, u32 dims..., f32 payload
     u32 crc32 over everything between the magic and this field
 
-Values are stored as float32 and widened back to float64 on load; models
-quantize their parameters the same way, so a round trip is exact.
+Model values are stored as float32 and widened back to float64 on load;
+models quantize their parameters the same way, so a round trip is exact.
 
 Labels and predictions share one CSV schema: a header ``ImageID,Labels``
 and per row a sample id plus space-separated ascending class ids.
@@ -59,6 +63,7 @@ from .fusion import (
     CLASS_IDS,
     HEAD_KINDS,
     IMAGE_DIM,
+    MODALITY_DIMS,
     N_CLASSES,
     TEXT_DIM,
     FusionModel,
@@ -87,13 +92,16 @@ def _first_non_finite(flat: np.ndarray) -> int | None:
 def _float32_payload(values: np.ndarray, path) -> np.ndarray:
     """The [n, d] float32 payload of an embedding file for ``path``, checked before any write.
 
-    A value that is not finite in float32 raises :class:`NonFiniteError`.
+    A float32 array is its own payload; any other values are narrowed from
+    float64.  A value that is not finite in float32 raises :class:`NonFiniteError`.
     """
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.asarray(values)
+    if arr.dtype != np.dtype("<f4"):
+        arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"embeddings must be [n, d], got shape {arr.shape}")
     with np.errstate(over="ignore"):  # beyond the float32 range becomes +-inf, caught below
-        payload = arr.astype("<f4")
+        payload = arr.astype("<f4", copy=False)
     first = _first_non_finite(payload.ravel())
     if first is not None:
         d = arr.shape[1]
@@ -121,7 +129,11 @@ def write_embeddings(values: np.ndarray, path) -> None:
 
 
 def read_embeddings(path) -> np.ndarray:
-    """Read an embedding file back as float64, validating the header strictly."""
+    """Read an embedding file as its [n, d] float32 payload, validating it strictly.
+
+    The values stay float32: a fusion head widens the blocks it reads, which
+    is exact.  A NaN or +-inf value raises :class:`NonFiniteError`.
+    """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(16)
@@ -143,7 +155,7 @@ def read_embeddings(path) -> np.ndarray:
         raise NonFiniteError(
             f"{path}: non-finite value {flat[first]} at row {first // d}, column {first % d}"
         )
-    return flat.astype(np.float64).reshape(n, d)
+    return flat.reshape(n, d)
 
 
 def _first_bad_id(ids: Sequence[str]) -> int:
@@ -169,8 +181,7 @@ def _check_ids(ids: Sequence[str], source) -> None:
 def write_ids(ids: Sequence[str], path) -> None:
     _check_ids(ids, path)
     with open(path, "w", encoding="utf-8") as fh:
-        for sample_id in ids:
-            fh.write(f"{sample_id}\n")
+        fh.write("".join(f"{sample_id}\n" for sample_id in ids))
 
 
 def _first_repeat(ids: Sequence[str]) -> int:
@@ -504,31 +515,41 @@ def save_dataset(dataset: EmbeddingDataset, directory) -> None:
         write_predictions(dataset.ids, dataset.labels, directory / "labels.csv")
 
 
-def load_dataset(directory, require_labels: bool = False) -> EmbeddingDataset:
-    """Load a dataset directory written by :func:`save_dataset`."""
+def load_inputs(
+    directory, modalities: Sequence[str], require_labels: bool = False
+) -> tuple[tuple[str, ...], dict[str, np.ndarray], np.ndarray | None]:
+    """The ids, the named embedding blocks and the labels of a dataset directory.
+
+    Reads ``ids.csv``, ``labels.csv`` when present, and only the embedding
+    files of ``modalities`` (``"text"``, ``"image"``), each a float32 block
+    checked against the ids and its width.  The labels are the [n, 18] bool
+    matrix in id order, or None.
+    """
     directory = Path(directory)
-    for name in ("text.femb", "image.femb", "ids.csv"):
+    for name in [f"{m}.femb" for m in modalities] + ["ids.csv"]:
         if not (directory / name).exists():
             raise DatasetError(f"{directory} is missing {name}")
-    text = read_embeddings(directory / "text.femb")
-    image = read_embeddings(directory / "image.femb")
+    blocks = {m: read_embeddings(directory / f"{m}.femb") for m in modalities}
     ids = read_ids(directory / "ids.csv")
-    if text.shape[0] != len(ids) or image.shape[0] != len(ids):
-        raise DatasetError(
-            f"{directory}: {len(ids)} ids but {text.shape[0]} text rows "
-            f"and {image.shape[0]} image rows"
-        )
-    if text.shape[1] != TEXT_DIM:
-        raise ShapeError(f"{directory}: text width {text.shape[1]}, expected {TEXT_DIM}")
-    if image.shape[1] != IMAGE_DIM:
-        raise ShapeError(f"{directory}: image width {image.shape[1]}, expected {IMAGE_DIM}")
+    if any(block.shape[0] != len(ids) for block in blocks.values()):
+        rows = " and ".join(f"{block.shape[0]} {m} rows" for m, block in blocks.items())
+        raise DatasetError(f"{directory}: {len(ids)} ids but {rows}")
+    for m, block in blocks.items():
+        if block.shape[1] != MODALITY_DIMS[m]:
+            raise ShapeError(f"{directory}: {m} width {block.shape[1]}, expected {MODALITY_DIMS[m]}")
     labels_path = directory / "labels.csv"
     labels = None
     if labels_path.exists():
         labels = labels_in_order(ids, *read_label_matrix(labels_path), directory)
     elif require_labels:
         raise DatasetError(f"{directory} has no labels.csv")
-    return EmbeddingDataset(ids=tuple(ids), text=text, image=image, labels=labels)
+    return ids, blocks, labels
+
+
+def load_dataset(directory, require_labels: bool = False) -> EmbeddingDataset:
+    """Load a dataset directory written by :func:`save_dataset`; its embeddings stay float32."""
+    ids, blocks, labels = load_inputs(directory, tuple(MODALITY_DIMS), require_labels)
+    return EmbeddingDataset(ids=ids, labels=labels, **blocks)
 
 
 # ----------------------------------------------------------------- synthetic

@@ -12,6 +12,11 @@ Four head kinds map an embedding pair to 18 logits:
 * ``cross_attn_fcnn`` the text vector queries the 14 image tokens through
   cross-attention; logits = w @ [attended; text; image] + b
 
+Each kind reads only its own embedding blocks (:data:`HEAD_INPUTS`), and
+may be handed ``None`` for a block it does not read.  A block may arrive at
+any float precision, such as the float32 of the embedding files; a head
+widens what it reads to float64, which is exact.
+
 Ensembles average logits element-wise before thresholding.
 """
 
@@ -37,6 +42,17 @@ CONCAT_DIM = TEXT_DIM + IMAGE_DIM
 CLASS_IDS = tuple(i for i in range(1, 20) if i != 12)
 
 HEAD_KINDS = ("vision_linear", "text_linear", "concat_fcnn", "cross_attn_fcnn")
+
+# the width of each embedding block, named as the dataset fields and their files
+MODALITY_DIMS = {"text": TEXT_DIM, "image": IMAGE_DIM}
+
+# the embedding blocks each head kind reads
+HEAD_INPUTS = {
+    "vision_linear": ("image",),
+    "text_linear": ("text",),
+    "concat_fcnn": ("text", "image"),
+    "cross_attn_fcnn": ("text", "image"),
+}
 
 # inference runs a head over at most this many rows at a time, which bounds
 # the transient feature and attention blocks whatever the pool size
@@ -181,27 +197,41 @@ class FusionModel:
         self.params = clean
 
 
-def _embedding_batch(text: object, image: object) -> tuple[Tensor, Tensor]:
-    ft = as_tensor(text)
-    fi = as_tensor(image)
-    if ft.ndim != 2 or ft.shape[1] != TEXT_DIM:
-        raise ShapeError(f"text batch must be [n, {TEXT_DIM}], got {ft.shape}")
-    if fi.ndim != 2 or fi.shape[1] != IMAGE_DIM:
-        raise ShapeError(f"image batch must be [n, {IMAGE_DIM}], got {fi.shape}")
-    if ft.shape[0] != fi.shape[0]:
-        raise ShapeError(f"batch sizes differ: {ft.shape[0]} text vs {fi.shape[0]} image rows")
-    return ft, fi
+def _batch_rows(kind: str, text: object, image: object) -> int:
+    """The row count of a batch for ``kind``, checked without converting any block.
+
+    Every block the kind reads must be given; a block it does not read may
+    be None.  Each given block must be [n, width], with one n for both.
+    """
+    if kind not in HEAD_KINDS:
+        raise DomainError(f"unknown head kind {kind!r}, expected one of {HEAD_KINDS}")
+    blocks = {"text": text, "image": image}
+    for name in HEAD_INPUTS[kind]:
+        if blocks[name] is None:
+            raise ShapeError(f"{kind} reads the {name} batch, got None")
+    shapes = {name: np.shape(block.data if isinstance(block, Tensor) else block)
+              for name, block in blocks.items() if block is not None}
+    for name, shape in shapes.items():
+        if len(shape) != 2 or shape[1] != MODALITY_DIMS[name]:
+            raise ShapeError(f"{name} batch must be [n, {MODALITY_DIMS[name]}], got {shape}")
+    if len({shape[0] for shape in shapes.values()}) > 1:
+        raise ShapeError(
+            f"batch sizes differ: {shapes['text'][0]} text vs {shapes['image'][0]} image rows"
+        )
+    return next(iter(shapes.values()))[0]
 
 
 def head_forward_batch(kind: str, params: Mapping[str, object], text: object, image: object) -> Tensor:
     """Run one head over a batch; ``text`` is [n, 128] and ``image`` [n, 1792].
 
-    Parameter entries may be plain arrays or gradient-requiring tensors; the
-    same code path serves inference and training.
+    Only the blocks the kind reads are widened to float64; the other may be
+    None.  Parameter entries may be plain arrays or gradient-requiring
+    tensors; the same code path serves inference and training.
     """
-    if kind not in HEAD_KINDS:
-        raise DomainError(f"unknown head kind {kind!r}, expected one of {HEAD_KINDS}")
-    ft, fi = _embedding_batch(text, image)
+    _batch_rows(kind, text, image)
+    reads = HEAD_INPUTS[kind]
+    ft = as_tensor(text) if "text" in reads else None
+    fi = as_tensor(image) if "image" in reads else None
     p = {name: as_tensor(value) for name, value in params.items()}
 
     if kind == "vision_linear":
@@ -235,22 +265,27 @@ def overflow_raises():
 
 
 @overflow_raises()
-def predict_logits(model: FusionModel, text: np.ndarray, image: np.ndarray) -> np.ndarray:
+def predict_logits(model: FusionModel, text: np.ndarray | None, image: np.ndarray | None) -> np.ndarray:
     """Batched inference as a plain array; the canonical prediction path.
 
     The rows run through the head in near-equal blocks of at most
-    :data:`PREDICT_BLOCK_ROWS`.  No block holds a lone row unless the batch
-    is one row, since numpy routes a one-row product through a different
-    kernel.  A value that overflows or turns invalid raises
+    :data:`PREDICT_BLOCK_ROWS`, and each block is widened to float64 on its
+    own, so a float32 pool is never copied whole.  No block holds a lone
+    row unless the batch is one row, since numpy routes a one-row product
+    through a different kernel.  A block the head does not read may be
+    None.  A value that overflows or turns invalid raises
     :class:`NumericError`.
     """
-    ft, fi = _embedding_batch(text, image)
-    n = ft.shape[0]
+    n = _batch_rows(model.kind, text, image)
     blocks = max(1, -(-n // PREDICT_BLOCK_ROWS))
     bounds = [n * i // blocks for i in range(blocks + 1)]
     out = np.empty((n, N_CLASSES))
     for lo, hi in zip(bounds, bounds[1:]):
-        out[lo:hi] = head_forward_batch(model.kind, model.params, ft.data[lo:hi], fi.data[lo:hi]).data
+        rows = slice(lo, hi)
+        out[rows] = head_forward_batch(
+            model.kind, model.params,
+            None if text is None else text[rows], None if image is None else image[rows],
+        ).data
     return out
 
 

@@ -29,6 +29,7 @@ from .errors import (
 )
 from .fusion import (
     FUSION_SETS,
+    HEAD_INPUTS,
     HEAD_KINDS,
     N_CLASSES,
     TEXT_DIM,
@@ -372,6 +373,7 @@ def train_head(
     state = init_adam_state(params)
     rng = np.random.default_rng(config.seed)
     n = len(train)
+    inputs = {name: getattr(train, name) for name in HEAD_INPUTS[kind]}
 
     history: list[EpochRecord] = []
     best_model: FusionModel | None = None
@@ -384,7 +386,8 @@ def train_head(
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             leaves = {name: Tensor(arr, requires_grad=True) for name, arr in params.items()}
-            logits = head_forward_batch(kind, leaves, train.text[idx], train.image[idx])
+            batch = {name: block[idx] for name, block in inputs.items()}
+            logits = head_forward_batch(kind, leaves, batch.get("text"), batch.get("image"))
             loss = bce_loss_node(logits, train.labels[idx], weights)
             loss.backward()
             grads = {name: leaf.grad for name, leaf in leaves.items()}

@@ -434,13 +434,40 @@ class TestPredictAndFuse:
                   for name, shape in expected_param_shapes("cross_attn_fcnn").items()}
         save_model(FusionModel(kind="cross_attn_fcnn", params=params), tmp_path / "m.fus1")
         data = load_dataset(data_dir / "test")
-        huge = EmbeddingDataset(ids=data.ids, text=data.text * 1e200, image=data.image * 1e200)
-        monkeypatch.setattr(cli, "load_dataset", lambda *args, **kwargs: huge)
+        # the loaded blocks are float32, where the multiply itself would overflow
+        huge = EmbeddingDataset(ids=data.ids, text=data.text.astype(np.float64) * 1e200,
+                                image=data.image.astype(np.float64) * 1e200)
+        blocks = {"text": huge.text, "image": huge.image}
+        monkeypatch.setattr(cli, "load_inputs", lambda *args, **kwargs: (huge.ids, blocks, None))
         out = tmp_path / "o"
         code = cli.main(["predict", "--model", str(tmp_path / "m.fus1"),
                          "--data", str(data_dir / "test"), "--out", str(out)])
         assert code == 3
         assert not (out / "logits.femb").exists()
+
+    def test_predict_reads_only_its_heads_embedding_files(self, trained_dir, data_dir, tmp_path):
+        cut = tmp_path / "cut"
+        shutil.copytree(data_dir / "test", cut)
+        blob = (cut / "image.femb").read_bytes()
+        (cut / "image.femb").write_bytes(blob[: len(blob) // 2])
+        # trained_dir holds a text_linear model, which never opens image.femb
+        outs = []
+        for data in (data_dir / "test", cut):
+            out = tmp_path / f"pred_{data.name}"
+            proc = run_cli("predict", "--model", trained_dir / "model.fus1", "--data", data,
+                           "--out", out)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out)
+        for fname in ("logits.femb", "ids.csv", "predictions.csv"):
+            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+        scores = [{k: v for k, v in summary_lines(out).items() if k != "wall_ms"} for out in outs]
+        assert scores[0] == scores[1]
+        params = {name: np.zeros(shape) for name, shape in expected_param_shapes("vision_linear").items()}
+        save_model(FusionModel(kind="vision_linear", params=params), tmp_path / "v.fus1")
+        proc = run_cli("predict", "--model", tmp_path / "v.fus1", "--data", cut,
+                       "--out", tmp_path / "v")
+        assert proc.returncode == 2
+        assert "image.femb" in proc.stderr
 
     def test_ids_a_labels_csv_cannot_hold_rejected_at_load(self, trained_dir, data_dir, tmp_path):
         bad = tmp_path / "bad"

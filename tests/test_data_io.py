@@ -15,6 +15,7 @@ from mmfusion.data_io import (
     EmbeddingDataset,
     gen_synthetic,
     load_dataset,
+    load_inputs,
     load_model,
     read_embeddings,
     read_ids,
@@ -88,8 +89,18 @@ class TestEmbeddingFormat:
         path = tmp_path / "e.femb"
         write_embeddings(original, path)
         back = read_embeddings(path)
-        assert back.dtype == np.float64
+        assert back.dtype == np.float32
         np.testing.assert_array_equal(back, original)
+
+    def test_float32_values_written_as_their_widening(self, tmp_path):
+        values = np.random.default_rng(8).standard_normal((6, 4)).astype(np.float32)
+        write_embeddings(values, tmp_path / "a.femb")
+        write_embeddings(values.astype(np.float64), tmp_path / "b.femb")
+        assert (tmp_path / "a.femb").read_bytes() == (tmp_path / "b.femb").read_bytes()
+        values[2, 1] = np.inf
+        with pytest.raises(NonFiniteError, match="row 2, column 1"):
+            write_embeddings(values, tmp_path / "c.femb")
+        assert not (tmp_path / "c.femb").exists()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "e.femb"
@@ -598,6 +609,25 @@ class TestDatasetDirectory:
         again = load_dataset(tmp_path / "d2")
         np.testing.assert_array_equal(again.text, back.text)
         np.testing.assert_array_equal(again.image, back.image)
+
+    def test_loaded_dataset_stays_float32_and_saves_the_same_bytes(self, tmp_path):
+        save_dataset(tiny_dataset(5, seed=3), tmp_path / "d")
+        back = load_dataset(tmp_path / "d")
+        assert back.text.dtype == back.image.dtype == np.float32
+        save_dataset(back, tmp_path / "d2")
+        for name in ("text.femb", "image.femb", "ids.csv", "labels.csv"):
+            assert (tmp_path / "d2" / name).read_bytes() == (tmp_path / "d" / name).read_bytes()
+
+    def test_load_inputs_reads_only_the_named_blocks(self, tmp_path):
+        ds = tiny_dataset(4, seed=6)
+        save_dataset(ds, tmp_path / "d")
+        (tmp_path / "d" / "image.femb").unlink()
+        ids, blocks, labels = load_inputs(tmp_path / "d", ("text",))
+        assert ids == ds.ids and list(blocks) == ["text"]
+        np.testing.assert_array_equal(blocks["text"], ds.text.astype(np.float32))
+        np.testing.assert_array_equal(labels, ds.labels)
+        with pytest.raises(DatasetError, match="missing image.femb"):
+            load_inputs(tmp_path / "d", ("image",))
 
     def test_labels_follow_the_ids_file_not_the_csv_order(self, tmp_path):
         ds = tiny_dataset(6, seed=4)

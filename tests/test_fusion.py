@@ -12,6 +12,7 @@ from mmfusion.attention import AttentionParams, cross_attention
 from mmfusion.errors import DomainError, LabelDomainError, NumericError, ShapeError
 from mmfusion.fusion import (
     CLASS_IDS,
+    HEAD_INPUTS,
     HEAD_KINDS,
     IMAGE_DIM,
     N_CLASSES,
@@ -223,6 +224,56 @@ class TestPredictBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+class TestPrecisionAndInputs:
+    @pytest.mark.parametrize("kind", HEAD_KINDS)
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 4096])
+    def test_float32_blocks_predict_as_their_widening(self, kind, n, rng):
+        # widening float32 to float64 is exact, so the head sees the same values
+        model = make_model(kind, rng)
+        text, image = (block.astype(np.float32) for block in make_batch(rng, n))
+        narrow = predict_logits(model, text, image)
+        wide = predict_logits(model, text.astype(np.float64), image.astype(np.float64))
+        assert narrow.dtype == np.float64
+        assert narrow.tobytes() == wide.tobytes()
+
+    @pytest.mark.parametrize("kind", ["vision_linear", "concat_fcnn"])
+    def test_float32_pool_widens_one_block_at_a_time(self, kind, rng):
+        # widening the whole 4096 x 1792 image block at once would take 56 MiB
+        model = make_model(kind, rng)
+        text, image = (block.astype(np.float32) for block in make_batch(rng, 4096))
+        tracemalloc.start()
+        try:
+            predict_logits(model, text, image)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+
+    @pytest.mark.parametrize("kind", ["vision_linear", "text_linear"])
+    def test_unread_block_may_be_none(self, kind, rng):
+        model = make_model(kind, rng)
+        text, image = make_batch(rng, 3)
+        given = {"text": text, "image": image}
+        only = {name: given[name] if name in HEAD_INPUTS[kind] else None for name in given}
+        assert (predict_logits(model, only["text"], only["image"]).tobytes()
+                == predict_logits(model, text, image).tobytes())
+        assert (head_forward_batch(kind, model.params, only["text"], only["image"]).data.tobytes()
+                == head_forward_batch(kind, model.params, text, image).data.tobytes())
+
+    @pytest.mark.parametrize("kind", HEAD_KINDS)
+    def test_read_block_missing_or_rows_differ_rejected(self, kind, rng):
+        model = make_model(kind, rng)
+        text, image = make_batch(rng, 3)
+        bad = [(text, image[:2]), (text[:2], image), (None, None)]
+        bad += [(None, image)] if "text" in HEAD_INPUTS[kind] else []
+        bad += [(text, None)] if "image" in HEAD_INPUTS[kind] else []
+        for bad_text, bad_image in bad:
+            with pytest.raises(ShapeError):
+                head_forward_batch(kind, model.params, bad_text, bad_image)
+            with pytest.raises(ShapeError):
+                predict_logits(model, bad_text, bad_image)
 
 
 class TestFuseLogits:

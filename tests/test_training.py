@@ -412,6 +412,28 @@ class TestTrainHead:
             with pytest.raises(NumericError):
                 train_head(*scaled, kind, TrainConfig(lr=1e-2, max_epochs=2))
 
+    @pytest.mark.parametrize("kind", HEAD_KINDS)
+    def test_float32_data_trains_as_its_widening(self, kind):
+        train, _, val = small_splits(n_train=64, n_val=32)
+        narrow = [
+            EmbeddingDataset(ids=d.ids, text=d.text.astype(np.float32),
+                             image=d.image.astype(np.float32), labels=d.labels)
+            for d in (train, val)
+        ]
+        assert narrow[0].text.dtype == narrow[0].image.dtype == np.float32
+        wide = [
+            EmbeddingDataset(ids=d.ids, text=d.text.astype(np.float64),
+                             image=d.image.astype(np.float64), labels=d.labels)
+            for d in narrow
+        ]
+        cfg = TrainConfig(lr=1e-2, max_epochs=3, batch_size=16)
+        a = train_head(*narrow, kind, cfg)
+        b = train_head(*wide, kind, cfg)
+        assert a.history == b.history and a.best_epoch == b.best_epoch
+        assert {k: v.tobytes() for k, v in a.model.params.items()} == {
+            k: v.tobytes() for k, v in b.model.params.items()
+        }
+
     def test_empty_train_rejected(self):
         train, _, val = small_splits(n_train=24, n_val=12)
         with pytest.raises(DatasetError):

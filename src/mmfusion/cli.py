@@ -57,20 +57,18 @@ from .vision_blocks import (
     separable_ratio,
 )
 
-def _config_flag(key: str) -> str:
-    # pseudo-loop's --eps is the loop's stopping margin, so Adam's eps is --adam-eps
-    return "--adam-eps" if key == "eps" else "--" + key.replace("_", "-")
-
-
-def _add_config_flags(sub: argparse.ArgumentParser) -> None:
-    """One flag per TrainConfig field, stored as ``cfg_<field>``."""
+def _add_config_flags(sub: argparse.ArgumentParser, skip: tuple[str, ...] = ()) -> None:
+    """One flag per TrainConfig field outside ``skip``, stored as ``cfg_<field>``."""
     sub.add_argument("--config", help="key=value config file")
     for field in fields(TrainConfig):
-        sub.add_argument(_config_flag(field.name), dest=f"cfg_{field.name}", metavar="VALUE")
+        if field.name not in skip:
+            flag = "--" + field.name.replace("_", "-")
+            sub.add_argument(flag, dest=f"cfg_{field.name}", metavar="VALUE")
 
 
 def _resolve_config(args) -> TrainConfig:
-    flags = {field.name: getattr(args, f"cfg_{field.name}") for field in fields(TrainConfig)}
+    # a skipped field has no flag, hence no attribute
+    flags = {f.name: getattr(args, f"cfg_{f.name}", None) for f in fields(TrainConfig)}
     overrides = {key: raw for key, raw in flags.items() if raw is not None}
     if args.config:
         return TrainConfig.from_file(args.config, overrides)
@@ -261,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True, help="training dataset directory")
     p.add_argument("--val", help="validation dataset directory")
     p.add_argument("--kind", required=True, choices=HEAD_KINDS)
-    _add_config_flags(p)
+    # one head trains here, so only pseudo-loop reads fusion_set; a --config file may name it
+    _add_config_flags(p, skip=("fusion_set",))
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_train_head)
 

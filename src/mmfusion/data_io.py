@@ -116,7 +116,7 @@ def _write_payload(payload: np.ndarray, path) -> None:
     with open(path, "wb") as fh:
         fh.write(EMBEDDING_MAGIC)
         fh.write(struct.pack("<III", FORMAT_VERSION, *payload.shape))
-        fh.write(payload.tobytes(order="C"))
+        payload.tofile(fh)  # straight from the array's buffer, no bytes copy
 
 
 def write_embeddings(values: np.ndarray, path) -> None:
@@ -192,9 +192,17 @@ def _first_repeat(ids: Sequence[str]) -> int:
     return next(r for r, sample_id in enumerate(ids) if sample_id in seen or seen.add(sample_id))
 
 
+def _read_utf8(path, error: type[Exception]) -> str:
+    """The text of ``path``, newlines normalised; bytes that are not UTF-8 raise ``error``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def read_ids(path) -> tuple[str, ...]:
-    with open(path, "r", encoding="utf-8") as fh:
-        ids = tuple(line.rstrip("\n") for line in fh if line.strip())
+    ids = tuple(line for line in _read_utf8(path, DatasetError).split("\n") if line.strip())
     _check_ids(ids, path)
     repeat = _first_repeat(ids)
     if repeat < len(ids):
@@ -223,8 +231,7 @@ def read_label_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
     raises for its first bad line, naming ``path:lineno``.  Blank lines are
     skipped.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_utf8(path, LabelDomainError).splitlines()
     if not lines or lines[0] != LABELS_HEADER:
         raise LabelDomainError(f"{path}:1: first line must be {LABELS_HEADER!r}")
     ids: list[str] = []

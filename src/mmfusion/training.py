@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .data_io import EmbeddingDataset
+from .data_io import EmbeddingDataset, _read_utf8
 from .errors import (
     DatasetError,
     DomainError,
@@ -159,9 +158,6 @@ class TrainConfig:
     batch_size: int = 64
     max_epochs: int = 50
     patience: int = 5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     class_weighting: bool = True
     fusion_set: tuple[str, ...] = FUSION_SETS["fm1"]
@@ -176,11 +172,6 @@ class TrainConfig:
             raise DomainError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 0:
             raise DomainError(f"patience must be >= 0, got {self.patience}")
-        for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not 0.0 <= beta < 1.0:
-                raise DomainError(f"{name} must lie in [0, 1), got {beta}")
-        if not (self.eps > 0.0 and math.isfinite(self.eps)):
-            raise DomainError(f"eps must be a finite value > 0, got {self.eps}")
         kinds = tuple(self.fusion_set)
         if len(kinds) < 2:
             raise DomainError("fusion_set needs at least two head kinds")
@@ -220,7 +211,7 @@ class TrainConfig:
     @staticmethod
     def from_file(path, overrides: Mapping[str, str] | None = None) -> "TrainConfig":
         """Read key=value lines; '#' starts a comment; blank lines ignored."""
-        text = Path(path).read_text(encoding="utf-8")
+        text = _read_utf8(path, DomainError)
         file_values: dict[str, str] = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
             stripped = line.split("#", 1)[0].strip()
@@ -233,13 +224,15 @@ class TrainConfig:
             if key in file_values:
                 raise DomainError(f"{path}:{lineno}: key {key!r} set twice")
             file_values[key] = raw.strip()
-        merged = dict(file_values)
-        merged.update(overrides or {})
-        parsed = {key: TrainConfig.parse_value(key, raw) for key, raw in merged.items()}
-        return TrainConfig(**parsed)
+        return TrainConfig().with_overrides({**file_values, **(overrides or {})})
 
 
 # ---------------------------------------------------------------------- adam
+
+# Adam's moment decay rates and the term added to the update's denominator
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -265,7 +258,7 @@ def adam_step(
     state: AdamState,
     config: TrainConfig,
 ) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam update; inputs are not mutated.
+    """One bias-corrected Adam update at ``config.lr``; inputs are not mutated.
 
     Raises :class:`NumericError` as soon as a moment or a parameter stops
     being finite, e.g. when the squared gradient overflows.
@@ -282,11 +275,11 @@ def adam_step(
         if g.shape != p.shape:
             raise ShapeError(f"gradient for {name!r} has shape {g.shape}, parameter {p.shape}")
         with np.errstate(over="ignore", invalid="ignore"):
-            m = config.beta1 * state.m[name] + (1.0 - config.beta1) * g
-            v = config.beta2 * state.v[name] + (1.0 - config.beta2) * g * g
-            m_hat = m / (1.0 - config.beta1**t)
-            v_hat = v / (1.0 - config.beta2**t)
-            new_p = p - config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
+            m = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
+            m_hat = m / (1.0 - ADAM_BETA1**t)
+            v_hat = v / (1.0 - ADAM_BETA2**t)
+            new_p = p - config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         # a non-finite first moment leaves the new value non-finite as well
         if not (np.isfinite(v).all() and np.isfinite(new_p).all()):
             raise NumericError(f"Adam step {t}: the moments or values of {name!r} are not finite")
@@ -326,10 +319,6 @@ def init_head_params(kind: str, seed: int) -> dict[str, np.ndarray]:
         else:
             params[name] = np.zeros(shape)
     return params
-
-
-def _snapshot(kind: str, params: Mapping[str, np.ndarray]) -> FusionModel:
-    return FusionModel(kind=kind, params={k: np.array(v) for k, v in params.items()})
 
 
 def evaluate_model(model: FusionModel, data: EmbeddingDataset) -> float:
@@ -395,7 +384,7 @@ def train_head(
             loss_sum += float(loss.data) * len(idx)
         epoch_loss = loss_sum / n
 
-        snapshot = _snapshot(kind, params)
+        snapshot = FusionModel(kind=kind, params=params)  # quantized copies, never aliases
         if has_val:
             val_f1 = evaluate_model(snapshot, val)
             if val_f1 > best_f1:

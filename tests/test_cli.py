@@ -162,24 +162,38 @@ class TestSummaryContract:
         assert set(subs.choices) == set(SUBCOMMAND_ARGS) == set(FAILING_ARGS)
 
 
-# each TrainConfig field, its documented flag, and a value that is not its default
+# each TrainConfig field both commands take as a flag, the flag, and a value that is not its default
 CONFIG_FLAGS = [
     ("lr", "--lr", "0.125", 0.125),
     ("batch_size", "--batch-size", "7", 7),
     ("max_epochs", "--max-epochs", "9", 9),
     ("patience", "--patience", "3", 3),
-    ("beta1", "--beta1", "0.5", 0.5),
-    ("beta2", "--beta2", "0.75", 0.75),
-    ("eps", "--adam-eps", "1e-06", 1e-6),
     ("seed", "--seed", "13", 13),
     ("class_weighting", "--class-weighting", "false", False),
-    ("fusion_set", "--fusion-set", "fm3", FUSION_SETS["fm3"]),
 ]
 
 
 class TestConfigFlags:
     def test_flags_cover_every_field(self):
-        assert [key for key, *_ in CONFIG_FLAGS] == [f.name for f in fields(TrainConfig)]
+        # fusion_set is the one field only pseudo-loop takes as a flag
+        keys = [key for key, *_ in CONFIG_FLAGS] + ["fusion_set"]
+        assert keys == [f.name for f in fields(TrainConfig)]
+
+    def test_fusion_set_flag_reaches_pseudo_loop(self):
+        args = cli.build_parser().parse_args(
+            ["pseudo-loop", "--train", "t", "--test", "p", "--val", "v",
+             "--fusion-set", "fm3", "--out", "o"])
+        assert cli._resolve_config(args) == TrainConfig(fusion_set=FUSION_SETS["fm3"])
+
+    def test_train_head_takes_fusion_set_only_from_a_config_file(self, tmp_path):
+        required = ["train-head", "--train", "t", "--kind", "text_linear"]
+        assert cli.main([*required, "--fusion-set", "fm3", "--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o").exists()
+        # one config file may serve train-head and pseudo-loop alike
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("fusion_set = fm3\n")
+        args = cli.build_parser().parse_args([*required, "--config", str(cfg), "--out", "o"])
+        assert cli._resolve_config(args).fusion_set == FUSION_SETS["fm3"]
 
     @pytest.mark.parametrize("command, required", [
         ("train-head", ["--train", "t", "--kind", "text_linear"]),
@@ -284,6 +298,26 @@ class TestTrainHead:
         proc = run_cli("train-head", "--train", tmp_path / "nowhere",
                        "--kind", "text_linear", "--out", tmp_path / "o")
         assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("command", ["evaluate", "train-head", "predict"])
+def test_text_input_that_is_not_utf8_is_data_error(command, data_dir, trained_dir, tmp_path):
+    if command == "evaluate":  # a binary file passed where a CSV belongs
+        bad = data_dir / "test" / "image.femb"
+        argv = ["--pred", bad, "--truth", data_dir / "test" / "labels.csv"]
+    elif command == "train-head":
+        bad = tmp_path / "train.cfg"
+        bad.write_bytes(b"lr = 0.01\n\xff\n")
+        argv = ["--train", data_dir / "train", "--kind", "text_linear", "--config", bad]
+    else:
+        split = tmp_path / "split"
+        shutil.copytree(data_dir / "test", split)
+        bad = split / "ids.csv"
+        bad.write_bytes(bad.read_bytes().replace(b"test_00001", b"test_\xff0001"))
+        argv = ["--model", trained_dir / "model.fus1", "--data", split]
+    proc = run_cli(command, *argv, "--out", tmp_path / "o")
+    assert proc.returncode == 2
+    assert f"{bad}: not UTF-8 text" in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestPredictAndFuse:

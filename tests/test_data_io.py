@@ -1,6 +1,7 @@
 """File format and dataset tests, including byte-level golden files."""
 
 import struct
+import tracemalloc
 import warnings
 import zlib
 
@@ -191,6 +192,13 @@ class TestIdsSidecar:
             read_ids(path)
         assert repr(bad) in str(info.value) and str(path) in str(info.value)
 
+    def test_read_refuses_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "ids.csv"
+        path.write_bytes(b"x\ny\xff\n")
+        with pytest.raises(DatasetError, match="not UTF-8") as info:
+            read_ids(path)
+        assert str(path) in str(info.value)
+
 
 # ---------------------------------------------------------------- labels CSV
 
@@ -283,6 +291,14 @@ class TestLabelsCsv:
         assert back["b"] == LabelVector.from_ids([2, 19])
         assert back["a"] == LabelVector.from_ids([1])
         assert [v.bits for v in back.values()] == [tuple(row) for row in matrix.tolist()]
+
+    @pytest.mark.parametrize("reader", [read_label_matrix, read_labels])
+    def test_bytes_that_are_not_utf8_rejected(self, reader, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_bytes(b"ImageID,Labels\na\xff,1\n")
+        with pytest.raises(LabelDomainError, match="not UTF-8") as info:
+            reader(path)
+        assert str(path) in str(info.value)
 
     def test_header_only_is_empty(self, tmp_path):
         path = tmp_path / "labels.csv"
@@ -617,6 +633,18 @@ class TestDatasetDirectory:
         save_dataset(back, tmp_path / "d2")
         for name in ("text.femb", "image.femb", "ids.csv", "labels.csv"):
             assert (tmp_path / "d2" / name).read_bytes() == (tmp_path / "d" / name).read_bytes()
+
+    def test_save_writes_from_the_arrays_without_a_copy(self, tmp_path):
+        ds = tiny_dataset(1000, seed=2)
+        ds = EmbeddingDataset(ids=ds.ids, text=ds.text.astype(np.float32),
+                              image=ds.image.astype(np.float32), labels=ds.labels)
+        tracemalloc.start()
+        try:
+            save_dataset(ds, tmp_path / "d")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.image.nbytes / 8
 
     def test_load_inputs_reads_only_the_named_blocks(self, tmp_path):
         ds = tiny_dataset(4, seed=6)

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mmfusion.errors import DatasetError, DomainError, NumericError, ShapeError
 from mmfusion.fusion import FUSION_SETS, HEAD_KINDS, N_CLASSES
 from mmfusion.tensor import Tensor, grad_check
 from mmfusion.training import (
+    ADAM_EPS,
     TrainConfig,
     adam_step,
     bce_loss_node,
@@ -194,7 +196,6 @@ class TestTrainConfig:
         cfg = TrainConfig()
         assert cfg.lr == 5e-4
         assert cfg.batch_size == 64
-        assert cfg.beta1 == 0.9 and cfg.beta2 == 0.999 and cfg.eps == 1e-8
         assert cfg.fusion_set == ("vision_linear", "text_linear")
 
     def test_zero_lr_allowed(self):
@@ -206,11 +207,6 @@ class TestTrainConfig:
             dict(batch_size=0),
             dict(max_epochs=0),
             dict(patience=-1),
-            dict(beta1=1.0),
-            dict(beta2=-0.1),
-            dict(eps=0.0),
-            dict(eps=math.inf),
-            dict(eps=math.nan),
             dict(fusion_set=("vision_linear",)),
             dict(fusion_set=("vision_linear", "vision_linear")),
             dict(fusion_set=("vision_linear", "bogus")),
@@ -248,9 +244,25 @@ class TestTrainConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "train.cfg"
-        path.write_text("learning_rate = 0.01\n")
-        with pytest.raises(DomainError):
+        # Adam's betas and eps are module constants, not settings
+        for line in ("learning_rate = 0.01", "beta1 = 0.9"):
+            path.write_text(line + "\n")
+            with pytest.raises(DomainError, match="unknown config key"):
+                TrainConfig.from_file(path)
+
+    def test_non_utf8_file_is_domain_error(self, tmp_path):
+        path = tmp_path / "train.cfg"
+        path.write_bytes(b"lr = 0.01\n\xff\n")
+        with pytest.raises(DomainError, match="not UTF-8") as info:
             TrainConfig.from_file(path)
+        assert str(path) in str(info.value)
+
+    def test_readme_config_block_parses(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```\n# train.cfg\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "train.cfg"
+        path.write_text(block)
+        assert TrainConfig.from_file(path) != TrainConfig()
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "train.cfg"
@@ -260,7 +272,7 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize(
         "key, raw, noun",
-        [("lr", "abc", "a number"), ("eps", "", "a number"),
+        [("lr", "abc", "a number"), ("lr", "", "a number"),
          ("batch_size", "1.5", "an integer"), ("seed", "x", "an integer")],
     )
     def test_non_numeric_value_is_domain_error(self, key, raw, noun, tmp_path):
@@ -291,7 +303,7 @@ class TestAdam:
         cfg = TrainConfig(lr=5e-4)
         params = {"w": np.zeros(4)}
         out, state = adam_step(params, {"w": np.ones(4)}, init_adam_state(params), cfg)
-        expected = -cfg.lr * 1.0 / (1.0 + cfg.eps)
+        expected = -cfg.lr * 1.0 / (1.0 + ADAM_EPS)
         np.testing.assert_allclose(out["w"], expected, rtol=1e-15)
         assert state.step == 1
 

@@ -21,20 +21,20 @@ import numpy as np
 
 from .data_io import (
     gen_synthetic,
-    labels_in_order,
     load_dataset,
     load_inputs,
     load_model,
     read_embeddings,
     read_ids,
     read_label_matrix,
+    rows_in_order,
     save_dataset,
     save_model,
     write_embeddings,
     write_ids,
     write_predictions,
 )
-from .errors import DataError, DomainError, NumericError, ShapeError
+from .errors import DataError, DatasetError, DomainError, NumericError, ShapeError
 from .fusion import (
     HEAD_INPUTS,
     HEAD_KINDS,
@@ -140,22 +140,29 @@ def cmd_predict(args, out: Path) -> dict:
     return {} if labels is None else _scores(preds, labels)
 
 
+def _logits_in_order(path, ids) -> np.ndarray:
+    """The rows of logits file ``path`` in the order of ``ids``, by the ids.csv beside it."""
+    block = read_embeddings(path)
+    if block.shape[1] != N_CLASSES:
+        raise ShapeError(f"{path}: logits must have {N_CLASSES} columns, got {block.shape[1]}")
+    row_ids = read_ids(Path(path).with_name("ids.csv"))
+    if len(row_ids) != len(block):
+        raise DatasetError(f"{path}: {len(block)} rows, but its ids.csv lists {len(row_ids)}")
+    return rows_in_order(ids, row_ids, block, path)
+
+
 def cmd_fuse_logits(args, out: Path) -> dict:
     if len(args.logits) < 2:
         raise DomainError("fuse-logits needs at least two logits files")
-    blocks = [read_embeddings(path) for path in args.logits]
-    for path, block in zip(args.logits, blocks):
-        if block.shape[1] != N_CLASSES:
-            raise ShapeError(f"{path}: logits must have {N_CLASSES} columns, got {block.shape[1]}")
     ids = read_ids(args.ids)
-    if any(block.shape[0] != len(ids) for block in blocks):
-        raise DataError(f"logit files disagree with {args.ids} on the sample count")
+    blocks = [_logits_in_order(path, ids) for path in args.logits]
     truth = None
     if args.labels:  # checked before any output is written
-        truth = labels_in_order(ids, *read_label_matrix(args.labels), args.labels)
+        truth = rows_in_order(ids, *read_label_matrix(args.labels), args.labels)
     fused = fuse_logits(blocks).data
     preds = assign_label_matrix(logits_to_probs(fused).data, threshold=args.threshold)
     write_embeddings(fused, out / "logits.femb")
+    write_ids(ids, out / "ids.csv")
     write_predictions(ids, preds, out / "predictions.csv")
     print(f"fused {len(args.logits)} logit sets over {len(ids)} samples")
     return {} if truth is None else _scores(preds, truth)
@@ -164,7 +171,7 @@ def cmd_fuse_logits(args, out: Path) -> dict:
 def cmd_evaluate(args, out: Path) -> dict:
     pred_ids, preds = read_label_matrix(args.pred)
     truth_ids, truth = read_label_matrix(args.truth)
-    truth = labels_in_order(pred_ids, truth_ids, truth, args.truth)
+    truth = rows_in_order(pred_ids, truth_ids, truth, args.truth)
     counts = confusion_counts(preds, truth)
     per_class = f1_per_class(counts)
     macro = macro_f1(counts)
@@ -274,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("fuse-logits", help="average logit files and assign labels")
     p.add_argument("--logits", nargs="+", required=True, help="two or more logit files")
-    p.add_argument("--ids", required=True, help="ids file aligned with the logit rows")
+    p.add_argument("--ids", required=True, help="ids file giving the order of the fused rows")
     p.add_argument("--labels", help="optional truth labels to score against")
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--out", required=True)

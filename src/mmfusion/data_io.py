@@ -293,25 +293,25 @@ def read_labels(path) -> dict[str, LabelVector]:
     return dict(zip(ids, label_vectors(matrix)))
 
 
-def labels_in_order(
-    ids: Sequence[str], label_ids: Sequence[str], matrix: np.ndarray, source
+def rows_in_order(
+    ids: Sequence[str], row_ids: Sequence[str], matrix: np.ndarray, source
 ) -> np.ndarray:
-    """The rows of ``matrix`` (one per ``label_ids``) in the order of ``ids``.
+    """The rows of ``matrix`` (one per ``row_ids``) in the order of ``ids``.
 
     Both id lists are free of repeats and must hold the same ids: raises
     :class:`DatasetError` naming ``source`` when an id has no row or a row
     has an id outside ``ids``.
     """
-    if tuple(label_ids) == tuple(ids):
+    if tuple(row_ids) == tuple(ids):
         return matrix
-    row_of = dict(zip(label_ids, range(len(label_ids))))
+    row_of = dict(zip(row_ids, range(len(row_ids))))
     missing = [i for i in ids if i not in row_of]
     if missing:
-        raise DatasetError(f"{source}: no labels for {len(missing)} ids, first {missing[0]!r}")
-    if len(label_ids) > len(ids):  # every id has its row, so some rows have no id
+        raise DatasetError(f"{source}: no rows for {len(missing)} ids, first {missing[0]!r}")
+    if len(row_ids) > len(ids):  # every id has its row, so some rows have no id
         known = set(ids)
-        extra = [i for i in label_ids if i not in known]
-        raise DatasetError(f"{source}: labels for {len(extra)} unknown ids, first {extra[0]!r}")
+        extra = [i for i in row_ids if i not in known]
+        raise DatasetError(f"{source}: rows for {len(extra)} unknown ids, first {extra[0]!r}")
     return matrix[[row_of[i] for i in ids]]
 
 
@@ -547,7 +547,7 @@ def load_inputs(
     labels_path = directory / "labels.csv"
     labels = None
     if labels_path.exists():
-        labels = labels_in_order(ids, *read_label_matrix(labels_path), directory)
+        labels = rows_in_order(ids, *read_label_matrix(labels_path), directory)
     elif require_labels:
         raise DatasetError(f"{directory} has no labels.csv")
     return ids, blocks, labels

@@ -12,6 +12,7 @@ never here.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,8 +40,6 @@ class Tensor:
     __array_ufunc__ = None
 
     def __init__(self, data, requires_grad: bool = False, _links: Sequence = ()):
-        if isinstance(data, Tensor):
-            data = data.data
         self.data: Array = np.asarray(data, dtype=np.float64)
         self.grad: Array | None = None
         self._links = tuple(_links)
@@ -107,26 +106,23 @@ class Tensor:
             data = self.data.reshape(shape)
         except ValueError as exc:
             raise ShapeError(f"cannot reshape {src} to {shape}") from exc
-        if not self.requires_grad:
-            return Tensor(data)
-        return Tensor(data, _links=[(self, lambda g: g.reshape(src))])
+        return _node(data, (self, lambda g: g.reshape(src)))
 
     def transpose_last(self) -> "Tensor":
         """Swap the last two axes."""
         if self.ndim < 2:
             raise ShapeError(f"transpose_last needs rank >= 2, got {self.shape}")
-        data = np.swapaxes(self.data, -1, -2)
-        if not self.requires_grad:
-            return Tensor(data)
-        return Tensor(data, _links=[(self, lambda g: np.swapaxes(g, -1, -2))])
+        return _node(np.swapaxes(self.data, -1, -2), (self, lambda g: np.swapaxes(g, -1, -2)))
 
     def sum(self) -> "Tensor":
         """Sum of every element, as a scalar tensor."""
-        data = self.data.sum()
-        if not self.requires_grad:
-            return Tensor(data)
         src = self.data.shape
-        return Tensor(data, _links=[(self, lambda g: np.broadcast_to(g, src))])
+        return _node(self.data.sum(), (self, lambda g: np.broadcast_to(g, src)))
+
+
+def _node(data, *links: tuple[Tensor, Callable[[Array], Array]]) -> Tensor:
+    """An op's result: ``data``, linked to each ``(parent, pull)`` whose parent needs a gradient."""
+    return Tensor(data, _links=[link for link in links if link[0].requires_grad])
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -150,12 +146,11 @@ def _binary(a, b, forward, pull_a, pull_b) -> Tensor:
         data = forward(a.data, b.data)
     except ValueError as exc:
         raise ShapeError(f"incompatible shapes {a.shape} and {b.shape}") from exc
-    links = []
-    if a.requires_grad:
-        links.append((a, lambda g: _unbroadcast(pull_a(g, a.data, b.data), a.data.shape)))
-    if b.requires_grad:
-        links.append((b, lambda g: _unbroadcast(pull_b(g, a.data, b.data), b.data.shape)))
-    return Tensor(data, _links=links)
+    return _node(
+        data,
+        (a, lambda g: _unbroadcast(pull_a(g, a.data, b.data), a.data.shape)),
+        (b, lambda g: _unbroadcast(pull_b(g, a.data, b.data), b.data.shape)),
+    )
 
 
 def add(a, b) -> Tensor:
@@ -171,22 +166,13 @@ def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} vs {b.shape}")
-    try:
-        data = a.data @ b.data
-    except ValueError as exc:
-        raise ShapeError(f"matmul cannot broadcast {a.shape} with {b.shape}") from exc
-    links = []
-    if a.requires_grad:
-        links.append(
-            (a, lambda g: _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        )
-    if b.requires_grad:
-        links.append(
-            (b, lambda g: _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
-        )
-    return Tensor(data, _links=links)
+    return _binary(
+        a,
+        b,
+        np.matmul,
+        lambda g, x, y: g @ np.swapaxes(y, -1, -2),
+        lambda g, x, y: np.swapaxes(x, -1, -2) @ g,
+    )
 
 
 def concat(parts: Sequence) -> Tensor:
@@ -198,21 +184,14 @@ def concat(parts: Sequence) -> Tensor:
         data = np.concatenate([t.data for t in ts], axis=-1)
     except ValueError as exc:
         raise ShapeError(f"concat got mismatched shapes {[t.shape for t in ts]}") from exc
-    links = []
-    start = 0
-    for t in ts:
-        width = t.data.shape[-1]
-        if t.requires_grad:
-            links.append((t, lambda g, w=slice(start, start + width): g[..., w]))
-        start += width
-    return Tensor(data, _links=links)
+    edges = list(accumulate((t.data.shape[-1] for t in ts), initial=0))
+    pulls = (lambda g, w=slice(lo, hi): g[..., w] for lo, hi in zip(edges, edges[1:]))
+    return _node(data, *zip(ts, pulls))
 
 
 def _elementwise(x: Tensor, out: Array, deriv: Callable[[], Array]) -> Tensor:
-    if not x.requires_grad:
-        return Tensor(out)
-    local = deriv()
-    return Tensor(out, _links=[(x, lambda g: g * local)])
+    """``out``, an element-wise function of ``x``; backward multiplies by ``deriv()``."""
+    return _node(out, (x, lambda g: g * deriv()))
 
 
 def relu(x) -> Tensor:
@@ -282,13 +261,7 @@ def softmax_rows(m) -> Tensor:
     shifted = t.data - t.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=-1, keepdims=True)
-    if not t.requires_grad:
-        return Tensor(s)
-
-    def pull(g: Array) -> Array:
-        return (g - (g * s).sum(axis=-1, keepdims=True)) * s
-
-    return Tensor(s, _links=[(t, pull)])
+    return _node(s, (t, lambda g: (g - (g * s).sum(axis=-1, keepdims=True)) * s))
 
 
 def layer_norm(x, gain, bias) -> Tensor:
@@ -309,33 +282,22 @@ def layer_norm(x, gain, bias) -> Tensor:
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (x.data - mu) * inv
     out = gain.data * xhat + bias.data
-    links = []
-    if x.requires_grad:
 
-        def pull_x(g: Array) -> Array:
-            dxhat = g * gain.data
-            return (
-                dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            ) * inv
+    def pull_x(g: Array) -> Array:
+        dxhat = g * gain.data
+        return (
+            dxhat
+            - dxhat.mean(axis=-1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        ) * inv
 
-        links.append((x, pull_x))
     lead = tuple(range(out.ndim - 1))
-    if gain.requires_grad:
-        links.append((gain, lambda g: (g * xhat).sum(axis=lead) if lead else g * xhat))
-    if bias.requires_grad:
-        links.append((bias, lambda g: g.sum(axis=lead) if lead else g))
-    return Tensor(out, _links=links)
-
-
-def make_scalar_node(value: float, links: Sequence) -> Tensor:
-    """Build a scalar graph node from a precomputed value and pull closures.
-
-    Escape hatch for losses whose stable forward and gradient are easier to
-    write directly than to compose from primitives.
-    """
-    return Tensor(np.float64(value), _links=links)
+    return _node(
+        out,
+        (x, pull_x),
+        (gain, lambda g: (g * xhat).sum(axis=lead)),
+        (bias, lambda g: g.sum(axis=lead)),
+    )
 
 
 def grad_check(f, x, coords: Sequence[int] | None = None) -> float:

@@ -14,7 +14,9 @@ independent of the logarithm base.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
+from itertools import combinations
 from typing import Mapping
 
 import numpy as np
@@ -45,7 +47,7 @@ from .fusion import (
     predict_logits,
 )
 from .metrics import confusion_counts, macro_f1
-from .tensor import Tensor, _sigmoid_values, make_scalar_node
+from .tensor import Tensor, _node, _sigmoid_values, as_tensor
 
 # ------------------------------------------------------------- class weights
 
@@ -132,10 +134,7 @@ def weighted_bce_loss(logits, targets, weights) -> tuple[float, np.ndarray]:
 def bce_loss_node(logits: Tensor, targets, weights) -> Tensor:
     """Scalar graph node for the weighted BCE loss; backward feeds the head."""
     loss, grad = weighted_bce_loss(logits, targets, weights)
-    links = []
-    if isinstance(logits, Tensor) and logits.requires_grad:
-        links.append((logits, lambda g: g * grad))
-    return make_scalar_node(loss, links)
+    return _node(loss, (as_tensor(logits), lambda g: g * grad))
 
 
 # -------------------------------------------------------------------- config
@@ -152,6 +151,15 @@ def _parse_number(key: str, raw: str, convert: type):
         raise DomainError(f"{key} must be {noun}, got {raw!r}") from None
 
 
+# the type a TrainConfig field accepts and its name, by the type of the field's default;
+# a bool is no number here, though Python counts it as an int
+_FIELD_TYPES = {
+    bool: (bool, "a bool"),
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a number"),
+}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 5e-4
@@ -163,6 +171,13 @@ class TrainConfig:
     fusion_set: tuple[str, ...] = FUSION_SETS["fm1"]
 
     def __post_init__(self):
+        for field in fields(self):
+            if type(field.default) not in _FIELD_TYPES:
+                continue
+            accepted, noun = _FIELD_TYPES[type(field.default)]
+            value = getattr(self, field.name)
+            if not isinstance(value, accepted) or isinstance(value, bool) != (accepted is bool):
+                raise DomainError(f"{field.name} must be {noun}, got {value!r}")
         # lr == 0 is allowed so no-op training stays expressible.
         if not (self.lr >= 0.0 and math.isfinite(self.lr)):
             raise DomainError(f"lr must be a finite value >= 0, got {self.lr}")
@@ -172,6 +187,8 @@ class TrainConfig:
             raise DomainError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 0:
             raise DomainError(f"patience must be >= 0, got {self.patience}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         kinds = tuple(self.fusion_set)
         if len(kinds) < 2:
             raise DomainError("fusion_set needs at least two head kinds")
@@ -352,6 +369,8 @@ def train_head(
     has_val = val is not None and len(val) > 0
     if has_val and val.labels is None:
         raise DatasetError("validation set has no labels")
+    if has_val:
+        _check_disjoint(train=train, val=val)
 
     if config.class_weighting:
         weights = class_weights(train.label_counts())
@@ -401,6 +420,18 @@ def train_head(
 
     assert best_model is not None
     return TrainResult(model=best_model, history=tuple(history), best_epoch=best_epoch)
+
+
+def _check_disjoint(**splits: EmbeddingDataset) -> None:
+    """Raise :class:`DatasetError` when two of the named splits share an id."""
+    pools = {name: set(data.ids) for name, data in splits.items()}
+    for (name_a, ids_a), (name_b, ids_b) in combinations(pools.items(), 2):
+        overlap = ids_a & ids_b
+        if overlap:
+            raise DatasetError(
+                f"{name_a} and {name_b} splits share {len(overlap)} ids, "
+                f"e.g. {min(overlap)!r}"
+            )
 
 
 # --------------------------------------------------------------- pseudo loop
@@ -475,18 +506,7 @@ def pseudo_label_loop(
         raise DomainError(f"eps must be a finite value >= 0, got {eps}")
     if train.labels is None or val.labels is None:
         raise DatasetError("train and val splits must be labeled")
-    pools = {"train": set(train.ids), "test": set(test_unlabeled.ids), "val": set(val.ids)}
-    for (name_a, ids_a), (name_b, ids_b) in (
-        (("train", pools["train"]), ("test", pools["test"])),
-        (("train", pools["train"]), ("val", pools["val"])),
-        (("test", pools["test"]), ("val", pools["val"])),
-    ):
-        overlap = ids_a & ids_b
-        if overlap:
-            raise DatasetError(
-                f"{name_a} and {name_b} splits share {len(overlap)} ids, "
-                f"e.g. {next(iter(overlap))!r}"
-            )
+    _check_disjoint(train=train, test=test_unlabeled, val=val)
 
     models, f1 = _train_fusion_heads(train, val, config)
     history = [RoundRecord(round=0, val_f1=f1)]

@@ -294,6 +294,14 @@ class TestTrainHead:
         assert proc.returncode == 2
         assert "lr must be a number, got 'abc'" in proc.stderr
 
+    def test_val_overlapping_train_is_data_error(self, data_dir, tmp_path):
+        out = tmp_path / "o"
+        proc = run_cli("train-head", "--train", data_dir / "train", "--val", data_dir / "train",
+                       "--kind", "text_linear", "--max-epochs", 1, "--out", out)
+        assert proc.returncode == 2
+        assert "train and val splits share 96 ids, e.g. 'train_00000'" in proc.stderr
+        assert not (out / "model.fus1").exists()
+
     def test_missing_train_dir_is_data_error(self, tmp_path):
         proc = run_cli("train-head", "--train", tmp_path / "nowhere",
                        "--kind", "text_linear", "--out", tmp_path / "o")
@@ -387,7 +395,52 @@ class TestPredictAndFuse:
         pred.write_text("ImageID,Labels\na,1\n")
         proc = run_cli("evaluate", "--pred", pred, "--truth", truth, "--out", tmp_path / "ev")
         assert proc.returncode == 2
-        assert "labels for 2 unknown ids, first 'b'" in proc.stderr
+        assert "rows for 2 unknown ids, first 'b'" in proc.stderr
+
+    def test_fuse_logits_aligns_rows_by_the_ids_beside_each_file(
+        self, trained_dir, data_dir, tmp_path
+    ):
+        pred = tmp_path / "pred"
+        assert run_cli("predict", "--model", trained_dir / "model.fus1",
+                       "--data", data_dir / "test", "--out", pred).returncode == 0
+        ids = (pred / "ids.csv").read_text().splitlines()
+        order = np.random.default_rng(0).permutation(len(ids))
+        shuffled = tmp_path / "shuffled"
+        shuffled.mkdir()
+        write_embeddings(read_embeddings(pred / "logits.femb")[order], shuffled / "logits.femb")
+        write_ids([ids[i] for i in order], shuffled / "ids.csv")
+        fused = tmp_path / "fused"
+        proc = run_cli("fuse-logits", "--logits", pred / "logits.femb", shuffled / "logits.femb",
+                       "--ids", pred / "ids.csv", "--out", fused)
+        assert proc.returncode == 0, proc.stderr
+        # the same rows in another order fuse as the file fused with itself
+        assert (fused / "predictions.csv").read_bytes() == (pred / "predictions.csv").read_bytes()
+        assert (fused / "ids.csv").read_bytes() == (pred / "ids.csv").read_bytes()
+        # fused logits carry their ids, so they fuse again
+        proc = run_cli("fuse-logits", "--logits", fused / "logits.femb", shuffled / "logits.femb",
+                       "--ids", shuffled / "ids.csv", "--out", tmp_path / "again")
+        assert proc.returncode == 0, proc.stderr
+
+    def test_fuse_logits_rejects_rows_of_other_ids(self, trained_dir, data_dir, tmp_path):
+        preds = {}
+        for split in ("test", "val"):  # 32 rows each, different ids
+            preds[split] = tmp_path / f"pred_{split}"
+            assert run_cli("predict", "--model", trained_dir / "model.fus1",
+                           "--data", data_dir / split, "--out", preds[split]).returncode == 0
+        out = tmp_path / "fused"
+        proc = run_cli("fuse-logits", "--logits", preds["test"] / "logits.femb",
+                       preds["val"] / "logits.femb", "--ids", preds["test"] / "ids.csv",
+                       "--out", out)
+        assert proc.returncode == 2
+        assert f"{preds['val'] / 'logits.femb'}: no rows for 32 ids" in proc.stderr
+        assert not (out / "logits.femb").exists()
+        # a logits file whose ids.csv lists another row count
+        write_ids(("a", "b"), preds["val"] / "ids.csv")
+        proc = run_cli("fuse-logits", "--logits", preds["test"] / "logits.femb",
+                       preds["val"] / "logits.femb", "--ids", preds["test"] / "ids.csv",
+                       "--out", out)
+        assert proc.returncode == 2
+        assert "32 rows, but its ids.csv lists 2" in proc.stderr
 
     def test_fuse_logits_requires_every_truth_id_fused(self, tmp_path):
         truth = tmp_path / "truth.csv"
@@ -399,7 +452,7 @@ class TestPredictAndFuse:
         proc = run_cli("fuse-logits", "--logits", logits, logits, "--ids", tmp_path / "ids.csv",
                        "--labels", truth, "--out", out)
         assert proc.returncode == 2
-        assert "labels for 2 unknown ids, first 'b'" in proc.stderr
+        assert "rows for 2 unknown ids, first 'b'" in proc.stderr
         assert not (out / "summary.txt").exists()
 
     @pytest.mark.parametrize("command", ["train-head", "predict", "fuse-logits"])

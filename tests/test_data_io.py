@@ -671,10 +671,10 @@ class TestDatasetDirectory:
         save_dataset(ds, tmp_path / "d")
         labels = tmp_path / "d" / "labels.csv"
         write_predictions(ds.ids[:2], ds.labels[:2], labels)
-        with pytest.raises(DatasetError, match="no labels for 1 ids, first 's_2'"):
+        with pytest.raises(DatasetError, match="no rows for 1 ids, first 's_2'"):
             load_dataset(tmp_path / "d")
         write_predictions(ds.ids + ("extra",), np.vstack([ds.labels, ds.labels[:1]]), labels)
-        with pytest.raises(DatasetError, match="labels for 1 unknown ids, first 'extra'"):
+        with pytest.raises(DatasetError, match="rows for 1 unknown ids, first 'extra'"):
             load_dataset(tmp_path / "d")
 
     def test_round_trip_unlabeled(self, tmp_path):

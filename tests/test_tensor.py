@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mmfusion.errors import DomainError, NumericError, ShapeError
 from mmfusion.tensor import (
+    ACTIVATION_KINDS,
     Tensor,
     activation,
     concat,
@@ -21,6 +22,7 @@ from mmfusion.tensor import (
     sigmoid,
     softmax_rows,
 )
+from mmfusion.training import bce_loss_node, uniform_weights
 
 
 @pytest.fixture
@@ -216,6 +218,51 @@ class TestAutodiffPlumbing:
         (joined * Tensor(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))).sum().backward()
         np.testing.assert_array_equal(a.grad, [1.0, 2.0])
         np.testing.assert_array_equal(b.grad, [3.0, 4.0, 5.0])
+
+
+# every op, as (input shapes, the op over one tensor per shape)
+OPS = {
+    "add": ([(2, 3), (3,)], lambda a, b: a + b),
+    "mul": ([(2, 3), (3,)], lambda a, b: a * b),
+    "matmul": ([(2, 3), (3, 4)], lambda a, b: a @ b),
+    "concat": ([(2, 3), (2, 2)], lambda a, b: concat([a, b])),
+    "reshape": ([(2, 3)], lambda a: a.reshape(3, 2)),
+    "transpose_last": ([(2, 3)], lambda a: a.transpose_last()),
+    "sum": ([(2, 3)], lambda a: a.sum()),
+    **{kind: ([(2, 3)], lambda a, kind=kind: activation(kind, a)) for kind in ACTIVATION_KINDS},
+    "softmax_rows": ([(2, 3)], softmax_rows),
+    "layer_norm": ([(2, 3), (3,), (3,)], layer_norm),
+    "bce_loss_node": (
+        [(2, 18)],
+        lambda z: bce_loss_node(z, np.eye(2, 18), uniform_weights()),
+    ),
+}
+
+
+class TestConstantsStayOutOfTheGraph:
+    @pytest.mark.parametrize("name", OPS)
+    def test_all_constant_inputs_give_a_constant(self, name, rng):
+        shapes, op = OPS[name]
+        out = op(*(Tensor(rng.standard_normal(shape)) for shape in shapes))
+        assert not out.requires_grad
+
+    @pytest.mark.parametrize(
+        "name, leaf", [(name, i) for name, (shapes, _) in OPS.items() for i in range(len(shapes))]
+    )
+    def test_backward_fills_only_the_leaf(self, name, leaf, rng):
+        shapes, op = OPS[name]
+        inputs = [
+            Tensor(rng.standard_normal(shape), requires_grad=i == leaf)
+            for i, shape in enumerate(shapes)
+        ]
+        out = op(*inputs)
+        assert out.requires_grad
+        out.sum().backward()
+        for i, t in enumerate(inputs):
+            if i == leaf:
+                assert t.grad is not None and t.grad.shape == t.shape
+            else:
+                assert t.grad is None
 
 
 class TestGradCheck:

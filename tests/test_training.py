@@ -207,12 +207,32 @@ class TestTrainConfig:
             dict(batch_size=0),
             dict(max_epochs=0),
             dict(patience=-1),
+            dict(seed=-1),
             dict(fusion_set=("vision_linear",)),
             dict(fusion_set=("vision_linear", "vision_linear")),
             dict(fusion_set=("vision_linear", "bogus")),
         ):
             with pytest.raises(DomainError):
                 TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(class_weighting="no"),
+        dict(class_weighting=1),
+        dict(max_epochs=2.5),
+        dict(batch_size=64.0),
+        dict(seed=1.5),
+        dict(patience=True),
+        dict(lr="0.1"),
+        dict(lr=True),
+    ])
+    def test_wrong_types_rejected_naming_the_field(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            TrainConfig(**kwargs)
+
+    def test_numpy_integers_and_int_lr_accepted(self):
+        cfg = TrainConfig(lr=1, batch_size=np.int64(16), max_epochs=np.int32(2), seed=np.uint8(3))
+        assert (cfg.lr, cfg.batch_size, cfg.max_epochs, cfg.seed) == (1, 16, 2, 3)
 
     def test_from_file_with_comments(self, tmp_path):
         path = tmp_path / "train.cfg"

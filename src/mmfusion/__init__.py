@@ -60,7 +60,6 @@ from .fusion import (
     LabelVector,
     assign_labels,
     assign_labels_batch,
-    class_index,
     fuse_logits,
     head_forward_batch,
     logits_to_probs,

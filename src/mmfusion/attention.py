@@ -60,8 +60,26 @@ class AttentionParams:
         return self.wv.shape[1]
 
 
-def _scores(q: Tensor, k: Tensor, d_k: int) -> Tensor:
-    return (q @ k.transpose_last()) * (1.0 / math.sqrt(d_k))
+def _project(x: Tensor, w: Tensor) -> Tensor:
+    # fold the leading axes into GEMM rows, so the weight gradient is one product
+    lead = x.shape[:-1]
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(lead + (w.shape[1],))
+
+
+def _attend(xq: Tensor, ykv: Tensor, params: AttentionParams) -> tuple[Tensor, Tensor]:
+    """``(A V, A)`` with ``A = softmax(Q K^T / sqrt(d_k))``, Q from ``xq``, K and V from ``ykv``."""
+    d_x, d_y = xq.shape[-1], ykv.shape[-1]
+    if params.wq.shape[0] != d_x:
+        raise ShapeError(f"wq {params.wq.shape} does not accept query width {d_x}")
+    if params.wk.shape[0] != d_y:
+        raise ShapeError(f"wk {params.wk.shape} does not accept key width {d_y}")
+    if params.wv.shape[0] != d_y:
+        raise ShapeError(f"wv {params.wv.shape} does not accept rows of width {d_y}")
+    q = _project(xq, params.wq)
+    k = _project(ykv, params.wk)
+    v = _project(ykv, params.wv)
+    weights = softmax_rows((q @ k.transpose_last()) * (1.0 / math.sqrt(params.d_k)))
+    return weights @ v, weights
 
 
 def self_attention(x, params: AttentionParams, return_weights: bool = False):
@@ -69,24 +87,8 @@ def self_attention(x, params: AttentionParams, return_weights: bool = False):
     x = as_tensor(x)
     if x.ndim != 2:
         raise ShapeError(f"expected [n, d] input rows, got shape {x.shape}")
-    if x.shape[1] != params.wq.shape[0] or x.shape[1] != params.wk.shape[0]:
-        raise ShapeError(
-            f"input width {x.shape[1]} does not match wq {params.wq.shape} / wk {params.wk.shape}"
-        )
-    if x.shape[1] != params.wv.shape[0]:
-        raise ShapeError(f"input width {x.shape[1]} does not match wv {params.wv.shape}")
-    q = x @ params.wq
-    k = x @ params.wk
-    v = x @ params.wv
-    weights = softmax_rows(_scores(q, k, params.d_k))
-    out = weights @ v
+    out, weights = _attend(x, x, params)
     return (out, weights) if return_weights else out
-
-
-def _project(x: Tensor, w: Tensor) -> Tensor:
-    # fold the leading axes into GEMM rows, so the weight gradient is one product
-    lead = x.shape[:-1]
-    return (x.reshape(-1, x.shape[-1]) @ w).reshape(lead + (w.shape[1],))
 
 
 def cross_attention(xq, ykv, params: AttentionParams, return_weights: bool = False):
@@ -105,23 +107,12 @@ def cross_attention(xq, ykv, params: AttentionParams, return_weights: bool = Fal
             "expected [t, d] or [n, t, d] sources with equal batch axes, "
             f"got {xq.shape} and {ykv.shape}"
         )
-    d_x, d_y = xq.shape[-1], ykv.shape[-1]
-    if params.wq.shape[0] != d_x:
-        raise ShapeError(f"wq {params.wq.shape} does not accept query width {d_x}")
-    if params.wk.shape[0] != d_y:
-        raise ShapeError(f"wk {params.wk.shape} does not accept key width {d_y}")
-    if params.wv.shape[0] != d_y:
-        raise ShapeError(f"wv {params.wv.shape} does not accept rows of width {d_y}")
-    if params.d_v != d_x:
+    if params.d_v != xq.shape[-1]:
         raise ShapeError(
-            f"value width {params.d_v} must equal query width {d_x} for the residual add"
+            f"value width {params.d_v} must equal query width {xq.shape[-1]} for the residual add"
         )
     if params.ln_gain is None or params.ln_bias is None:
         raise ShapeError("cross_attention needs ln_gain and ln_bias")
-
-    q = _project(xq, params.wq)
-    k = _project(ykv, params.wk)
-    v = _project(ykv, params.wv)
-    weights = softmax_rows(_scores(q, k, params.d_k))
-    out = layer_norm(weights @ v + xq, params.ln_gain, params.ln_bias)
+    attended, weights = _attend(xq, ykv, params)
+    out = layer_norm(attended + xq, params.ln_gain, params.ln_bias)
     return (out, weights) if return_weights else out

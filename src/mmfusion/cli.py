@@ -95,6 +95,19 @@ def _scores(preds: np.ndarray, truth: np.ndarray) -> dict:
     return {"macro_f1": macro_f1(counts), "mean_accuracy": mean_accuracy(counts)}
 
 
+def _label_and_write(logits: np.ndarray, ids, truth, threshold: float, out: Path) -> dict:
+    """Label ``logits``, score them against ``truth`` if given, then write the three outputs.
+
+    Scoring first means labels that cannot be scored leave ``out`` empty.
+    """
+    preds = assign_label_matrix(logits_to_probs(logits).data, threshold=threshold)
+    scores = {} if truth is None else _scores(preds, truth)
+    write_embeddings(logits, out / "logits.femb")
+    write_ids(ids, out / "ids.csv")
+    write_predictions(ids, preds, out / "predictions.csv")
+    return scores
+
+
 # ---------------------------------------------------------------- subcommands
 
 
@@ -113,6 +126,8 @@ def cmd_train_head(args, out: Path) -> dict:
     config = _resolve_config(args)
     train = load_dataset(args.train, require_labels=True)
     val = load_dataset(args.val, require_labels=True) if args.val else None
+    if val is not None and not len(val):  # nothing to score, so refuse before training
+        raise DatasetError(f"{args.val}: validation split has no rows")
     result = train_head(train, val, args.kind, config)
     save_model(result.model, out / "model.fus1")
     history_lines = ["epoch,train_loss,val_f1"]
@@ -131,13 +146,9 @@ def cmd_predict(args, out: Path) -> dict:
     model = load_model(args.model, expect_kind=args.kind)
     ids, blocks, labels = load_inputs(args.data, HEAD_INPUTS[model.kind])
     logits = predict_logits(model, blocks.get("text"), blocks.get("image"))
-    probs = logits_to_probs(logits).data
-    preds = assign_label_matrix(probs, threshold=args.threshold)
-    write_embeddings(logits, out / "logits.femb")
-    write_ids(ids, out / "ids.csv")
-    write_predictions(ids, preds, out / "predictions.csv")
+    scores = _label_and_write(logits, ids, labels, args.threshold, out)
     print(f"wrote predictions for {len(ids)} samples to {out}")
-    return {} if labels is None else _scores(preds, labels)
+    return scores
 
 
 def _logits_in_order(path, ids) -> np.ndarray:
@@ -157,15 +168,11 @@ def cmd_fuse_logits(args, out: Path) -> dict:
     ids = read_ids(args.ids)
     blocks = [_logits_in_order(path, ids) for path in args.logits]
     truth = None
-    if args.labels:  # checked before any output is written
+    if args.labels:
         truth = rows_in_order(ids, *read_label_matrix(args.labels), args.labels)
-    fused = fuse_logits(blocks).data
-    preds = assign_label_matrix(logits_to_probs(fused).data, threshold=args.threshold)
-    write_embeddings(fused, out / "logits.femb")
-    write_ids(ids, out / "ids.csv")
-    write_predictions(ids, preds, out / "predictions.csv")
+    scores = _label_and_write(fuse_logits(blocks).data, ids, truth, args.threshold, out)
     print(f"fused {len(args.logits)} logit sets over {len(ids)} samples")
-    return {} if truth is None else _scores(preds, truth)
+    return scores
 
 
 def cmd_evaluate(args, out: Path) -> dict:

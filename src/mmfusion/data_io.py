@@ -36,6 +36,7 @@ and per row a sample id plus space-separated ascending class ids.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import struct
@@ -342,28 +343,6 @@ def write_predictions(ids: Sequence[str], labels, path) -> None:
 _DESCRIPTOR = (TEXT_DIM, IMAGE_DIM, N_CLASSES, TEXT_DIM)
 
 
-class _Reader:
-    """Bounds-checked cursor over a byte string."""
-
-    def __init__(self, blob: bytes, path):
-        self.blob = blob
-        self.pos = 0
-        self.path = path
-
-    def take(self, count: int) -> bytes:
-        if count < 0 or self.pos + count > len(self.blob):
-            raise TruncatedFileError(
-                f"{self.path}: needed {count} bytes at offset {self.pos}, "
-                f"have {len(self.blob) - self.pos}"
-            )
-        piece = self.blob[self.pos : self.pos + count]
-        self.pos += count
-        return piece
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-
 def save_model(model: FusionModel, path) -> None:
     body = bytearray()
     body += struct.pack("<I", FORMAT_VERSION)
@@ -401,46 +380,56 @@ def load_model(path, expect_kind: str | None = None) -> FusionModel:
     actual_crc = zlib.crc32(body)
     if stored_crc != actual_crc:
         raise ChecksumError(f"{path}: crc {actual_crc:#010x} does not match stored {stored_crc:#010x}")
-    reader = _Reader(body, path)
-    version = reader.u32()
+    stream = io.BytesIO(body)
+
+    def take(count: int) -> bytes:
+        piece = stream.read(count)
+        if len(piece) < count:
+            raise TruncatedFileError(
+                f"{path}: needed {count} bytes at offset {stream.tell() - len(piece)}, "
+                f"have {len(piece)}"
+            )
+        return piece
+
+    def u32() -> int:
+        return struct.unpack("<I", take(4))[0]
+
+    version = u32()
     if version != FORMAT_VERSION:
         raise VersionMismatchError(f"{path}: version {version}, this reader speaks {FORMAT_VERSION}")
-    kind = reader.take(reader.u32()).decode("utf-8", errors="replace")
+    kind = take(u32()).decode("utf-8", errors="replace")
     if kind not in HEAD_KINDS:
         raise UnknownKindError(f"{path}: unknown head kind {kind!r}")
     if expect_kind is not None and kind != expect_kind:
         raise KindMismatchError(f"{path}: holds {kind!r}, caller expected {expect_kind!r}")
-    dims = tuple(reader.u32() for _ in range(4))
+    dims = tuple(u32() for _ in range(4))
     if dims != _DESCRIPTOR:
         raise ShapeError(
             f"{path}: descriptor dims (text, image, classes, key width) {dims} are not {_DESCRIPTOR}"
         )
     expected = expected_param_shapes(kind)
-    count = reader.u32()
+    count = u32()
     if count != len(expected):
         raise ShapeError(f"{path}: {kind} needs {len(expected)} tensors, file declares {count}")
     params: dict[str, np.ndarray] = {}
     for _ in range(count):
-        name = reader.take(reader.u32()).decode("utf-8", errors="replace")
+        name = take(u32()).decode("utf-8", errors="replace")
         if name not in expected:
             raise ShapeError(f"{path}: unexpected tensor {name!r} for kind {kind!r}")
         if name in params:
             raise ShapeError(f"{path}: tensor {name!r} appears twice")
-        rank = reader.u32()
+        rank = u32()
         if rank > 4:
             raise ShapeError(f"{path}: tensor {name!r} declares rank {rank}")
-        shape = tuple(reader.u32() for _ in range(rank))
+        shape = tuple(u32() for _ in range(rank))
         if shape != expected[name]:
             raise ShapeError(
                 f"{path}: tensor {name!r} has shape {shape}, descriptor requires {expected[name]}"
             )
-        size = 1
-        for dim in shape:
-            size *= dim
-        raw = reader.take(4 * size)
+        raw = take(4 * math.prod(shape))
         params[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
-    if reader.pos != len(body):
-        raise TruncatedFileError(f"{path}: {len(body) - reader.pos} unexpected trailing bytes")
+    if stream.tell() != len(body):
+        raise TruncatedFileError(f"{path}: {len(body) - stream.tell()} unexpected trailing bytes")
     return FusionModel(kind=kind, params=params)
 
 
@@ -461,8 +450,9 @@ class EmbeddingDataset:
 
     def __post_init__(self):
         n = len(self.ids)
-        if len(set(self.ids)) != n:
-            raise DuplicateIdError("dataset ids are not unique")
+        repeat = _first_repeat(self.ids)
+        if repeat < n:
+            raise DuplicateIdError(f"dataset id {self.ids[repeat]!r} appears twice")
         if self.text.shape != (n, TEXT_DIM):
             raise ShapeError(f"text embeddings must be ({n}, {TEXT_DIM}), got {self.text.shape}")
         if self.image.shape != (n, IMAGE_DIM):
@@ -490,9 +480,7 @@ class EmbeddingDataset:
         )
 
     def merge(self, other: "EmbeddingDataset") -> "EmbeddingDataset":
-        overlap = set(self.ids) & set(other.ids)
-        if overlap:
-            raise DuplicateIdError(f"merge would duplicate {len(overlap)} ids, e.g. {next(iter(overlap))!r}")
+        """The rows of ``self`` then ``other``; the first id of ``other`` in ``self`` raises."""
         if (self.labels is None) != (other.labels is None):
             raise DatasetError("cannot merge a labeled dataset with an unlabeled one")
         return EmbeddingDataset(
@@ -584,6 +572,8 @@ def gen_synthetic(
         raise DatasetError(f"noise must be a finite value >= 0, got {noise}")
     if min(n_train, n_test, n_val) < 1:
         raise DatasetError("every split needs at least one sample")
+    if seed < 0:
+        raise DatasetError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
 
     def build(prefix: str, count: int) -> EmbeddingDataset:

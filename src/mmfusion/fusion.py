@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -59,13 +59,6 @@ HEAD_INPUTS = {
 PREDICT_BLOCK_ROWS = 256
 
 
-def class_index(class_id: int) -> int:
-    """Map a class id to its slot: ids below 12 shift by one, above by two."""
-    if not isinstance(class_id, (int, np.integer)) or class_id < 1 or class_id > 19 or class_id == 12:
-        raise LabelDomainError(f"class id must be in 1..19 excluding 12, got {class_id!r}")
-    return class_id - 1 if class_id <= 11 else class_id - 2
-
-
 @dataclass(frozen=True)
 class LabelVector:
     """An 18-slot multi-hot label set, hashable and order-free."""
@@ -75,16 +68,6 @@ class LabelVector:
     def __post_init__(self):
         if len(self.bits) != N_CLASSES or not set(map(type, self.bits)) <= {bool}:
             raise LabelDomainError(f"LabelVector needs exactly {N_CLASSES} booleans")
-
-    @classmethod
-    def from_ids(cls, ids: Iterable[int]) -> "LabelVector":
-        bits = [False] * N_CLASSES
-        for cid in ids:
-            slot = class_index(cid)
-            if bits[slot]:
-                raise LabelDomainError(f"class id {cid} listed twice")
-            bits[slot] = True
-        return cls(tuple(bits))
 
     @classmethod
     def from_mask(cls, mask) -> "LabelVector":

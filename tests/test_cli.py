@@ -15,11 +15,19 @@ from mmfusion.data_io import (
     EmbeddingDataset,
     load_dataset,
     read_embeddings,
+    save_dataset,
     save_model,
     write_embeddings,
     write_ids,
 )
-from mmfusion.fusion import FUSION_SETS, FusionModel, expected_param_shapes
+from mmfusion.fusion import (
+    FUSION_SETS,
+    IMAGE_DIM,
+    N_CLASSES,
+    TEXT_DIM,
+    FusionModel,
+    expected_param_shapes,
+)
 from mmfusion.training import TrainConfig
 
 
@@ -75,6 +83,20 @@ def trained_dir(tmp_path_factory, data_dir):
     )
     assert proc.returncode == 0, proc.stderr
     return out
+
+
+def save_empty_split(directory):
+    """Save a labelled dataset of 0 rows under ``directory``."""
+    save_dataset(
+        EmbeddingDataset(
+            ids=(),
+            text=np.zeros((0, TEXT_DIM)),
+            image=np.zeros((0, IMAGE_DIM)),
+            labels=np.zeros((0, N_CLASSES), dtype=bool),
+        ),
+        directory,
+    )
+    return directory
 
 
 class TestBasics:
@@ -253,6 +275,15 @@ class TestGenSynthetic:
         assert summary["macro_f1"] == "nan"
 
 
+    def test_negative_seed_is_data_error(self, tmp_path):
+        out = tmp_path / "o"
+        proc = run_cli("gen-synthetic", "--seed", -1, "--n-train", 4, "--n-test", 2,
+                       "--n-val", 2, "--out", out)
+        assert proc.returncode == 2
+        assert "seed must be >= 0, got -1" in proc.stderr and "Traceback" not in proc.stderr
+        assert list(out.iterdir()) == []
+
+
 class TestTrainHead:
     def test_outputs_present(self, trained_dir):
         assert (trained_dir / "model.fus1").exists()
@@ -302,6 +333,15 @@ class TestTrainHead:
         assert "train and val splits share 96 ids, e.g. 'train_00000'" in proc.stderr
         assert not (out / "model.fus1").exists()
 
+    def test_empty_val_is_refused_before_training(self, data_dir, tmp_path):
+        empty = save_empty_split(tmp_path / "empty")
+        out = tmp_path / "o"
+        proc = run_cli("train-head", "--train", data_dir / "train", "--val", empty,
+                       "--kind", "text_linear", "--max-epochs", 1, "--out", out)
+        assert proc.returncode == 2
+        assert f"{empty}: validation split has no rows" in proc.stderr
+        assert list(out.iterdir()) == []
+
     def test_missing_train_dir_is_data_error(self, tmp_path):
         proc = run_cli("train-head", "--train", tmp_path / "nowhere",
                        "--kind", "text_linear", "--out", tmp_path / "o")
@@ -338,6 +378,15 @@ class TestPredictAndFuse:
         assert pred_lines[0] == "ImageID,Labels"
         assert len(pred_lines) == 33
         assert (out / "logits.femb").exists()
+
+    def test_predict_scores_before_it_writes(self, trained_dir, tmp_path):
+        empty = save_empty_split(tmp_path / "empty")
+        out = tmp_path / "pred"
+        proc = run_cli("predict", "--model", trained_dir / "model.fus1",
+                       "--data", empty, "--out", out)
+        assert proc.returncode == 2
+        assert "cannot evaluate an empty set" in proc.stderr
+        assert list(out.iterdir()) == []
 
     def test_predict_twice_is_byte_identical(self, trained_dir, data_dir, tmp_path):
         outs = []

@@ -1,6 +1,9 @@
 """File format and dataset tests, including byte-level golden files."""
 
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
 import zlib
@@ -53,6 +56,10 @@ from mmfusion.fusion import (
     expected_param_shapes,
     labels_to_matrix,
 )
+
+
+def label_vector(class_ids) -> LabelVector:
+    return LabelVector.from_mask(np.isin(CLASS_IDS, class_ids))
 
 
 def make_model(kind, seed=0):
@@ -224,7 +231,7 @@ def reference_prediction_bytes(ids, matrix) -> bytes:
 class TestLabelsCsv:
     def test_round_trip(self, tmp_path):
         ids = ("img_a", "img_b")
-        labels = (LabelVector.from_ids([1, 13]), LabelVector.from_ids([19]))
+        labels = (label_vector([1, 13]), label_vector([19]))
         path = tmp_path / "labels.csv"
         write_predictions(ids, labels, path)
         text = path.read_text()
@@ -288,8 +295,8 @@ class TestLabelsCsv:
         assert matrix.dtype == bool and matrix.shape == (2, N_CLASSES)
         back = read_labels(path)
         assert list(back) == ["b", "a"]
-        assert back["b"] == LabelVector.from_ids([2, 19])
-        assert back["a"] == LabelVector.from_ids([1])
+        assert back["b"] == label_vector([2, 19])
+        assert back["a"] == label_vector([1])
         assert [v.bits for v in back.values()] == [tuple(row) for row in matrix.tolist()]
 
     @pytest.mark.parametrize("reader", [read_label_matrix, read_labels])
@@ -312,7 +319,7 @@ class TestLabelsCsv:
         ids, matrix = read_label_matrix(path)
         assert ids == ("a", "b")
         np.testing.assert_array_equal(matrix, labels_to_matrix(
-            [LabelVector.from_ids([1, 3]), LabelVector.from_ids([19])]))
+            [label_vector([1, 3]), label_vector([19])]))
 
     @pytest.mark.parametrize(
         "body, lineno, error, message",
@@ -521,7 +528,7 @@ def tiny_dataset(n=4, seed=0, labeled=True, prefix="s"):
     rng = np.random.default_rng(seed)
     labels = None
     if labeled:
-        labels = tuple(LabelVector.from_ids([1 + (i % 5), 13 + (i % 3)]) for i in range(n))
+        labels = tuple(label_vector([1 + (i % 5), 13 + (i % 3)]) for i in range(n))
     return EmbeddingDataset(
         ids=tuple(f"{prefix}_{i}" for i in range(n)),
         text=rng.standard_normal((n, TEXT_DIM)),
@@ -532,11 +539,11 @@ def tiny_dataset(n=4, seed=0, labeled=True, prefix="s"):
 
 class TestEmbeddingDataset:
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(DuplicateIdError):
+        with pytest.raises(DuplicateIdError, match="'a' appears twice"):
             EmbeddingDataset(
-                ids=("a", "a"),
-                text=np.zeros((2, TEXT_DIM)),
-                image=np.zeros((2, IMAGE_DIM)),
+                ids=("a", "b", "a"),
+                text=np.zeros((3, TEXT_DIM)),
+                image=np.zeros((3, IMAGE_DIM)),
             )
 
     def test_width_enforced(self):
@@ -549,13 +556,13 @@ class TestEmbeddingDataset:
                 ids=("a", "b"),
                 text=np.zeros((2, TEXT_DIM)),
                 image=np.zeros((2, IMAGE_DIM)),
-                labels=(LabelVector.from_ids([1]),),
+                labels=(label_vector([1]),),
             )
 
     def test_label_matrix_is_the_stored_form(self):
         ds = tiny_dataset(3)
         assert ds.labels.shape == (3, N_CLASSES) and ds.labels.dtype == bool
-        assert ds.labels[0].tolist() == list(LabelVector.from_ids([1, 13]).bits)
+        assert ds.labels[0].tolist() == list(label_vector([1, 13]).bits)
         same = EmbeddingDataset(ids=ds.ids, text=ds.text, image=ds.image, labels=ds.labels * 1)
         np.testing.assert_array_equal(same.labels, ds.labels)
 
@@ -595,6 +602,24 @@ class TestEmbeddingDataset:
         with pytest.raises(DuplicateIdError):
             ds.merge(ds.subset([0]))
 
+    def test_merge_names_the_same_id_under_any_hash_seed(self):
+        code = (
+            "from mmfusion.data_io import gen_synthetic\n"
+            "train, _, _ = gen_synthetic(seed=0, n_train=40, n_test=1, n_val=1, noise=0.3)\n"
+            "try:\n"
+            "    train.merge(train)\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        messages = {
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                env=dict(os.environ, PYTHONHASHSEED=hash_seed),
+            ).stdout
+            for hash_seed in ("1", "2", "3")
+        }
+        assert messages == {"DuplicateIdError dataset id 'train_00000' appears twice\n"}
+
     def test_merge_rejects_mixed_labeling(self):
         a = tiny_dataset(2, prefix="a")
         b = tiny_dataset(2, prefix="b", labeled=False)
@@ -606,7 +631,7 @@ class TestEmbeddingDataset:
             ids=("a", "b"),
             text=np.zeros((2, TEXT_DIM)),
             image=np.zeros((2, IMAGE_DIM)),
-            labels=(LabelVector.from_ids([1, 2]), LabelVector.from_ids([2, 19])),
+            labels=(label_vector([1, 2]), label_vector([2, 19])),
         )
         counts = ds.label_counts()
         assert counts[0] == 1 and counts[1] == 2 and counts[17] == 1
@@ -765,3 +790,7 @@ class TestSynthetic:
     def test_negative_noise_rejected(self, noise):
         with pytest.raises(DatasetError, match=str(noise)):
             gen_synthetic(seed=0, n_train=1, n_test=1, n_val=1, noise=noise)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DatasetError, match="-1"):
+            gen_synthetic(seed=-1, n_train=1, n_test=1, n_val=1, noise=0.1)

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from mmfusion.errors import DatasetError, EmptyPredictionError
-from mmfusion.fusion import N_CLASSES, LabelVector
+from mmfusion.fusion import CLASS_IDS, N_CLASSES, LabelVector
 from mmfusion.metrics import confusion_counts, f1_per_class, macro_f1, mean_accuracy
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(512)
+
+
+def label_vector(class_ids) -> LabelVector:
+    return LabelVector.from_mask(np.isin(CLASS_IDS, class_ids))
 
 
 def random_label(rng) -> LabelVector:
@@ -54,15 +58,15 @@ def oracle_macro_f1(preds, truths) -> float:
 
 class TestConfusionCounts:
     def test_perfect_prediction(self):
-        labels = [LabelVector.from_ids([1, 5]), LabelVector.from_ids([19])]
+        labels = [label_vector([1, 5]), label_vector([19])]
         counts = confusion_counts(labels, labels)
         assert counts.fp.sum() == counts.fn.sum() == 0
         assert counts.tp.sum() == 3
         assert counts.n_samples == 2
 
     def test_single_sample_split(self):
-        pred = [LabelVector.from_ids([1, 2])]
-        true = [LabelVector.from_ids([2, 3])]
+        pred = [label_vector([1, 2])]
+        true = [label_vector([2, 3])]
         counts = confusion_counts(pred, true)
         assert counts.tp[1] == 1
         assert counts.fp[0] == 1
@@ -84,10 +88,10 @@ class TestConfusionCounts:
     def test_empty_prediction_rejected(self):
         empty = LabelVector.from_mask(np.zeros(N_CLASSES))
         with pytest.raises(EmptyPredictionError):
-            confusion_counts([empty], [LabelVector.from_ids([1])])
+            confusion_counts([empty], [label_vector([1])])
 
     def test_length_mismatch_rejected(self):
-        one = LabelVector.from_ids([1])
+        one = label_vector([1])
         with pytest.raises(DatasetError):
             confusion_counts([one], [one, one])
 
@@ -98,23 +102,23 @@ class TestConfusionCounts:
 
 class TestScores:
     def test_mean_accuracy_perfect(self):
-        labels = [LabelVector.from_ids([2]), LabelVector.from_ids([7, 9])]
+        labels = [label_vector([2]), label_vector([7, 9])]
         assert mean_accuracy(confusion_counts(labels, labels)) == 1.0
 
     def test_macro_f1_perfect(self):
-        labels = [LabelVector.from_ids([2]), LabelVector.from_ids([7, 9])]
+        labels = [label_vector([2]), label_vector([7, 9])]
         counts = confusion_counts(labels, labels)
         # only 3 of 18 classes ever appear; the rest contribute zero F1
         assert abs(macro_f1(counts) - 3.0 / 18.0) < 1e-15
 
     def test_disjoint_predictions_score_zero_f1(self):
-        pred = [LabelVector.from_ids([1])]
-        true = [LabelVector.from_ids([2])]
+        pred = [label_vector([1])]
+        true = [label_vector([2])]
         assert macro_f1(confusion_counts(pred, true)) == 0.0
 
     def test_degenerate_classes_score_zero_not_nan(self):
-        pred = [LabelVector.from_ids([1])]
-        true = [LabelVector.from_ids([1])]
+        pred = [label_vector([1])]
+        true = [label_vector([1])]
         scores = f1_per_class(confusion_counts(pred, true))
         assert scores[0] == 1.0
         assert np.all(scores[1:] == 0.0)

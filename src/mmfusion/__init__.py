@@ -23,7 +23,6 @@ from .tensor import (
     Tensor,
     activation,
     as_tensor,
-    concat,
     grad_check,
     hswish,
     layer_norm,

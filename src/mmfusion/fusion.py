@@ -15,9 +15,18 @@ Four head kinds map an embedding pair to 18 logits:
 Each kind reads only its own embedding blocks (:data:`HEAD_INPUTS`), and
 may be handed ``None`` for a block it does not read.  A block may arrive at
 any float precision, such as the float32 of the embedding files; a head
-widens what it reads to float64, which is exact.
+widens what it reads to float64, which is exact.  The final layer reads
+each block through its own columns of ``w``, so ``[text; image]`` is never
+built: the concat head computes ``w[:, :128] @ text + w[:, 128:] @ image + b``.
 
-Ensembles average logits element-wise before thresholding.
+Ensembles average logits element-wise before thresholding.  Since every
+final layer is linear in its blocks, :func:`predict_fused_logits` gets that
+mean from one pass: it adds each head's weight columns, scaled by one over
+the head count, into the matching columns of one head (the set's
+cross-attention head, else the concat layout) and averages the biases, in
+float64.  A second
+cross-attention head has attention of its own and keeps its own pass.
+:func:`fuse_logits` averages logits already computed, such as logits files.
 """
 
 from __future__ import annotations
@@ -30,13 +39,12 @@ import numpy as np
 
 from .attention import AttentionParams, cross_attention
 from .errors import DomainError, LabelDomainError, NumericError, ShapeError
-from .tensor import Tensor, as_tensor, concat, sigmoid
+from .tensor import Tensor, as_tensor, sigmoid
 
 TEXT_DIM = 128
 IMAGE_DIM = 1792
 N_CLASSES = 18
 TOKEN_COUNT = IMAGE_DIM // TEXT_DIM
-CONCAT_DIM = TEXT_DIM + IMAGE_DIM
 
 # class ids run 1..19 with 12 reserved and unused
 CLASS_IDS = tuple(i for i in range(1, 20) if i != 12)
@@ -125,11 +133,22 @@ def _quantize(arr: np.ndarray) -> np.ndarray:
     return snapped.astype(np.float64)
 
 
-_LINEAR_INPUT = {
-    "vision_linear": IMAGE_DIM,
-    "text_linear": TEXT_DIM,
-    "concat_fcnn": CONCAT_DIM,
-    "cross_attn_fcnn": TEXT_DIM + CONCAT_DIM,
+def _columns(*blocks: str) -> dict[str, slice]:
+    """Consecutive weight columns for ``blocks``, each as wide as its block."""
+    dims = {**MODALITY_DIMS, "attended": TEXT_DIM}
+    columns, start = {}, 0
+    for name in blocks:
+        columns[name] = slice(start, start + dims[name])
+        start = columns[name].stop
+    return columns
+
+
+# the columns of each kind's final-layer weight that read each of its blocks
+_FINAL_COLUMNS = {
+    "vision_linear": _columns("image"),
+    "text_linear": _columns("text"),
+    "concat_fcnn": _columns("text", "image"),
+    "cross_attn_fcnn": _columns("attended", "text", "image"),
 }
 
 
@@ -138,7 +157,7 @@ def expected_param_shapes(kind: str) -> dict[str, tuple[int, ...]]:
     if kind not in HEAD_KINDS:
         raise DomainError(f"unknown head kind {kind!r}, expected one of {HEAD_KINDS}")
     shapes: dict[str, tuple[int, ...]] = {
-        "w": (N_CLASSES, _LINEAR_INPUT[kind]),
+        "w": (N_CLASSES, max(cols.stop for cols in _FINAL_COLUMNS[kind].values())),
         "b": (N_CLASSES,),
     }
     if kind == "cross_attn_fcnn":
@@ -213,28 +232,29 @@ def head_forward_batch(kind: str, params: Mapping[str, object], text: object, im
     """
     _batch_rows(kind, text, image)
     reads = HEAD_INPUTS[kind]
-    ft = as_tensor(text) if "text" in reads else None
-    fi = as_tensor(image) if "image" in reads else None
+    blocks = {name: as_tensor(block) for name, block in (("text", text), ("image", image))
+              if name in reads}
     p = {name: as_tensor(value) for name, value in params.items()}
 
-    if kind == "vision_linear":
-        feats = fi
-    elif kind == "text_linear":
-        feats = ft
-    elif kind == "concat_fcnn":
-        feats = concat([ft, fi])
-    else:
+    if kind == "cross_attn_fcnn":
+        ft, fi = blocks["text"], blocks["image"]
         n = ft.shape[0]
         attn = AttentionParams(p["wq"], p["wk"], p["wv"], p["ln_gain"], p["ln_bias"])
-        attended = cross_attention(
+        blocks["attended"] = cross_attention(
             ft.reshape(n, 1, TEXT_DIM), fi.reshape(n, TOKEN_COUNT, TEXT_DIM), attn
-        )
-        feats = concat([attended.reshape(n, TEXT_DIM), ft, fi])
+        ).reshape(n, TEXT_DIM)
 
+    # the final layer reads each block through its own columns of w, so no
+    # [n, width] copy of the joined features is ever made
     w = p["w"]
-    if w.ndim != 2 or w.shape[1] != feats.shape[1]:
-        raise ShapeError(f"final layer expects input width {w.shape[1]}, features are {feats.shape}")
-    return feats @ w.transpose_last() + p["b"]
+    width = expected_param_shapes(kind)["w"][1]
+    if w.ndim != 2 or w.shape[1] != width:
+        raise ShapeError(f"final layer expects input width {width}, weights are {w.shape}")
+    out = None
+    for name, cols in _FINAL_COLUMNS[kind].items():
+        part = blocks[name] @ w.slice_last(cols.start, cols.stop).transpose_last()
+        out = part if out is None else out + part
+    return out + p["b"]
 
 
 @contextmanager
@@ -247,7 +267,6 @@ def overflow_raises():
         raise NumericError(f"non-finite result: {exc}") from None
 
 
-@overflow_raises()
 def predict_logits(model: FusionModel, text: np.ndarray | None, image: np.ndarray | None) -> np.ndarray:
     """Batched inference as a plain array; the canonical prediction path.
 
@@ -259,17 +278,61 @@ def predict_logits(model: FusionModel, text: np.ndarray | None, image: np.ndarra
     None.  A value that overflows or turns invalid raises
     :class:`NumericError`.
     """
-    n = _batch_rows(model.kind, text, image)
+    return _run_head(model.kind, model.params, text, image)
+
+
+@overflow_raises()
+def _run_head(kind: str, params: Mapping[str, np.ndarray], text, image) -> np.ndarray:
+    """:func:`predict_logits` for one head kind and its parameter arrays, quantized or not."""
+    n = _batch_rows(kind, text, image)
     blocks = max(1, -(-n // PREDICT_BLOCK_ROWS))
     bounds = [n * i // blocks for i in range(blocks + 1)]
     out = np.empty((n, N_CLASSES))
     for lo, hi in zip(bounds, bounds[1:]):
         rows = slice(lo, hi)
         out[rows] = head_forward_batch(
-            model.kind, model.params,
+            kind, params,
             None if text is None else text[rows], None if image is None else image[rows],
         ).data
     return out
+
+
+def _fold(models: Sequence[FusionModel]) -> list[tuple[str, dict[str, np.ndarray]]]:
+    """Heads whose logits sum to the mean of the models' logits, as ``(kind, params)``.
+
+    Each final layer is linear in its blocks, so every head without
+    attention adds its weight columns, scaled by ``1 / len(models)``, into
+    the matching columns of one head: the first cross-attention head, or
+    else a ``concat_fcnn`` layout.  Every further cross-attention head
+    keeps its own scaled pass.  The folded arrays stay float64 and never
+    pass through :class:`FusionModel`, whose float32 quantize would move
+    the logits.
+    """
+    scale = 1.0 / len(models)
+    cross = [m for m in models if m.kind == "cross_attn_fcnn"]
+    folded = [m for m in models if m.kind != "cross_attn_fcnn"] + cross[:1]
+    kind = "cross_attn_fcnn" if cross else "concat_fcnn"
+    columns = _FINAL_COLUMNS[kind]
+    w = np.zeros(expected_param_shapes(kind)["w"])
+    for m in folded:
+        for name, cols in _FINAL_COLUMNS[m.kind].items():
+            w[:, columns[name]] += m.params["w"][:, cols]
+    b = sum(m.params["b"] for m in folded)
+    head = {**(cross[0].params if cross else {}), "w": w * scale, "b": b * scale}
+    return [(kind, head)] + [
+        (m.kind, {**m.params, "w": m.params["w"] * scale, "b": m.params["b"] * scale})
+        for m in cross[1:]
+    ]
+
+
+def predict_fused_logits(models: Sequence[FusionModel], text, image) -> np.ndarray:
+    """The mean of two or more heads' logits, from one folded pass per attention head.
+
+    Each pass of :func:`_fold` runs through the blocks of :func:`predict_logits`.
+    """
+    if len(models) < 2:
+        raise DomainError(f"fusion needs at least two models, got {len(models)}")
+    return sum(_run_head(kind, params, text, image) for kind, params in _fold(models))
 
 
 def fuse_logits(logit_sets: Sequence) -> Tensor:

@@ -12,7 +12,6 @@ never here.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -114,6 +113,23 @@ class Tensor:
             raise ShapeError(f"transpose_last needs rank >= 2, got {self.shape}")
         return _node(np.swapaxes(self.data, -1, -2), (self, lambda g: np.swapaxes(g, -1, -2)))
 
+    def slice_last(self, start: int, stop: int) -> "Tensor":
+        """Columns ``start:stop`` of the last axis, as a view.
+
+        Backward pads the gradient with zeros back to the full width.
+        """
+        width = self.shape[-1] if self.ndim else 0
+        if not 0 <= start < stop <= width:
+            raise ShapeError(f"slice_last({start}, {stop}) is outside a last axis of {width}")
+        src = self.data.shape
+
+        def pull(g: Array) -> Array:
+            full = np.zeros(src)
+            full[..., start:stop] = g
+            return full
+
+        return _node(self.data[..., start:stop], (self, pull))
+
     def sum(self) -> "Tensor":
         """Sum of every element, as a scalar tensor."""
         src = self.data.shape
@@ -173,20 +189,6 @@ def matmul(a, b) -> Tensor:
         lambda g, x, y: g @ np.swapaxes(y, -1, -2),
         lambda g, x, y: np.swapaxes(x, -1, -2) @ g,
     )
-
-
-def concat(parts: Sequence) -> Tensor:
-    """Concatenate tensors along the last axis."""
-    ts = [as_tensor(p) for p in parts]
-    if not ts:
-        raise ShapeError("concat needs at least one tensor")
-    try:
-        data = np.concatenate([t.data for t in ts], axis=-1)
-    except ValueError as exc:
-        raise ShapeError(f"concat got mismatched shapes {[t.shape for t in ts]}") from exc
-    edges = list(accumulate((t.data.shape[-1] for t in ts), initial=0))
-    pulls = (lambda g, w=slice(lo, hi): g[..., w] for lo, hi in zip(edges, edges[1:]))
-    return _node(data, *zip(ts, pulls))
 
 
 def _elementwise(x: Tensor, out: Array, deriv: Callable[[], Array]) -> Tensor:

@@ -39,11 +39,11 @@ from .fusion import (
     assign_label_matrix,
     assign_labels_batch,
     expected_param_shapes,
-    fuse_logits,
     head_forward_batch,
     label_vectors,
     logits_to_probs,
     overflow_raises,
+    predict_fused_logits,
     predict_logits,
 )
 from .metrics import confusion_counts, macro_f1
@@ -467,9 +467,8 @@ def fused_val_f1(models: Mapping[str, FusionModel], data: EmbeddingDataset) -> f
 
 
 def fused_probs(models: Mapping[str, FusionModel], data: EmbeddingDataset) -> np.ndarray:
-    """Sigmoid probabilities of the heads' mean-fused logits, [n, 18]."""
-    logit_sets = [predict_logits(m, data.text, data.image) for m in models.values()]
-    return logits_to_probs(fuse_logits(logit_sets)).data
+    """Sigmoid probabilities of the heads' mean-fused logits, [n, 18], from folded heads."""
+    return logits_to_probs(predict_fused_logits(list(models.values()), data.text, data.image)).data
 
 
 def fused_predictions(
@@ -506,6 +505,8 @@ def pseudo_label_loop(
         raise DomainError(f"eps must be a finite value >= 0, got {eps}")
     if train.labels is None or val.labels is None:
         raise DatasetError("train and val splits must be labeled")
+    if not len(test_unlabeled):  # every round would retrain on the unchanged train split
+        raise DatasetError("the unlabeled pool has no rows")
     _check_disjoint(train=train, test=test_unlabeled, val=val)
 
     models, f1 = _train_fusion_heads(train, val, config)

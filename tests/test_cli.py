@@ -642,6 +642,15 @@ class TestPseudoLoop:
         assert (out / "models" / "text_linear.fus1").exists()
         assert not (out / "pseudo_labels.csv").exists()
 
+    def test_empty_pool_is_refused_before_training(self, data_dir, tmp_path):
+        empty = save_empty_split(tmp_path / "empty")
+        out = tmp_path / "loop"
+        proc = run_cli("pseudo-loop", "--train", data_dir / "train", "--test", empty,
+                       "--val", data_dir / "val", "--max-epochs", 1, "--out", out)
+        assert proc.returncode == 2
+        assert "unlabeled pool has no rows" in proc.stderr
+        assert list(out.iterdir()) == []
+
     def test_overlapping_splits_rejected(self, data_dir, tmp_path):
         proc = run_cli("pseudo-loop", "--train", data_dir / "train",
                        "--test", data_dir / "train", "--val", data_dir / "val",

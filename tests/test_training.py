@@ -1,6 +1,7 @@
 """Weighting, loss, optimizer, and training-loop tests."""
 
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -9,7 +10,21 @@ import pytest
 
 from mmfusion.data_io import EmbeddingDataset, gen_synthetic
 from mmfusion.errors import DatasetError, DomainError, NumericError, ShapeError
-from mmfusion.fusion import FUSION_SETS, HEAD_KINDS, N_CLASSES
+import mmfusion.tensor as tensor_mod
+from mmfusion.fusion import (
+    FUSION_SETS,
+    HEAD_KINDS,
+    IMAGE_DIM,
+    N_CLASSES,
+    TEXT_DIM,
+    FusionModel,
+    assign_label_matrix,
+    expected_param_shapes,
+    fuse_logits,
+    logits_to_probs,
+    predict_logits,
+)
+from mmfusion.metrics import confusion_counts, macro_f1
 from mmfusion.tensor import Tensor, grad_check
 from mmfusion.training import (
     ADAM_EPS,
@@ -18,6 +33,7 @@ from mmfusion.training import (
     bce_loss_node,
     class_weights,
     evaluate_model,
+    fused_probs,
     fused_val_f1,
     init_adam_state,
     init_head_params,
@@ -512,6 +528,15 @@ class TestPseudoLabelLoop:
         with pytest.raises(DatasetError):
             pseudo_label_loop(train, mixed.without_labels(), val, self.CFG)
 
+    def test_empty_pool_rejected_before_training(self, monkeypatch):
+        train, test, val = small_splits(n_train=48, n_test=12, n_val=24)
+        trained = []
+        monkeypatch.setattr("mmfusion.training.train_head",
+                            lambda *args: trained.append(args) or train_head(*args))
+        with pytest.raises(DatasetError, match="unlabeled pool has no rows"):
+            pseudo_label_loop(train, test.subset([]).without_labels(), val, self.CFG)
+        assert trained == []
+
     def test_fused_eval_requires_labels(self):
         train, test, val = small_splits(n_train=48, n_test=12, n_val=24)
         with pytest.raises(DatasetError):
@@ -519,3 +544,94 @@ class TestPseudoLabelLoop:
         result = train_head(train, val, "text_linear", TrainConfig(lr=5e-3, max_epochs=2))
         with pytest.raises(DatasetError):
             fused_val_f1({"a": result.model, "b": result.model}, val.without_labels())
+
+
+# ---------------------------------------------------------- fused inference
+
+
+def random_model(kind: str, rng: np.random.Generator) -> FusionModel:
+    params = {name: rng.standard_normal(shape) * 0.05
+              for name, shape in expected_param_shapes(kind).items()}
+    return FusionModel(kind=kind, params=params)
+
+
+def random_pool(rng: np.random.Generator, n: int, labeled: bool = False) -> EmbeddingDataset:
+    labels = None
+    if labeled:
+        labels = rng.random((n, N_CLASSES)) < 0.2
+        labels[np.arange(n), rng.integers(0, N_CLASSES, n)] = True
+    return EmbeddingDataset(
+        ids=tuple(f"s{i}" for i in range(n)),
+        text=rng.standard_normal((n, TEXT_DIM)).astype(np.float32),
+        image=rng.standard_normal((n, IMAGE_DIM)).astype(np.float32),
+        labels=labels,
+    )
+
+
+FOLD_CASES = {
+    **FUSION_SETS,
+    "two_cross": ("cross_attn_fcnn", "cross_attn_fcnn", "text_linear"),
+    "two_vision": ("vision_linear", "vision_linear"),
+    "two_text": ("text_linear", "text_linear"),
+}
+
+
+def fold_models(case: str, rng: np.random.Generator) -> dict[str, FusionModel]:
+    return {f"{kind}_{i}": random_model(kind, rng) for i, kind in enumerate(FOLD_CASES[case])}
+
+
+class TestFusedProbs:
+    @pytest.mark.parametrize("case", FOLD_CASES)
+    def test_folded_heads_match_mean_of_per_head_logits(self, case):
+        rng = np.random.default_rng(31)
+        models = fold_models(case, rng)
+        pool = random_pool(rng, 600)
+        mean = fuse_logits([predict_logits(m, pool.text, pool.image) for m in models.values()])
+        want = logits_to_probs(mean).data
+        got = fused_probs(models, pool)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(assign_label_matrix(got), assign_label_matrix(want))
+
+    def test_fused_val_f1_over_two_cross_heads(self):
+        rng = np.random.default_rng(32)
+        models = fold_models("two_cross", rng)
+        val = random_pool(rng, 300, labeled=True)
+        mean = fuse_logits([predict_logits(m, val.text, val.image) for m in models.values()])
+        want = macro_f1(confusion_counts(assign_label_matrix(logits_to_probs(mean).data), val.labels))
+        assert fused_val_f1(models, val) == want
+
+    def test_single_model_rejected(self):
+        rng = np.random.default_rng(33)
+        with pytest.raises(DomainError):
+            fused_probs({"text_linear": random_model("text_linear", rng)}, random_pool(rng, 4))
+
+    @pytest.mark.parametrize("name, limit_mib", [("fm1", 24), ("fm2", 24), ("fm3", 32)])
+    def test_float32_pool_peak_memory(self, name, limit_mib):
+        rng = np.random.default_rng(34)
+        models = fold_models(name, rng)
+        pool = random_pool(rng, 4096)
+        tracemalloc.start()
+        try:
+            fused_probs(models, pool)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2**20
+
+    @pytest.mark.parametrize("name, macs", [("fm1", 34_560), ("fm2", 34_560), ("fm3", 515_584)])
+    def test_one_pass_per_fusion_set(self, name, macs, monkeypatch):
+        # the mean of per-head passes costs the sum of the heads: 69,120 for fm2
+        # and 550,144 for fm3, the same MAC count as perfbench's MAC table
+        counted = []
+        plain = tensor_mod.matmul
+
+        def counting(a, b):
+            out = plain(a, b)
+            counted.append(out.data.size * a.shape[-1])  # one dot product per output element
+            return out
+
+        monkeypatch.setattr(tensor_mod, "matmul", counting)
+        rng = np.random.default_rng(35)
+        rows = 5
+        fused_probs(fold_models(name, rng), random_pool(rng, rows))
+        assert sum(counted) == rows * macs

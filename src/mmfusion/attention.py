@@ -7,7 +7,8 @@ the value width must equal the query width.  It also takes a leading batch
 axis, so a whole batch of samples attends in one call.
 
 Both run on :class:`mmfusion.tensor.Tensor`, so gradients flow to every
-projection matrix when the inputs require them.
+projection matrix when the inputs require them, and both return only their
+output; the attention weights come from their shared core, :func:`_attend`.
 """
 
 from __future__ import annotations
@@ -82,16 +83,15 @@ def _attend(xq: Tensor, ykv: Tensor, params: AttentionParams) -> tuple[Tensor, T
     return weights @ v, weights
 
 
-def self_attention(x, params: AttentionParams, return_weights: bool = False):
+def self_attention(x, params: AttentionParams) -> Tensor:
     """Attend a sequence to itself: softmax(Q K^T / sqrt(d_k)) V, no residual."""
     x = as_tensor(x)
     if x.ndim != 2:
         raise ShapeError(f"expected [n, d] input rows, got shape {x.shape}")
-    out, weights = _attend(x, x, params)
-    return (out, weights) if return_weights else out
+    return _attend(x, x, params)[0]
 
 
-def cross_attention(xq, ykv, params: AttentionParams, return_weights: bool = False):
+def cross_attention(xq, ykv, params: AttentionParams) -> Tensor:
     """Let query rows read the key/value sequence, then add-and-normalise.
 
     Row i of the result is ``layer_norm((A V)_i + xq_i)`` with
@@ -113,6 +113,5 @@ def cross_attention(xq, ykv, params: AttentionParams, return_weights: bool = Fal
         )
     if params.ln_gain is None or params.ln_bias is None:
         raise ShapeError("cross_attention needs ln_gain and ln_bias")
-    attended, weights = _attend(xq, ykv, params)
-    out = layer_norm(attended + xq, params.ln_gain, params.ln_bias)
-    return (out, weights) if return_weights else out
+    attended, _ = _attend(xq, ykv, params)
+    return layer_norm(attended + xq, params.ln_gain, params.ln_bias)

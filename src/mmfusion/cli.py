@@ -193,7 +193,7 @@ def cmd_evaluate(args, out: Path) -> dict:
 def cmd_pseudo_loop(args, out: Path) -> dict:
     config = _resolve_config(args)
     train = load_dataset(args.train, require_labels=True)
-    test = load_dataset(args.test).without_labels()
+    test = load_dataset(args.test)
     val = load_dataset(args.val, require_labels=True)
     result = pseudo_label_loop(
         train, test, val, config, max_rounds=args.max_rounds, eps=args.eps
@@ -241,7 +241,8 @@ def cmd_flops(args, out: Path) -> dict:
             )
             lines.append(f"grouped_macs={grouped}")
     if args.phi is not None:  # each ScalingSpec field has the flag of its name
-        spec = ScalingSpec(**{f.name: getattr(args, f.name) for f in fields(ScalingSpec)})
+        given = {f.name: getattr(args, f.name) for f in fields(ScalingSpec)}
+        spec = ScalingSpec(**{name: value for name, value in given.items() if value is not None})
         lines += [f"{key}={value!r}" for key, value in compound_scale(spec)._asdict().items()]
     if not lines:
         raise DomainError("flops needs --dk (cost model) or --phi (compound scaling) flags")
@@ -316,14 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="output channels")
     p.add_argument("--df", type=int, help="feature-map side")
     p.add_argument("--groups", type=int)
-    p.add_argument("--alpha", type=float, default=1.2)
-    p.add_argument("--beta", type=float, default=1.1)
-    p.add_argument("--gamma", type=float, default=1.15)
-    p.add_argument("--phi", type=float)
-    p.add_argument("--d0", type=float, default=1.0)
-    p.add_argument("--w0", type=float, default=1.0)
-    p.add_argument("--r0", type=float, default=1.0)
-    p.add_argument("--budget", type=float, default=2.0)
+    for field in fields(ScalingSpec):  # an unset flag leaves the field's default
+        p.add_argument("--" + field.name, type=float)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_flops)
 

@@ -199,8 +199,8 @@ class FusionModel:
         self.params = clean
 
 
-def _batch_rows(kind: str, text: object, image: object) -> int:
-    """The row count of a batch for ``kind``, checked without converting any block.
+def _batch_rows(kind: str, text: np.ndarray | None, image: np.ndarray | None) -> int:
+    """The row count of a batch of arrays for ``kind``, checked without converting any block.
 
     Every block the kind reads must be given; a block it does not read may
     be None.  Each given block must be [n, width], with one n for both.
@@ -211,8 +211,7 @@ def _batch_rows(kind: str, text: object, image: object) -> int:
     for name in HEAD_INPUTS[kind]:
         if blocks[name] is None:
             raise ShapeError(f"{kind} reads the {name} batch, got None")
-    shapes = {name: np.shape(block.data if isinstance(block, Tensor) else block)
-              for name, block in blocks.items() if block is not None}
+    shapes = {name: np.shape(block) for name, block in blocks.items() if block is not None}
     for name, shape in shapes.items():
         if len(shape) != 2 or shape[1] != MODALITY_DIMS[name]:
             raise ShapeError(f"{name} batch must be [n, {MODALITY_DIMS[name]}], got {shape}")
@@ -223,8 +222,8 @@ def _batch_rows(kind: str, text: object, image: object) -> int:
     return next(iter(shapes.values()))[0]
 
 
-def head_forward_batch(kind: str, params: Mapping[str, object], text: object, image: object) -> Tensor:
-    """Run one head over a batch; ``text`` is [n, 128] and ``image`` [n, 1792].
+def head_forward_batch(kind: str, params: Mapping[str, object], text, image) -> Tensor:
+    """Run one head over a batch of arrays; ``text`` is [n, 128] and ``image`` [n, 1792].
 
     Only the blocks the kind reads are widened to float64; the other may be
     None.  Parameter entries may be plain arrays or gradient-requiring
@@ -355,13 +354,13 @@ def logits_to_probs(logits) -> Tensor:
     return sigmoid(logits)
 
 
-def assign_label_matrix(probs, threshold: float = 0.5) -> np.ndarray:
-    """Per row of an [n, 18] block, pick every class above ``threshold``.
+def assign_label_matrix(probs: np.ndarray, threshold: float = 0.5) -> np.ndarray:
+    """Per row of an [n, 18] probability array, pick every class above ``threshold``.
 
     A row with none falls back to its argmax, and ties resolve to the lowest
     slot, so no row of the [n, 18] bool result is ever empty.
     """
-    arr = np.asarray(probs.data if isinstance(probs, Tensor) else probs, dtype=np.float64)
+    arr = np.asarray(probs, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != N_CLASSES:
         raise ShapeError(f"probs must be [n, {N_CLASSES}], got {arr.shape}")
     if not (0.0 <= threshold <= 1.0):
@@ -374,13 +373,13 @@ def assign_label_matrix(probs, threshold: float = 0.5) -> np.ndarray:
     return mask
 
 
-def assign_labels(probs, threshold: float = 0.5) -> LabelVector:
-    """:func:`assign_label_matrix` for one [18] probability vector."""
-    arr = np.asarray(probs.data if isinstance(probs, Tensor) else probs, dtype=np.float64)
-    return assign_labels_batch(arr[None], threshold)[0]  # a shape other than [18] fails there
+def assign_labels(probs: np.ndarray, threshold: float = 0.5) -> LabelVector:
+    """:func:`assign_label_matrix` for one [18] probability array."""
+    # a shape other than [18] fails there
+    return assign_labels_batch(np.asarray(probs)[None], threshold)[0]
 
 
-def assign_labels_batch(probs, threshold: float = 0.5) -> list[LabelVector]:
+def assign_labels_batch(probs: np.ndarray, threshold: float = 0.5) -> list[LabelVector]:
     return label_vectors(assign_label_matrix(probs, threshold))
 
 

@@ -20,8 +20,6 @@ from .errors import DomainError, NumericError, ShapeError
 
 Array = np.ndarray
 
-ACTIVATION_KINDS = ("sigmoid", "relu", "relu6", "hswish")
-
 # added to the variance inside layer_norm's square root
 LAYER_NORM_EPS = 1e-5
 
@@ -191,25 +189,19 @@ def matmul(a, b) -> Tensor:
     )
 
 
-def _elementwise(x: Tensor, out: Array, deriv: Callable[[], Array]) -> Tensor:
-    """``out``, an element-wise function of ``x``; backward multiplies by ``deriv()``."""
-    return _node(out, (x, lambda g: g * deriv()))
-
-
 def relu(x) -> Tensor:
     x = as_tensor(x)
     d = x.data
-    return _elementwise(x, np.maximum(d, 0.0), lambda: (d > 0.0).astype(np.float64))
+    return _node(np.maximum(d, 0.0), (x, lambda g: g * (d > 0.0).astype(np.float64)))
 
 
 def relu6(x) -> Tensor:
     """min(max(x, 0), 6): relu clipped at 6."""
     x = as_tensor(x)
     d = x.data
-    return _elementwise(
-        x,
+    return _node(
         np.clip(d, 0.0, 6.0),
-        lambda: ((d > 0.0) & (d < 6.0)).astype(np.float64),
+        (x, lambda g: g * ((d > 0.0) & (d < 6.0)).astype(np.float64)),
     )
 
 
@@ -226,7 +218,7 @@ def _sigmoid_values(d: Array) -> Array:
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
     s = _sigmoid_values(x.data)
-    return _elementwise(x, s, lambda: s * (1.0 - s))
+    return _node(s, (x, lambda g: g * (s * (1.0 - s))))
 
 
 def hswish(x) -> Tensor:
@@ -240,10 +232,12 @@ def hswish(x) -> Tensor:
         inner = ((d > -3.0) & (d < 3.0)).astype(np.float64)
         return gate / 6.0 + d * inner / 6.0
 
-    return _elementwise(x, out, deriv)
+    return _node(out, (x, lambda g: g * deriv()))
 
 
 _ACTIVATIONS = {"sigmoid": sigmoid, "relu": relu, "relu6": relu6, "hswish": hswish}
+
+ACTIVATION_KINDS = tuple(_ACTIVATIONS)
 
 
 def activation(kind: str, x) -> Tensor:
@@ -303,14 +297,15 @@ def layer_norm(x, gain, bias) -> Tensor:
 
 
 def grad_check(f, x, coords: Sequence[int] | None = None) -> float:
-    """Compare the analytic gradient of scalar ``f`` at ``x`` against central differences.
+    """Compare the analytic gradient of scalar ``f`` at array ``x`` against central differences.
 
-    Each coordinate is probed at a step of 1e-5 either side.  Returns the max
-    over checked coordinates of ``|a - n| / max(1e-8, |a| + |n|)``.  ``coords``
-    limits the sweep to a subset of flat indices; by default every coordinate
-    is probed.
+    ``f`` takes a Tensor and must return a scalar Tensor.  Each coordinate
+    is probed at a step of 1e-5 either side.  Returns the max over checked
+    coordinates of ``|a - n| / max(1e-8, |a| + |n|)``.  ``coords`` limits
+    the sweep to a subset of flat indices; by default every coordinate is
+    probed.
     """
-    x0 = np.array(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
+    x0 = np.array(x, dtype=np.float64)
     leaf = Tensor(x0, requires_grad=True)
     out = f(leaf)
     if not isinstance(out, Tensor) or out.data.size != 1:

@@ -103,15 +103,15 @@ def _weight_values(weights) -> np.ndarray:
     return w
 
 
-def weighted_bce_loss(logits, targets, weights) -> tuple[float, np.ndarray]:
-    """Stable weighted binary cross-entropy over a [batch, 18] logit block.
+def weighted_bce_loss(logits: np.ndarray, targets, weights) -> tuple[float, np.ndarray]:
+    """Stable weighted binary cross-entropy over a [batch, 18] logit array.
 
     Returns the scalar loss and its gradient with respect to the logits,
     ``w_c * (sigmoid(z) - y) / batch``.  Each element contributes
     ``max(z, 0) - z*y + log1p(exp(-|z|))``, the overflow-free form of
     ``-[y log s + (1-y) log(1-s)]``.
     """
-    z = np.asarray(logits.data if isinstance(logits, Tensor) else logits, dtype=np.float64)
+    z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] != N_CLASSES:
         raise ShapeError(f"logits must be [batch, {N_CLASSES}], got {z.shape}")
     if z.shape[0] < 1:
@@ -131,10 +131,11 @@ def weighted_bce_loss(logits, targets, weights) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-def bce_loss_node(logits: Tensor, targets, weights) -> Tensor:
+def bce_loss_node(logits, targets, weights) -> Tensor:
     """Scalar graph node for the weighted BCE loss; backward feeds the head."""
-    loss, grad = weighted_bce_loss(logits, targets, weights)
-    return _node(loss, (as_tensor(logits), lambda g: g * grad))
+    logits = as_tensor(logits)
+    loss, grad = weighted_bce_loss(logits.data, targets, weights)
+    return _node(loss, (logits, lambda g: g * grad))
 
 
 # -------------------------------------------------------------------- config
@@ -497,7 +498,8 @@ def pseudo_label_loop(
 
     Every round rebuilds the merged training set from the original labeled
     split plus fresh pseudo-labels, so stale pseudo-labels never accumulate
-    and no id is ever duplicated.  The result is the best round's state.
+    and no id is ever duplicated.  Labels the pool may carry are never read.
+    The result is the best round's state.
     """
     if max_rounds < 0:
         raise DomainError(f"max_rounds must be >= 0, got {max_rounds}")
@@ -507,6 +509,8 @@ def pseudo_label_loop(
         raise DatasetError("train and val splits must be labeled")
     if not len(test_unlabeled):  # every round would retrain on the unchanged train split
         raise DatasetError("the unlabeled pool has no rows")
+    if not len(val):  # no round could be scored
+        raise DatasetError("the validation split has no rows")
     _check_disjoint(train=train, test=test_unlabeled, val=val)
 
     models, f1 = _train_fusion_heads(train, val, config)
@@ -516,17 +520,14 @@ def pseudo_label_loop(
     best_round = 0
     best_f1 = f1
 
-    pool = test_unlabeled.without_labels()
     for round_index in range(1, max_rounds + 1):
-        pseudo = assign_label_matrix(fused_probs(best_models, pool))
-        merged = train.merge(
-            EmbeddingDataset(ids=pool.ids, text=pool.text, image=pool.image, labels=pseudo)
-        )
+        pseudo = assign_label_matrix(fused_probs(best_models, test_unlabeled))
+        merged = train.merge(replace(test_unlabeled, labels=pseudo))
         models, f1 = _train_fusion_heads(merged, val, config)
         history.append(RoundRecord(round=round_index, val_f1=f1))
         if f1 > best_f1 + eps:
             best_models = models
-            best_pseudo = dict(zip(pool.ids, label_vectors(pseudo)))
+            best_pseudo = dict(zip(test_unlabeled.ids, label_vectors(pseudo)))
             best_round = round_index
             best_f1 = f1
         else:

@@ -64,11 +64,16 @@ def _checked(count: int, what: str) -> int:
     return count
 
 
+def _dense_macs(spec: ConvSpec) -> int:
+    """The MACs of ``spec``'s layer run as one dense convolution, whatever its grouping."""
+    return spec.dk * spec.dk * spec.m * spec.n * spec.df * spec.df
+
+
 def cost_standard(spec: ConvSpec) -> int:
     """MACs of a dense convolution: dk^2 * m * n * df^2."""
     if spec.mode != "standard":
         raise DomainError(f"cost_standard needs mode='standard', got {spec.mode!r}")
-    return _checked(spec.dk * spec.dk * spec.m * spec.n * spec.df * spec.df, "standard")
+    return _checked(_dense_macs(spec), "standard")
 
 
 def cost_depthwise_separable(spec: ConvSpec) -> tuple[int, int, int]:
@@ -85,14 +90,12 @@ def cost_depthwise_separable(spec: ConvSpec) -> tuple[int, int, int]:
 def separable_ratio(spec: ConvSpec) -> float:
     """Separable total over dense cost; algebraically 1/n + 1/dk^2."""
     _, _, total = cost_depthwise_separable(spec)
-    dense = spec.dk * spec.dk * spec.m * spec.n * spec.df * spec.df
-    return total / dense
+    return total / _dense_macs(spec)
 
 
 def cost_grouped(spec: ConvSpec) -> int:
     """MACs of a grouped convolution: the dense cost divided by ``groups``."""
-    dense = spec.dk * spec.dk * spec.m * spec.n * spec.df * spec.df
-    return _checked(dense // spec.groups, "grouped")
+    return _checked(_dense_macs(spec) // spec.groups, "grouped")
 
 
 def conv2d_forward(x: np.ndarray, kernels: np.ndarray, spec: ConvSpec) -> tuple[np.ndarray, int]:
@@ -144,15 +147,18 @@ def depthwise_separable_forward(
 
 @dataclass(frozen=True)
 class ScalingSpec:
-    """Base depth/width/resolution plus per-axis rates and a shared exponent."""
+    """A shared exponent plus base depth/width/resolution, per-axis rates and a FLOPs budget.
 
-    d0: float
-    w0: float
-    r0: float
-    alpha: float
-    beta: float
-    gamma: float
+    Each default is also that of the ``flops`` flag named after its field.
+    """
+
     phi: float
+    d0: float = 1.0
+    w0: float = 1.0
+    r0: float = 1.0
+    alpha: float = 1.2
+    beta: float = 1.1
+    gamma: float = 1.15
     budget: float = 2.0
 
     def __post_init__(self):

@@ -7,6 +7,7 @@ import pytest
 
 from mmfusion.attention import (
     AttentionParams,
+    _attend,
     cross_attention,
     self_attention,
 )
@@ -22,6 +23,11 @@ def rng():
 def softmax_1d(v):
     e = np.exp(v - np.max(v))
     return e / e.sum()
+
+
+def attention_weights(xq, ykv, params):
+    """The softmax matrix A that query rows ``xq`` put on key rows ``ykv``."""
+    return _attend(Tensor(xq), Tensor(ykv), params)[1].data
 
 
 def self_attention_oracle(x, wq, wk, wv):
@@ -45,20 +51,19 @@ class TestSelfAttention:
             wk=rng.standard_normal((4, 2)),
             wv=rng.standard_normal((4, 4)),
         )
-        _, weights = self_attention(Tensor(x), params, return_weights=True)
-        np.testing.assert_allclose(weights.data, np.full((3, 3), 1.0 / 3.0), atol=1e-12)
+        weights = attention_weights(x, x, params)
+        np.testing.assert_allclose(weights, np.full((3, 3), 1.0 / 3.0), atol=1e-12)
 
     def test_matches_stepwise_oracle(self, rng):
         x = rng.standard_normal((3, 4))
         wq = rng.standard_normal((4, 3))
         wk = rng.standard_normal((4, 3))
         wv = rng.standard_normal((4, 5))
-        out, weights = self_attention(
-            Tensor(x), AttentionParams(wq=wq, wk=wk, wv=wv), return_weights=True
-        )
+        params = AttentionParams(wq=wq, wk=wk, wv=wv)
+        out = self_attention(Tensor(x), params)
         expected_out, expected_w = self_attention_oracle(x, wq, wk, wv)
         np.testing.assert_allclose(out.data, expected_out, atol=1e-12)
-        np.testing.assert_allclose(weights.data, expected_w, atol=1e-12)
+        np.testing.assert_allclose(attention_weights(x, x, params), expected_w, atol=1e-12)
 
     def test_weight_rows_are_distributions(self, rng):
         x = rng.standard_normal((6, 4)) * 3.0
@@ -67,9 +72,9 @@ class TestSelfAttention:
             wk=rng.standard_normal((4, 2)),
             wv=rng.standard_normal((4, 4)),
         )
-        _, weights = self_attention(Tensor(x), params, return_weights=True)
-        assert np.all(weights.data > 0.0) and np.all(weights.data < 1.0)
-        np.testing.assert_allclose(weights.data.sum(axis=1), 1.0, atol=1e-12)
+        weights = attention_weights(x, x, params)
+        assert np.all(weights > 0.0) and np.all(weights < 1.0)
+        np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
 
     def test_positive_query_scaling_keeps_argmax(self, rng):
         x = rng.standard_normal((5, 4))
@@ -109,10 +114,9 @@ class TestCrossAttention:
     def test_hand_worked_two_key_case(self):
         xq = np.array([[1.0, 0.0]])
         ykv = np.array([[1.0, 0.0], [1.0, 0.0]])
-        out, weights = cross_attention(
-            Tensor(xq), Tensor(ykv), self._identity_params(2), return_weights=True
-        )
-        np.testing.assert_allclose(weights.data, [[0.5, 0.5]], atol=1e-15)
+        params = self._identity_params(2)
+        out = cross_attention(Tensor(xq), Tensor(ykv), params)
+        np.testing.assert_allclose(attention_weights(xq, ykv, params), [[0.5, 0.5]], atol=1e-15)
         # mixed row [1, 0] plus the query gives [2, 0]; normalising gives +-1/sqrt(1+eps)
         unit = 1.0 / math.sqrt(1.0 + 1e-5)  # layer_norm's eps
         np.testing.assert_allclose(out.data, [[unit, -unit]], atol=1e-12)
@@ -142,10 +146,12 @@ class TestCrossAttention:
             ln_gain=rng.standard_normal(3),
             ln_bias=rng.standard_normal(3),
         )
-        out_a, w_a = cross_attention(Tensor(xq), Tensor(ykv), params, return_weights=True)
-        out_b, w_b = cross_attention(Tensor(xq), Tensor(ykv[::-1]), params, return_weights=True)
+        out_a = cross_attention(Tensor(xq), Tensor(ykv), params)
+        out_b = cross_attention(Tensor(xq), Tensor(ykv[::-1]), params)
         np.testing.assert_array_equal(out_a.data, out_b.data)
-        np.testing.assert_array_equal(w_a.data, w_b.data[:, ::-1])
+        w_a = attention_weights(xq, ykv, params)
+        w_b = attention_weights(xq, ykv[::-1], params)
+        np.testing.assert_array_equal(w_a, w_b[:, ::-1])
 
     def test_key_permutation_invariance_to_tolerance(self, rng):
         xq = rng.standard_normal((3, 4))
@@ -208,11 +214,10 @@ class TestCrossAttention:
 
         def run(q, kv, p):
             leaves = {k: Tensor(v, requires_grad=True) for k, v in base.items()}
-            out, weights = cross_attention(
-                Tensor(q), Tensor(kv), AttentionParams(**leaves), return_weights=True
-            )
+            out = cross_attention(Tensor(q), Tensor(kv), AttentionParams(**leaves))
             (out * Tensor(p)).sum().backward()
-            return out.data, weights.data, {k: v.grad for k, v in leaves.items()}
+            weights = attention_weights(q, kv, AttentionParams(**base))
+            return out.data, weights, {k: v.grad for k, v in leaves.items()}
 
         out, weights, grads = run(xq, ykv, probe)
         assert out.shape == (n, 2, 4) and weights.shape == (n, 2, t)

@@ -29,6 +29,7 @@ from mmfusion.fusion import (
     expected_param_shapes,
 )
 from mmfusion.training import TrainConfig
+from mmfusion.vision_blocks import ScalingSpec, compound_scale
 
 
 def run_cli(*argv, cwd=None):
@@ -248,6 +249,12 @@ class TestFlops:
                        "--phi", 1, "--out", tmp_path / "f")
         assert proc.returncode == 0
         assert "flops_factor=1.92027" in proc.stdout
+
+    def test_phi_alone_takes_the_scaling_spec_defaults(self, tmp_path):
+        proc = run_cli("flops", "--phi", 1, "--out", tmp_path / "f")
+        assert proc.returncode == 0
+        want = compound_scale(ScalingSpec(phi=1.0))._asdict()
+        assert proc.stdout.splitlines() == [f"{key}={value!r}" for key, value in want.items()]
 
     def test_overflow_is_numeric_failure(self, tmp_path):
         proc = run_cli("flops", "--dk", 2**20, "--m", 2**16, "--n", 2**16,
@@ -649,6 +656,15 @@ class TestPseudoLoop:
                        "--val", data_dir / "val", "--max-epochs", 1, "--out", out)
         assert proc.returncode == 2
         assert "unlabeled pool has no rows" in proc.stderr
+        assert list(out.iterdir()) == []
+
+    def test_empty_val_is_refused_before_training(self, data_dir, tmp_path):
+        empty = save_empty_split(tmp_path / "empty")
+        out = tmp_path / "loop"
+        proc = run_cli("pseudo-loop", "--train", data_dir / "train", "--test", data_dir / "test",
+                       "--val", empty, "--max-epochs", 1, "--out", out)
+        assert proc.returncode == 2
+        assert "validation split has no rows" in proc.stderr
         assert list(out.iterdir()) == []
 
     def test_overlapping_splits_rejected(self, data_dir, tmp_path):

@@ -537,6 +537,15 @@ class TestPseudoLabelLoop:
             pseudo_label_loop(train, test.subset([]).without_labels(), val, self.CFG)
         assert trained == []
 
+    def test_empty_val_rejected_before_training(self, monkeypatch):
+        train, test, val = small_splits(n_train=48, n_test=12, n_val=24)
+        trained = []
+        monkeypatch.setattr("mmfusion.training.train_head",
+                            lambda *args: trained.append(args) or train_head(*args))
+        with pytest.raises(DatasetError, match="validation split has no rows"):
+            pseudo_label_loop(train, test.without_labels(), val.subset([]), self.CFG)
+        assert trained == []
+
     def test_fused_eval_requires_labels(self):
         train, test, val = small_splits(n_train=48, n_test=12, n_val=24)
         with pytest.raises(DatasetError):

@@ -1,9 +1,16 @@
-"""Every module-level private name in the package is read somewhere in the package.
+"""Every name the package defines is read where it counts.
 
-A stdlib ``ast`` walk, like the unused-import check next to it: it collects
-the ``_name`` bindings at the top level of each ``src/mmfusion`` module and
-fails for any that no package module ever loads, so a refactor cannot leave a
-dead helper behind.  A private name that only tests read counts as dead.
+Two stdlib ``ast`` walks over one name reader, like the unused-import check
+next to them, so a refactor cannot leave a dead definition behind:
+
+* A ``_name`` bound at the top level of a ``src/mmfusion`` module must be
+  loaded by some package module.  A private name that only tests read
+  counts as dead.
+* A public function or class at the top level of a package module, and a
+  public method of such a class, must be read in the package, ``scripts/``
+  or ``perfbench/``.  An import does not read a name, so the re-exports in
+  ``__init__.py`` do not count.  The acceptance suite counts too, since it
+  pins the names it uses.
 """
 
 import ast
@@ -11,6 +18,26 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((REPO / "src" / "mmfusion").glob("*.py"))
+READERS = (
+    PACKAGE
+    + sorted((REPO / "scripts").glob("*.py"))
+    + sorted((REPO / "perfbench").glob("*.py"))
+    + [REPO / "tests" / "test_acceptance.py"]
+)
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, bare or as an attribute of something else."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+# ------------------------------------------------------------- private names
 
 
 def is_private(name: str) -> bool:
@@ -32,21 +59,10 @@ def private_definitions(tree: ast.Module) -> dict[str, int]:
     return names
 
 
-def loaded_names(tree: ast.Module) -> set[str]:
-    """Every name the module reads, bare or as an attribute of something else."""
-    loaded = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            loaded.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            loaded.add(node.attr)
-    return loaded
-
-
 def unread_private_names(sources: dict[str, str]) -> list[tuple[str, str, int]]:
     """``(module, name, line)`` of each private definition no module in ``sources`` reads."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    loaded = set().union(*(loaded_names(tree) for tree in trees.values()))
+    loaded = set().union(*(read_names(tree) for tree in trees.values()))
     return sorted(
         (module, name, line)
         for module, tree in trees.items()
@@ -79,3 +95,77 @@ def test_checker_flags_an_unread_private_name():
     }
     # _orphan reads itself, which the walk cannot tell from a caller
     assert unread_private_names(sources) == [("a.py", "_Box", 7), ("a.py", "_dead", 2)]
+
+
+# -------------------------------------------------------------- public names
+
+
+def is_public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def public_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each public top-level function and class, and ``Class.method``, mapped to its line."""
+    names = {}
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if is_public(node.name):
+            names[node.name] = node.lineno
+        if isinstance(node, ast.ClassDef):
+            names.update(
+                (f"{node.name}.{item.name}", item.lineno)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and is_public(item.name)
+            )
+    return names
+
+
+def uncalled_public_names(
+    definitions: dict[str, str], readers: dict[str, str]
+) -> list[tuple[str, str, int]]:
+    """``(module, name, line)`` of each public definition no module in ``readers`` reads."""
+    read = set().union(*(read_names(ast.parse(source)) for source in readers.values()))
+    return sorted(
+        (module, name, line)
+        for module, source in definitions.items()
+        for name, line in public_definitions(ast.parse(source)).items()
+        if name.rpartition(".")[2] not in read
+    )
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    uncalled = uncalled_public_names(
+        {p.name: p.read_text(encoding="utf-8") for p in PACKAGE},
+        {str(p.relative_to(REPO)): p.read_text(encoding="utf-8") for p in READERS},
+    )
+    assert not uncalled, "public names only tests call: " + ", ".join(
+        f"{module}:{line} {name}" for module, name, line in uncalled
+    )
+
+
+def test_checker_flags_a_name_only_tests_call():
+    package = {
+        "a.py": (
+            "def used():\n"
+            "    return Box().size()\n"
+            "def orphan():\n"
+            "    return 1\n"
+            "def _private():\n"
+            "    return 2\n"
+            "class Box:\n"
+            "    def size(self):\n"
+            "        return 3\n"
+            "    def spare(self):\n"
+            "        return 4\n"
+            "    def __len__(self):\n"
+            "        return 5\n"
+        ),
+        "__init__.py": "from .a import orphan, used\n",
+    }
+    readers = dict(package, **{"script.py": "import a\na.used()\n"})
+    assert uncalled_public_names(package, readers) == [
+        ("a.py", "Box.spare", 10),
+        ("a.py", "orphan", 3),
+    ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +38,7 @@ from .errors import DataError, DatasetError, DomainError, NumericError, ShapeErr
 from .fusion import (
     HEAD_INPUTS,
     HEAD_KINDS,
+    LABEL_THRESHOLD,
     N_CLASSES,
     CLASS_IDS,
     assign_label_matrix,
@@ -215,9 +216,11 @@ def cmd_pseudo_loop(args, out: Path) -> dict:
 
 
 def cmd_flops(args, out: Path) -> dict:
-    stray = [f"--{name}" for name in ("m", "n", "df", "groups") if getattr(args, name) is not None]
-    if args.dk is None and stray:
-        raise DomainError(f"flops needs --dk alongside {', '.join(stray)}")
+    # the first flag of each group leads it: the cost model needs --dk, compound scaling --phi
+    for lead, *group in (("dk", "m", "n", "df", "groups"), [f.name for f in fields(ScalingSpec)]):
+        stray = [f"--{name}" for name in group if getattr(args, name) is not None]
+        if getattr(args, lead) is None and stray:
+            raise DomainError(f"flops needs --{lead} alongside {', '.join(stray)}")
     lines = []
     if args.dk is not None:
         for name in ("m", "n", "df"):
@@ -234,11 +237,7 @@ def cmd_flops(args, out: Path) -> dict:
             f"separable_ratio={separable_ratio(spec)!r}",
         ]
         if args.groups is not None:
-            grouped = cost_grouped(
-                ConvSpec(
-                    dk=args.dk, m=args.m, n=args.n, df=args.df, groups=args.groups, mode="grouped"
-                )
-            )
+            grouped = cost_grouped(replace(spec, groups=args.groups, mode="grouped"))
             lines.append(f"grouped_macs={grouped}")
     if args.phi is not None:  # each ScalingSpec field has the flag of its name
         given = {f.name: getattr(args, f.name) for f in fields(ScalingSpec)}
@@ -267,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-test", type=int, default=500)
     p.add_argument("--n-val", type=int, default=500)
     p.add_argument("--noise", type=float, default=0.3)
-    p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_gen_synthetic)
 
     p = subs.add_parser("train-head", help="train one head and save it")
@@ -276,29 +274,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True, choices=HEAD_KINDS)
     # one head trains here, so only pseudo-loop reads fusion_set; a --config file may name it
     _add_config_flags(p, skip=("fusion_set",))
-    p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_train_head)
 
     p = subs.add_parser("predict", help="run a saved model over a dataset")
     p.add_argument("--model", required=True, help="model file")
     p.add_argument("--kind", choices=HEAD_KINDS, help="require this head kind")
     p.add_argument("--data", required=True, help="dataset directory")
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--out", required=True)
+    p.add_argument("--threshold", type=float, default=LABEL_THRESHOLD)
     p.set_defaults(handler=cmd_predict)
 
     p = subs.add_parser("fuse-logits", help="average logit files and assign labels")
     p.add_argument("--logits", nargs="+", required=True, help="two or more logit files")
     p.add_argument("--ids", required=True, help="ids file giving the order of the fused rows")
     p.add_argument("--labels", help="optional truth labels to score against")
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--out", required=True)
+    p.add_argument("--threshold", type=float, default=LABEL_THRESHOLD)
     p.set_defaults(handler=cmd_fuse_logits)
 
     p = subs.add_parser("evaluate", help="score predictions against truth labels")
     p.add_argument("--pred", required=True, help="predictions file")
     p.add_argument("--truth", required=True, help="truth labels file")
-    p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_evaluate)
 
     p = subs.add_parser("pseudo-loop", help="run the self-training loop")
@@ -308,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rounds", type=int, default=5)
     p.add_argument("--eps", type=float, default=1e-4)
     _add_config_flags(p)
-    p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_pseudo_loop)
 
     p = subs.add_parser("flops", help="print convolution cost and scaling quantities")
@@ -319,9 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--groups", type=int)
     for field in fields(ScalingSpec):  # an unset flag leaves the field's default
         p.add_argument("--" + field.name, type=float)
-    p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_flops)
 
+    for sub in subs.choices.values():  # main creates --out; every subcommand lists it last
+        sub.add_argument("--out", required=True)
     return parser
 
 

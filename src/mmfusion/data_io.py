@@ -79,6 +79,19 @@ MODEL_MAGIC = b"FUS1"
 FORMAT_VERSION = 1
 
 
+def _check_magic(head: bytes, magic: bytes, size: int, path) -> None:
+    """Raise unless ``head``, the start of a ``size``-byte file, opens with ``magic``."""
+    if len(head) < 4:
+        raise TruncatedFileError(f"{path}: only {size} bytes, no room for magic")
+    if head[:4] != magic:
+        raise BadMagicError(f"{path}: expected magic {magic!r}, found {head[:4]!r}")
+
+
+def _check_version(version: int, path) -> None:
+    if version != FORMAT_VERSION:
+        raise VersionMismatchError(f"{path}: version {version}, this reader speaks {FORMAT_VERSION}")
+
+
 # ---------------------------------------------------------------- embeddings
 
 
@@ -138,15 +151,11 @@ def read_embeddings(path) -> np.ndarray:
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(16)
-        if len(head) < 4:
-            raise TruncatedFileError(f"{path}: only {size} bytes, no room for magic")
-        if head[:4] != EMBEDDING_MAGIC:
-            raise BadMagicError(f"{path}: expected magic {EMBEDDING_MAGIC!r}, found {head[:4]!r}")
+        _check_magic(head, EMBEDDING_MAGIC, size, path)
         if len(head) < 16:
             raise TruncatedFileError(f"{path}: header needs 16 bytes, found {size}")
         version, n, d = struct.unpack_from("<III", head, 4)
-        if version != FORMAT_VERSION:
-            raise VersionMismatchError(f"{path}: version {version}, this reader speaks {FORMAT_VERSION}")
+        _check_version(version, path)
         expected = 16 + 4 * n * d
         if size != expected:
             raise TruncatedFileError(f"{path}: header promises {expected} bytes, found {size}")
@@ -369,10 +378,7 @@ def save_model(model: FusionModel, path) -> None:
 def load_model(path, expect_kind: str | None = None) -> FusionModel:
     """Load a model file, verifying checksum, kind, and every declared shape."""
     blob = Path(path).read_bytes()
-    if len(blob) < 4:
-        raise TruncatedFileError(f"{path}: only {len(blob)} bytes, no room for magic")
-    if blob[:4] != MODEL_MAGIC:
-        raise BadMagicError(f"{path}: expected magic {MODEL_MAGIC!r}, found {blob[:4]!r}")
+    _check_magic(blob, MODEL_MAGIC, len(blob), path)
     if len(blob) < 12:
         raise TruncatedFileError(f"{path}: too short for a checksummed body")
     stored_crc = struct.unpack("<I", blob[-4:])[0]
@@ -394,9 +400,7 @@ def load_model(path, expect_kind: str | None = None) -> FusionModel:
     def u32() -> int:
         return struct.unpack("<I", take(4))[0]
 
-    version = u32()
-    if version != FORMAT_VERSION:
-        raise VersionMismatchError(f"{path}: version {version}, this reader speaks {FORMAT_VERSION}")
+    _check_version(u32(), path)
     kind = take(u32()).decode("utf-8", errors="replace")
     if kind not in HEAD_KINDS:
         raise UnknownKindError(f"{path}: unknown head kind {kind!r}")

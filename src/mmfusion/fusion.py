@@ -49,18 +49,36 @@ TOKEN_COUNT = IMAGE_DIM // TEXT_DIM
 # class ids run 1..19 with 12 reserved and unused
 CLASS_IDS = tuple(i for i in range(1, 20) if i != 12)
 
-HEAD_KINDS = ("vision_linear", "text_linear", "concat_fcnn", "cross_attn_fcnn")
-
 # the width of each embedding block, named as the dataset fields and their files
 MODALITY_DIMS = {"text": TEXT_DIM, "image": IMAGE_DIM}
 
-# the embedding blocks each head kind reads
-HEAD_INPUTS = {
-    "vision_linear": ("image",),
-    "text_linear": ("text",),
-    "concat_fcnn": ("text", "image"),
-    "cross_attn_fcnn": ("text", "image"),
+
+def _columns(*blocks: str) -> dict[str, slice]:
+    """Consecutive weight columns for ``blocks``, each as wide as its block."""
+    dims = {**MODALITY_DIMS, "attended": TEXT_DIM}
+    columns, start = {}, 0
+    for name in blocks:
+        columns[name] = slice(start, start + dims[name])
+        start = columns[name].stop
+    return columns
+
+
+# the columns of each kind's final-layer weight that read each of its blocks
+_FINAL_COLUMNS = {
+    "vision_linear": _columns("image"),
+    "text_linear": _columns("text"),
+    "concat_fcnn": _columns("text", "image"),
+    "cross_attn_fcnn": _columns("attended", "text", "image"),
 }
+
+HEAD_KINDS = tuple(_FINAL_COLUMNS)
+
+# the embedding blocks each head kind reads, in MODALITY_DIMS order
+HEAD_INPUTS = {kind: tuple(name for name in MODALITY_DIMS if name in columns)
+               for kind, columns in _FINAL_COLUMNS.items()}
+
+# a class is assigned when its probability exceeds this
+LABEL_THRESHOLD = 0.5
 
 # inference runs a head over at most this many rows at a time, which bounds
 # the transient feature and attention blocks whatever the pool size
@@ -133,41 +151,21 @@ def _quantize(arr: np.ndarray) -> np.ndarray:
     return snapped.astype(np.float64)
 
 
-def _columns(*blocks: str) -> dict[str, slice]:
-    """Consecutive weight columns for ``blocks``, each as wide as its block."""
-    dims = {**MODALITY_DIMS, "attended": TEXT_DIM}
-    columns, start = {}, 0
-    for name in blocks:
-        columns[name] = slice(start, start + dims[name])
-        start = columns[name].stop
-    return columns
-
-
-# the columns of each kind's final-layer weight that read each of its blocks
-_FINAL_COLUMNS = {
-    "vision_linear": _columns("image"),
-    "text_linear": _columns("text"),
-    "concat_fcnn": _columns("text", "image"),
-    "cross_attn_fcnn": _columns("attended", "text", "image"),
-}
+def _check_kind(kind: str) -> None:
+    if kind not in HEAD_KINDS:
+        raise DomainError(f"unknown head kind {kind!r}, expected one of {HEAD_KINDS}")
 
 
 def expected_param_shapes(kind: str) -> dict[str, tuple[int, ...]]:
     """Parameter table for one head kind; final layer weights are [18, input]."""
-    if kind not in HEAD_KINDS:
-        raise DomainError(f"unknown head kind {kind!r}, expected one of {HEAD_KINDS}")
+    _check_kind(kind)
     shapes: dict[str, tuple[int, ...]] = {
         "w": (N_CLASSES, max(cols.stop for cols in _FINAL_COLUMNS[kind].values())),
         "b": (N_CLASSES,),
     }
     if kind == "cross_attn_fcnn":
-        shapes.update(
-            wq=(TEXT_DIM, TEXT_DIM),
-            wk=(TEXT_DIM, TEXT_DIM),
-            wv=(TEXT_DIM, TEXT_DIM),
-            ln_gain=(TEXT_DIM,),
-            ln_bias=(TEXT_DIM,),
-        )
+        square, row = (TEXT_DIM, TEXT_DIM), (TEXT_DIM,)
+        shapes.update(wq=square, wk=square, wv=square, ln_gain=row, ln_bias=row)
     return shapes
 
 
@@ -183,8 +181,6 @@ class FusionModel:
     params: dict[str, np.ndarray]
 
     def __post_init__(self):
-        if self.kind not in HEAD_KINDS:
-            raise DomainError(f"unknown head kind {self.kind!r}, expected one of {HEAD_KINDS}")
         expected = expected_param_shapes(self.kind)
         if set(self.params) != set(expected):
             raise ShapeError(
@@ -205,8 +201,7 @@ def _batch_rows(kind: str, text: np.ndarray | None, image: np.ndarray | None) ->
     Every block the kind reads must be given; a block it does not read may
     be None.  Each given block must be [n, width], with one n for both.
     """
-    if kind not in HEAD_KINDS:
-        raise DomainError(f"unknown head kind {kind!r}, expected one of {HEAD_KINDS}")
+    _check_kind(kind)
     blocks = {"text": text, "image": image}
     for name in HEAD_INPUTS[kind]:
         if blocks[name] is None:
@@ -354,7 +349,7 @@ def logits_to_probs(logits) -> Tensor:
     return sigmoid(logits)
 
 
-def assign_label_matrix(probs: np.ndarray, threshold: float = 0.5) -> np.ndarray:
+def assign_label_matrix(probs: np.ndarray, threshold: float = LABEL_THRESHOLD) -> np.ndarray:
     """Per row of an [n, 18] probability array, pick every class above ``threshold``.
 
     A row with none falls back to its argmax, and ties resolve to the lowest
@@ -373,13 +368,13 @@ def assign_label_matrix(probs: np.ndarray, threshold: float = 0.5) -> np.ndarray
     return mask
 
 
-def assign_labels(probs: np.ndarray, threshold: float = 0.5) -> LabelVector:
+def assign_labels(probs: np.ndarray, threshold: float = LABEL_THRESHOLD) -> LabelVector:
     """:func:`assign_label_matrix` for one [18] probability array."""
     # a shape other than [18] fails there
     return assign_labels_batch(np.asarray(probs)[None], threshold)[0]
 
 
-def assign_labels_batch(probs: np.ndarray, threshold: float = 0.5) -> list[LabelVector]:
+def assign_labels_batch(probs: np.ndarray, threshold: float = LABEL_THRESHOLD) -> list[LabelVector]:
     return label_vectors(assign_label_matrix(probs, threshold))
 
 

@@ -340,7 +340,7 @@ def init_head_params(kind: str, seed: int) -> dict[str, np.ndarray]:
 
 
 def evaluate_model(model: FusionModel, data: EmbeddingDataset) -> float:
-    """Macro F1 of sigmoid predictions thresholded at 0.5 against the data's labels."""
+    """Macro F1 of sigmoid predictions thresholded at ``LABEL_THRESHOLD`` against the labels."""
     if data.labels is None:
         raise DatasetError("evaluation needs a labeled dataset")
     probs = logits_to_probs(predict_logits(model, data.text, data.image)).data

@@ -12,7 +12,8 @@ actual execution rather than against themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -162,6 +163,10 @@ class ScalingSpec:
     budget: float = 2.0
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise DomainError(f"ScalingSpec.{field.name} must be finite, got {value}")
         for name in ("d0", "w0", "r0"):
             if getattr(self, name) <= 0.0:
                 raise DomainError(f"ScalingSpec.{name} must be positive")

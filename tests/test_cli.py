@@ -15,6 +15,7 @@ from mmfusion.data_io import (
     EmbeddingDataset,
     load_dataset,
     read_embeddings,
+    read_label_matrix,
     save_dataset,
     save_model,
     write_embeddings,
@@ -269,6 +270,19 @@ class TestFlops:
         proc = run_cli("flops", "--phi", 1, "--groups", 3, "--m", 4, "--out", tmp_path / "f")
         assert proc.returncode == 2
         assert "--m, --groups" in proc.stderr
+        assert not (tmp_path / "f" / "flops.txt").exists()
+
+    @pytest.mark.parametrize("cost", [[], ["--dk", 3, "--m", 4, "--n", 8, "--df", 5]])
+    def test_scaling_flags_without_phi_rejected(self, cost, tmp_path):
+        proc = run_cli("flops", *cost, "--alpha", 9, "--budget", 7, "--out", tmp_path / "f")
+        assert proc.returncode == 2
+        assert "needs --phi alongside --alpha, --budget" in proc.stderr
+        assert not (tmp_path / "f" / "flops.txt").exists()
+
+    def test_non_finite_scaling_value_rejected(self, tmp_path):
+        proc = run_cli("flops", "--phi", 1, "--budget", "nan", "--out", tmp_path / "f")
+        assert proc.returncode == 2
+        assert "ScalingSpec.budget must be finite" in proc.stderr
         assert not (tmp_path / "f" / "flops.txt").exists()
 
 
@@ -632,6 +646,42 @@ class TestPredictAndFuse:
         proc = run_cli("fuse-logits", "--logits", pred / "logits.femb",
                        "--ids", pred / "ids.csv", "--out", tmp_path / "f")
         assert proc.returncode == 2
+
+
+class TestThreshold:
+    def test_higher_threshold_keeps_a_subset_of_each_label_set(
+        self, trained_dir, data_dir, pred_dir, tmp_path
+    ):
+        out = tmp_path / "high"
+        proc = run_cli("predict", "--model", trained_dir / "model.fus1",
+                       "--data", data_dir / "test", "--threshold", 0.9, "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        default_ids, default = read_label_matrix(pred_dir / "predictions.csv")
+        high_ids, high = read_label_matrix(out / "predictions.csv")
+        assert high_ids == default_ids
+        assert not (high & ~default).any()
+        assert high.sum() < default.sum()
+
+    def test_default_threshold_matches_the_flag_left_out(
+        self, trained_dir, data_dir, pred_dir, tmp_path
+    ):
+        out = tmp_path / "half"
+        proc = run_cli("predict", "--model", trained_dir / "model.fus1",
+                       "--data", data_dir / "test", "--threshold", 0.5, "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        for fname in ("predictions.csv", "logits.femb", "ids.csv"):
+            assert (out / fname).read_bytes() == (pred_dir / fname).read_bytes()
+
+    @pytest.mark.parametrize("command", ["predict", "fuse-logits"])
+    def test_threshold_outside_unit_interval_writes_nothing(
+        self, command, trained_dir, data_dir, pred_dir, tmp_path
+    ):
+        args = SUBCOMMAND_ARGS[command](data_dir, trained_dir / "model.fus1", pred_dir)
+        out = tmp_path / "o"
+        proc = run_cli(command, *args, "--threshold", 1.5, "--out", out)
+        assert proc.returncode == 2
+        assert "threshold must lie in [0, 1]" in proc.stderr
+        assert list(out.iterdir()) == []
 
 
 class TestPseudoLoop:

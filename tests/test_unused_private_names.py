@@ -6,10 +6,10 @@ next to them, so a refactor cannot leave a dead definition behind:
 * A ``_name`` bound at the top level of a ``src/mmfusion`` module must be
   loaded by some package module.  A private name that only tests read
   counts as dead.
-* A public function or class at the top level of a package module, and a
-  public method of such a class, must be read in the package, ``scripts/``
-  or ``perfbench/``.  An import does not read a name, so the re-exports in
-  ``__init__.py`` do not count.  The acceptance suite counts too, since it
+* A public function, class or constant at the top level of a package
+  module, and a public method of such a class, must be read in the
+  package, ``scripts/`` or ``perfbench/``.  An import does not read a name,
+  so the re-exports in ``__init__.py`` do not count.  The acceptance suite counts too, since it
   pins the names it uses.
 """
 
@@ -44,8 +44,8 @@ def is_private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__") and name != "_"
 
 
-def private_definitions(tree: ast.Module) -> dict[str, int]:
-    """Private name bound by each top-level def, class or assignment, mapped to its line."""
+def top_level_names(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each top-level def, class or assignment, mapped to its line."""
     names = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -55,8 +55,12 @@ def private_definitions(tree: ast.Module) -> dict[str, int]:
             bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
         else:
             continue
-        names.update((name, node.lineno) for name in bound if is_private(name))
+        names.update((name, node.lineno) for name in bound)
     return names
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    return {name: line for name, line in top_level_names(tree).items() if is_private(name)}
 
 
 def unread_private_names(sources: dict[str, str]) -> list[tuple[str, str, int]]:
@@ -105,13 +109,9 @@ def is_public(name: str) -> bool:
 
 
 def public_definitions(tree: ast.Module) -> dict[str, int]:
-    """Each public top-level function and class, and ``Class.method``, mapped to its line."""
-    names = {}
+    """Each public top-level function, class or constant, and ``Class.method``, to its line."""
+    names = {name: line for name, line in top_level_names(tree).items() if is_public(name)}
     for node in tree.body:
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        if is_public(node.name):
-            names[node.name] = node.lineno
         if isinstance(node, ast.ClassDef):
             names.update(
                 (f"{node.name}.{item.name}", item.lineno)
@@ -169,3 +169,19 @@ def test_checker_flags_a_name_only_tests_call():
         ("a.py", "Box.spare", 10),
         ("a.py", "orphan", 3),
     ]
+
+
+def test_checker_flags_a_constant_only_tests_read():
+    package = {
+        "a.py": (
+            "LIMIT = 3\n"
+            "WIDTH, SPARE = 1, 2\n"
+            "TABLE: dict = {}\n"
+            "__all__ = ['LIMIT']\n"
+            "def used():\n"
+            "    return LIMIT + WIDTH\n"
+        ),
+        "__init__.py": "from .a import SPARE, TABLE, used\n",
+    }
+    readers = dict(package, **{"script.py": "import a\na.used()\n"})
+    assert uncalled_public_names(package, readers) == [("a.py", "SPARE", 2), ("a.py", "TABLE", 3)]

@@ -1,5 +1,7 @@
 """Cost models, MAC-counted convolution forwards, compound scaling."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,6 +189,12 @@ class TestCompoundScale:
     def test_rates_below_one_rejected(self):
         with pytest.raises(DomainError):
             ScalingSpec(d0=1.0, w0=1.0, r0=1.0, alpha=0.9, beta=1.0, gamma=1.0, phi=1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", [f.name for f in fields(ScalingSpec)])
+    def test_non_finite_field_rejected(self, name, value):
+        with pytest.raises(DomainError, match=rf"ScalingSpec\.{name} must be finite"):
+            ScalingSpec(**{"phi": 1.0, name: value})
 
 
 class TestRandomSpecMacParity:

@@ -101,7 +101,7 @@ def _label_and_write(logits: np.ndarray, ids, truth, threshold: float, out: Path
 
     Scoring first means labels that cannot be scored leave ``out`` empty.
     """
-    preds = assign_label_matrix(logits_to_probs(logits).data, threshold=threshold)
+    preds = assign_label_matrix(logits_to_probs(logits), threshold=threshold)
     scores = {} if truth is None else _scores(preds, truth)
     write_embeddings(logits, out / "logits.femb")
     write_ids(ids, out / "ids.csv")
@@ -137,7 +137,7 @@ def cmd_train_head(args, out: Path) -> dict:
     best = result.history[result.best_epoch - 1]
     summary = {"epochs": len(result.history), "seed": config.seed}
     if val is not None:
-        probs = logits_to_probs(predict_logits(result.model, val.text, val.image)).data
+        probs = logits_to_probs(predict_logits(result.model, val.text, val.image))
         summary.update(_scores(assign_label_matrix(probs), val.labels))
     print(f"trained {args.kind}: best epoch {result.best_epoch}, val f1 {best.val_f1!r}")
     return summary
@@ -171,7 +171,7 @@ def cmd_fuse_logits(args, out: Path) -> dict:
     truth = None
     if args.labels:
         truth = rows_in_order(ids, *read_label_matrix(args.labels), args.labels)
-    scores = _label_and_write(fuse_logits(blocks).data, ids, truth, args.threshold, out)
+    scores = _label_and_write(fuse_logits(blocks), ids, truth, args.threshold, out)
     print(f"fused {len(args.logits)} logit sets over {len(ids)} samples")
     return scores
 

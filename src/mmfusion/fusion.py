@@ -19,14 +19,14 @@ widens what it reads to float64, which is exact.  The final layer reads
 each block through its own columns of ``w``, so ``[text; image]`` is never
 built: the concat head computes ``w[:, :128] @ text + w[:, 128:] @ image + b``.
 
-Ensembles average logits element-wise before thresholding.  Since every
-final layer is linear in its blocks, :func:`predict_fused_logits` gets that
-mean from one pass: it adds each head's weight columns, scaled by one over
-the head count, into the matching columns of one head (the set's
+Ensembles average logits element-wise before thresholding.  A fusion set
+names two or more distinct head kinds (:func:`check_fusion_set`).  Since
+every final layer is linear in its blocks, :func:`predict_fused_logits` gets
+a set's mean from one pass: it adds each head's weight columns, scaled by
+one over the head count, into the matching columns of one head (the set's
 cross-attention head, else the concat layout) and averages the biases, in
-float64.  A second
-cross-attention head has attention of its own and keeps its own pass.
-:func:`fuse_logits` averages logits already computed, such as logits files.
+float64.  :func:`fuse_logits` averages any logits already computed, such as
+logits files.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from .attention import AttentionParams, cross_attention
 from .errors import DomainError, LabelDomainError, NumericError, ShapeError
-from .tensor import Tensor, as_tensor, sigmoid
+from .tensor import Tensor, _sigmoid_values, as_tensor
 
 TEXT_DIM = 128
 IMAGE_DIM = 1792
@@ -291,20 +291,34 @@ def _run_head(kind: str, params: Mapping[str, np.ndarray], text, image) -> np.nd
     return out
 
 
-def _fold(models: Sequence[FusionModel]) -> list[tuple[str, dict[str, np.ndarray]]]:
-    """Heads whose logits sum to the mean of the models' logits, as ``(kind, params)``.
+def check_fusion_set(kinds) -> tuple[str, ...]:
+    """``kinds`` as a tuple, checked to be a fusion set: two or more distinct, known head kinds."""
+    if not isinstance(kinds, (list, tuple)) or not all(isinstance(k, str) for k in kinds):
+        raise DomainError(f"fusion_set must be a list or tuple of head kinds, got {kinds!r}")
+    unknown = [k for k in kinds if k not in HEAD_KINDS]
+    if unknown:
+        raise DomainError(f"unknown head kinds in fusion_set: {unknown}, expected kinds "
+                          f"from {HEAD_KINDS} or a set named one of {tuple(FUSION_SETS)}")
+    if len(kinds) < 2:
+        raise DomainError("fusion_set needs at least two head kinds")
+    if len(set(kinds)) != len(kinds):
+        raise DomainError(f"fusion_set repeats a head kind: {tuple(kinds)}")
+    return tuple(kinds)
 
-    Each final layer is linear in its blocks, so every head without
-    attention adds its weight columns, scaled by ``1 / len(models)``, into
-    the matching columns of one head: the first cross-attention head, or
-    else a ``concat_fcnn`` layout.  Every further cross-attention head
-    keeps its own scaled pass.  The folded arrays stay float64 and never
-    pass through :class:`FusionModel`, whose float32 quantize would move
-    the logits.
+
+def _fold(models: Sequence[FusionModel]) -> tuple[str, dict[str, np.ndarray]]:
+    """One head whose logits are the mean of a fusion set's logits, as ``(kind, params)``.
+
+    Each final layer is linear in its blocks, so every head adds its weight
+    columns into the matching columns of one head: the set's one
+    cross-attention head, folded last, or else a ``concat_fcnn`` layout.
+    The sums are scaled once by ``1 / len(models)``.  The folded arrays stay
+    float64 and never pass through :class:`FusionModel`, whose float32
+    quantize would move the logits.
     """
-    scale = 1.0 / len(models)
+    check_fusion_set([m.kind for m in models])
     cross = [m for m in models if m.kind == "cross_attn_fcnn"]
-    folded = [m for m in models if m.kind != "cross_attn_fcnn"] + cross[:1]
+    folded = [m for m in models if m.kind != "cross_attn_fcnn"] + cross
     kind = "cross_attn_fcnn" if cross else "concat_fcnn"
     columns = _FINAL_COLUMNS[kind]
     w = np.zeros(expected_param_shapes(kind)["w"])
@@ -312,41 +326,30 @@ def _fold(models: Sequence[FusionModel]) -> list[tuple[str, dict[str, np.ndarray
         for name, cols in _FINAL_COLUMNS[m.kind].items():
             w[:, columns[name]] += m.params["w"][:, cols]
     b = sum(m.params["b"] for m in folded)
-    head = {**(cross[0].params if cross else {}), "w": w * scale, "b": b * scale}
-    return [(kind, head)] + [
-        (m.kind, {**m.params, "w": m.params["w"] * scale, "b": m.params["b"] * scale})
-        for m in cross[1:]
-    ]
+    scale = 1.0 / len(models)
+    return kind, {**(cross[0].params if cross else {}), "w": w * scale, "b": b * scale}
 
 
 def predict_fused_logits(models: Sequence[FusionModel], text, image) -> np.ndarray:
-    """The mean of two or more heads' logits, from one folded pass per attention head.
-
-    Each pass of :func:`_fold` runs through the blocks of :func:`predict_logits`.
-    """
-    if len(models) < 2:
-        raise DomainError(f"fusion needs at least two models, got {len(models)}")
-    return sum(_run_head(kind, params, text, image) for kind, params in _fold(models))
+    """The mean of a fusion set's logits: one :func:`predict_logits` pass of its folded head."""
+    return _run_head(*_fold(models), text, image)
 
 
-def fuse_logits(logit_sets: Sequence) -> Tensor:
-    """Element-wise mean of two or more aligned logit tensors."""
+def fuse_logits(logit_sets: Sequence) -> np.ndarray:
+    """Element-wise mean of two or more aligned logit arrays, widened to float64."""
     if len(logit_sets) < 2:
         raise DomainError(f"fusion needs at least two logit sets, got {len(logit_sets)}")
-    ts = [as_tensor(t) for t in logit_sets]
-    shape = ts[0].shape
-    for t in ts[1:]:
-        if t.shape != shape:
-            raise ShapeError(f"logit shapes differ: {shape} vs {t.shape}")
-    total = ts[0]
-    for t in ts[1:]:
-        total = total + t
-    return total * (1.0 / len(ts))
+    arrays = [np.asarray(a, dtype=np.float64) for a in logit_sets]
+    shape = arrays[0].shape
+    for a in arrays[1:]:
+        if a.shape != shape:
+            raise ShapeError(f"logit shapes differ: {shape} vs {a.shape}")
+    return sum(arrays[1:], arrays[0]) * (1.0 / len(arrays))
 
 
-def logits_to_probs(logits) -> Tensor:
-    """Independent per-class probabilities: the sigmoid of each logit."""
-    return sigmoid(logits)
+def logits_to_probs(logits) -> np.ndarray:
+    """Independent per-class probabilities: the sigmoid of each logit, in float64."""
+    return _sigmoid_values(np.asarray(logits, dtype=np.float64))
 
 
 def assign_label_matrix(probs: np.ndarray, threshold: float = LABEL_THRESHOLD) -> np.ndarray:

@@ -149,8 +149,6 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     )
     if squeezed:
         grad = grad.sum(axis=squeezed, keepdims=True)
-    if grad.shape != tuple(shape):
-        grad = np.asarray(grad).reshape(shape)
     return grad
 
 

@@ -31,13 +31,13 @@ from .errors import (
 from .fusion import (
     FUSION_SETS,
     HEAD_INPUTS,
-    HEAD_KINDS,
     N_CLASSES,
     TEXT_DIM,
     FusionModel,
     LabelVector,
     assign_label_matrix,
     assign_labels_batch,
+    check_fusion_set,
     expected_param_shapes,
     head_forward_batch,
     label_vectors,
@@ -148,8 +148,7 @@ def _parse_number(key: str, raw: str, convert: type):
     try:
         return convert(raw)
     except ValueError:
-        noun = "a number" if convert is float else "an integer"
-        raise DomainError(f"{key} must be {noun}, got {raw!r}") from None
+        raise DomainError(f"{key} must be {_FIELD_TYPES[convert][1]}, got {raw!r}") from None
 
 
 # the type a TrainConfig field accepts and its name, by the type of the field's default;
@@ -190,15 +189,7 @@ class TrainConfig:
             raise DomainError(f"patience must be >= 0, got {self.patience}")
         if self.seed < 0:  # numpy's generators take no negative seed
             raise DomainError(f"seed must be >= 0, got {self.seed}")
-        kinds = tuple(self.fusion_set)
-        if len(kinds) < 2:
-            raise DomainError("fusion_set needs at least two head kinds")
-        if len(set(kinds)) != len(kinds):
-            raise DomainError(f"fusion_set repeats a head kind: {kinds}")
-        unknown = [k for k in kinds if k not in HEAD_KINDS]
-        if unknown:
-            raise DomainError(f"unknown head kinds in fusion_set: {unknown}")
-        object.__setattr__(self, "fusion_set", kinds)
+        object.__setattr__(self, "fusion_set", check_fusion_set(self.fusion_set))
 
     @staticmethod
     def parse_value(key: str, raw: str):
@@ -343,7 +334,7 @@ def evaluate_model(model: FusionModel, data: EmbeddingDataset) -> float:
     """Macro F1 of sigmoid predictions thresholded at ``LABEL_THRESHOLD`` against the labels."""
     if data.labels is None:
         raise DatasetError("evaluation needs a labeled dataset")
-    probs = logits_to_probs(predict_logits(model, data.text, data.image)).data
+    probs = logits_to_probs(predict_logits(model, data.text, data.image))
     return macro_f1(confusion_counts(assign_label_matrix(probs), data.labels))
 
 
@@ -469,7 +460,7 @@ def fused_val_f1(models: Mapping[str, FusionModel], data: EmbeddingDataset) -> f
 
 def fused_probs(models: Mapping[str, FusionModel], data: EmbeddingDataset) -> np.ndarray:
     """Sigmoid probabilities of the heads' mean-fused logits, [n, 18], from folded heads."""
-    return logits_to_probs(predict_fused_logits(list(models.values()), data.text, data.image)).data
+    return logits_to_probs(predict_fused_logits(list(models.values()), data.text, data.image))
 
 
 def fused_predictions(

@@ -270,28 +270,26 @@ class TestFuseLogits:
     def test_mean_of_two(self):
         a = np.zeros(N_CLASSES)
         b = np.full(N_CLASSES, 2.0)
-        np.testing.assert_array_equal(fuse_logits([a, b]).data, np.ones(N_CLASSES))
+        np.testing.assert_array_equal(fuse_logits([a, b]), np.ones(N_CLASSES))
 
     def test_duplicate_input_is_identity(self, rng):
         x = rng.standard_normal(N_CLASSES)
-        np.testing.assert_array_equal(fuse_logits([x, x]).data, x)
+        np.testing.assert_array_equal(fuse_logits([x, x]), x)
 
     def test_matches_sum_oracle(self, rng):
         xs = [rng.standard_normal(N_CLASSES) for _ in range(3)]
         expected = (xs[0] + xs[1] + xs[2]) / 3.0
-        np.testing.assert_allclose(fuse_logits(xs).data, expected, atol=1e-15)
+        np.testing.assert_allclose(fuse_logits(xs), expected, atol=1e-15)
 
     def test_permutation_invariant(self, rng):
         xs = [rng.standard_normal(N_CLASSES) for _ in range(2)]
-        np.testing.assert_allclose(
-            fuse_logits(xs).data, fuse_logits(xs[::-1]).data, atol=1e-15
-        )
+        np.testing.assert_allclose(fuse_logits(xs), fuse_logits(xs[::-1]), atol=1e-15)
 
     def test_shift_equivariance(self, rng):
         a, b = rng.standard_normal((2, N_CLASSES))
         c = 0.75
         np.testing.assert_allclose(
-            fuse_logits([a + c, b + c]).data, fuse_logits([a, b]).data + c, atol=1e-12
+            fuse_logits([a + c, b + c]), fuse_logits([a, b]) + c, atol=1e-12
         )
 
     def test_single_member_rejected(self, rng):
@@ -302,12 +300,22 @@ class TestFuseLogits:
         with pytest.raises(ShapeError):
             fuse_logits([np.zeros(N_CLASSES), np.zeros(N_CLASSES - 1)])
 
+    def test_float64_array_out_and_float32_in_widens_exactly(self, rng):
+        xs = [rng.standard_normal((5, N_CLASSES)).astype(np.float32) for _ in range(3)]
+        got = fuse_logits(xs)
+        assert type(got) is np.ndarray and got.dtype == np.float64
+        assert got.tobytes() == fuse_logits([x.astype(np.float64) for x in xs]).tobytes()
+
 
 class TestLogitsToProbs:
     def test_zero_logits_sigmoid(self):
-        np.testing.assert_array_equal(
-            logits_to_probs(np.zeros(N_CLASSES)).data, np.full(N_CLASSES, 0.5)
-        )
+        np.testing.assert_array_equal(logits_to_probs(np.zeros(N_CLASSES)), np.full(N_CLASSES, 0.5))
+
+    def test_float64_array_out_and_float32_in_widens_exactly(self, rng):
+        z = (rng.standard_normal((5, N_CLASSES)) * 8).astype(np.float32)
+        got = logits_to_probs(z)
+        assert type(got) is np.ndarray and got.dtype == np.float64
+        assert got.tobytes() == logits_to_probs(z.astype(np.float64)).tobytes()
 
 
 class TestAssignLabels:

@@ -24,7 +24,6 @@ from mmfusion.fusion import (
     logits_to_probs,
     predict_logits,
 )
-from mmfusion.metrics import confusion_counts, macro_f1
 from mmfusion.tensor import Tensor, grad_check
 from mmfusion.training import (
     ADAM_EPS,
@@ -240,6 +239,9 @@ class TestTrainConfig:
         dict(patience=True),
         dict(lr="0.1"),
         dict(lr=True),
+        dict(fusion_set=None),
+        dict(fusion_set=5),
+        dict(fusion_set="fm1"),
     ])
     def test_wrong_types_rejected_naming_the_field(self, kwargs):
         (name,) = kwargs
@@ -264,6 +266,15 @@ class TestTrainConfig:
         assert cfg.batch_size == 32
         assert cfg.class_weighting is False
         assert cfg.fusion_set == ("vision_linear", "text_linear", "concat_fcnn")
+
+    def test_unknown_fusion_set_name_is_named(self, tmp_path):
+        path = tmp_path / "train.cfg"
+        path.write_text("fusion_set = fm9\n")
+        for make in (lambda: TrainConfig().with_overrides({"fusion_set": "fm9"}),
+                     lambda: TrainConfig.from_file(path)):
+            with pytest.raises(DomainError, match="'fm9'") as err:
+                make()
+            assert all(name in str(err.value) for name in (*HEAD_KINDS, *FUSION_SETS))
 
     def test_named_fusion_sets_resolve(self):
         for name, kinds in FUSION_SETS.items():
@@ -577,37 +588,31 @@ def random_pool(rng: np.random.Generator, n: int, labeled: bool = False) -> Embe
     )
 
 
-FOLD_CASES = {
-    **FUSION_SETS,
-    "two_cross": ("cross_attn_fcnn", "cross_attn_fcnn", "text_linear"),
-    "two_vision": ("vision_linear", "vision_linear"),
-    "two_text": ("text_linear", "text_linear"),
-}
-
-
-def fold_models(case: str, rng: np.random.Generator) -> dict[str, FusionModel]:
-    return {f"{kind}_{i}": random_model(kind, rng) for i, kind in enumerate(FOLD_CASES[case])}
+def fold_models(name: str, rng: np.random.Generator) -> dict[str, FusionModel]:
+    return {kind: random_model(kind, rng) for kind in FUSION_SETS[name]}
 
 
 class TestFusedProbs:
-    @pytest.mark.parametrize("case", FOLD_CASES)
+    @pytest.mark.parametrize("case", FUSION_SETS)
     def test_folded_heads_match_mean_of_per_head_logits(self, case):
         rng = np.random.default_rng(31)
         models = fold_models(case, rng)
         pool = random_pool(rng, 600)
         mean = fuse_logits([predict_logits(m, pool.text, pool.image) for m in models.values()])
-        want = logits_to_probs(mean).data
+        want = logits_to_probs(mean)
         got = fused_probs(models, pool)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
         np.testing.assert_array_equal(assign_label_matrix(got), assign_label_matrix(want))
 
-    def test_fused_val_f1_over_two_cross_heads(self):
+    @pytest.mark.parametrize("kinds", [
+        ("cross_attn_fcnn", "cross_attn_fcnn", "text_linear"),
+        ("vision_linear", "vision_linear"),
+    ], ids=["two_cross", "two_vision"])
+    def test_repeated_head_kind_rejected(self, kinds):
         rng = np.random.default_rng(32)
-        models = fold_models("two_cross", rng)
-        val = random_pool(rng, 300, labeled=True)
-        mean = fuse_logits([predict_logits(m, val.text, val.image) for m in models.values()])
-        want = macro_f1(confusion_counts(assign_label_matrix(logits_to_probs(mean).data), val.labels))
-        assert fused_val_f1(models, val) == want
+        models = {f"{kind}_{i}": random_model(kind, rng) for i, kind in enumerate(kinds)}
+        with pytest.raises(DomainError, match="repeats a head kind"):
+            fused_probs(models, random_pool(rng, 4))
 
     def test_single_model_rejected(self):
         rng = np.random.default_rng(33)

@@ -5,7 +5,17 @@ let the pseudo-label loop try to win them back."""
 import argparse
 
 from mmfusion.data_io import gen_synthetic
+from mmfusion.errors import DomainError
+from mmfusion.fusion import check_fusion_set
 from mmfusion.training import TrainConfig, pseudo_label_loop
+
+
+def fusion_set(raw: str) -> tuple[str, ...]:
+    """A named fusion set or comma-separated head kinds, checked before any work."""
+    try:
+        return check_fusion_set(TrainConfig.parse_value("fusion_set", raw))
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def main() -> None:
@@ -18,22 +28,26 @@ def main() -> None:
                     help="fraction of the training split stripped of labels")
     ap.add_argument("--max-rounds", type=int, default=5)
     ap.add_argument("--eps", type=float, default=1e-4)
-    ap.add_argument("--fusion-set", default="fm1",
+    ap.add_argument("--fusion-set", type=fusion_set, default="fm1",
                     help="comma-separated head kinds or a named set (fm1/fm2/fm3)")
     args = ap.parse_args()
+    # the generator makes n_train rows; the labeled part and the pool both need some
+    cut = int(args.n_train * (1.0 - args.withheld)) if 0.0 < args.withheld < 1.0 else 0
+    if not 0 < cut < args.n_train:
+        ap.error(f"--withheld {args.withheld} must lie strictly between 0 and 1 and leave rows "
+                 f"both labeled and withheld out of {args.n_train} training rows")
 
     train, _, val = gen_synthetic(
         seed=args.seed, n_train=args.n_train, n_test=1, n_val=args.n_val,
         noise=args.noise,
     )
-    cut = int(len(train) * (1.0 - args.withheld))
     labeled = train.subset(range(cut))
     pool = train.subset(range(cut, len(train))).without_labels()
     print(f"{len(labeled)} labeled / {len(pool)} withheld / {len(val)} validation")
 
     config = TrainConfig(
         lr=1e-2, max_epochs=25, patience=5, seed=args.seed,
-        fusion_set=TrainConfig.parse_value("fusion_set", args.fusion_set),
+        fusion_set=args.fusion_set,
     )
     result = pseudo_label_loop(
         labeled, pool, val, config, max_rounds=args.max_rounds, eps=args.eps,

@@ -112,13 +112,15 @@ class Tensor:
         return _node(np.swapaxes(self.data, -1, -2), (self, lambda g: np.swapaxes(g, -1, -2)))
 
     def slice_last(self, start: int, stop: int) -> "Tensor":
-        """Columns ``start:stop`` of the last axis, as a view.
+        """Columns ``start:stop`` of the last axis, as a view; the full width is ``self``.
 
         Backward pads the gradient with zeros back to the full width.
         """
         width = self.shape[-1] if self.ndim else 0
         if not 0 <= start < stop <= width:
             raise ShapeError(f"slice_last({start}, {stop}) is outside a last axis of {width}")
+        if stop - start == width:
+            return self
         src = self.data.shape
 
         def pull(g: Array) -> Array:
@@ -178,13 +180,22 @@ def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
-    return _binary(
-        a,
-        b,
-        np.matmul,
-        lambda g, x, y: g @ np.swapaxes(y, -1, -2),
-        lambda g, x, y: np.swapaxes(x, -1, -2) @ g,
-    )
+    return _binary(a, b, np.matmul, lambda g, x, y: g @ np.swapaxes(y, -1, -2), _pull_right)
+
+
+def _pull_right(g: Array, x: Array, y: Array) -> Array:
+    """The gradient of ``y`` in ``x @ y``, laid out as ``y``.
+
+    A transposed 2-D weight view (unit stride down its rows) gets
+    ``(g.T @ x).T``, so the weight behind it receives a C-contiguous
+    gradient; any other ``y`` gets ``x.T @ g``.  Both forms multiply the
+    same pairs, and with the BLAS kernels tried they also sum them in the
+    same order; ``scripts/fingerprint.py --against`` shows whether a host
+    keeps the bits.
+    """
+    if x.ndim == 2 and y.ndim == 2 and y.strides[0] == y.itemsize:
+        return (g.T @ x).T
+    return np.swapaxes(x, -1, -2) @ g
 
 
 def relu(x) -> Tensor:
@@ -204,13 +215,11 @@ def relu6(x) -> Tensor:
 
 
 def _sigmoid_values(d: Array) -> Array:
-    # branch on sign so exp never overflows
-    out = np.empty_like(d)
-    pos = d >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of minus the magnitude never overflows: 1/(1+e^-d) at d >= 0, e^d/(1+e^d) below;
+    # np.minimum returns d itself where d is NaN, so a NaN keeps its sign
+    ex = np.exp(np.minimum(d, -d))
+    den = 1.0 + ex
+    return np.where(d >= 0.0, 1.0 / den, ex / den)
 
 
 def sigmoid(x) -> Tensor:

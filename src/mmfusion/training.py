@@ -116,10 +116,12 @@ def weighted_bce_loss(logits: np.ndarray, targets, weights) -> tuple[float, np.n
         raise ShapeError(f"logits must be [batch, {N_CLASSES}], got {z.shape}")
     if z.shape[0] < 1:
         raise DomainError("loss needs at least one sample")
-    y = np.asarray(targets, dtype=np.float64)
+    targets = np.asarray(targets)
+    y = targets.astype(np.float64, copy=False)
     if y.shape != z.shape:
         raise ShapeError(f"targets shape {y.shape} does not match logits {z.shape}")
-    if ((y != 0.0) & (y != 1.0)).any():
+    # bool targets, the label matrix's own dtype, are 0/1 by construction
+    if targets.dtype != bool and ((y != 0.0) & (y != 1.0)).any():
         raise DomainError("targets must be 0/1 indicators")
     if not np.isfinite(z).all():
         raise NumericError("logits contain non-finite values")
@@ -269,12 +271,22 @@ def adam_step(
 ) -> tuple[dict[str, np.ndarray], AdamState]:
     """One bias-corrected Adam update at ``config.lr``; inputs are not mutated.
 
+    Each tensor takes four parameter-sized arrays: the new first moment
+    ``m``, the new second moment ``v``, the new value (built in place of
+    the step) and one scratch array that holds ``(1 - beta1) * g``, then
+    ``(1 - beta2) * g * g``, then ``sqrt(v / c2) + eps``.  With ``c1`` and
+    ``c2`` the bias corrections ``1 - beta**t``, the new value is
+    ``p - (lr * (m / c1)) / (sqrt(v / c2) + eps)``, each operation in that
+    order, so the result has the bits of the plain expression.
+
     Raises :class:`NumericError` as soon as a moment or a parameter stops
     being finite, e.g. when the squared gradient overflows.
     """
     if set(params) != set(state.m):
         raise ShapeError("optimizer state does not cover the parameter set")
     t = state.step + 1
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     new_params: dict[str, np.ndarray] = {}
     new_m: dict[str, np.ndarray] = {}
     new_v: dict[str, np.ndarray] = {}
@@ -284,11 +296,20 @@ def adam_step(
         if g.shape != p.shape:
             raise ShapeError(f"gradient for {name!r} has shape {g.shape}, parameter {p.shape}")
         with np.errstate(over="ignore", invalid="ignore"):
-            m = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-            v = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
-            m_hat = m / (1.0 - ADAM_BETA1**t)
-            v_hat = v / (1.0 - ADAM_BETA2**t)
-            new_p = p - config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            scratch = np.multiply(g, 1.0 - ADAM_BETA1)
+            m = np.multiply(state.m[name], ADAM_BETA1)
+            m += scratch
+            np.multiply(g, 1.0 - ADAM_BETA2, out=scratch)
+            scratch *= g
+            v = np.multiply(state.v[name], ADAM_BETA2)
+            v += scratch
+            step = np.divide(m, c1)
+            step *= config.lr
+            np.divide(v, c2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += ADAM_EPS
+            step /= scratch
+            new_p = np.subtract(p, step, out=step)
         # a non-finite first moment leaves the new value non-finite as well
         if not (np.isfinite(v).all() and np.isfinite(new_p).all()):
             raise NumericError(f"Adam step {t}: the moments or values of {name!r} are not finite")
@@ -487,10 +508,11 @@ def pseudo_label_loop(
     """Self-training: label the unlabeled pool with the fused heads, retrain,
     keep going while fused validation F1 improves by more than ``eps``.
 
-    Every round rebuilds the merged training set from the original labeled
-    split plus fresh pseudo-labels, so stale pseudo-labels never accumulate
-    and no id is ever duplicated.  Labels the pool may carry are never read.
-    The result is the best round's state.
+    Every round labels the merged training set afresh, with the original
+    labels of the labeled split plus new pseudo-labels, so stale
+    pseudo-labels never accumulate and no id is ever duplicated; the
+    embeddings of the two splits are joined once.  Labels the pool may
+    carry are never read.  The result is the best round's state.
     """
     if max_rounds < 0:
         raise DomainError(f"max_rounds must be >= 0, got {max_rounds}")
@@ -511,9 +533,10 @@ def pseudo_label_loop(
     best_round = 0
     best_f1 = f1
 
+    joined = train.without_labels().merge(test_unlabeled.without_labels())  # train then pool
     for round_index in range(1, max_rounds + 1):
         pseudo = assign_label_matrix(fused_probs(best_models, test_unlabeled))
-        merged = train.merge(replace(test_unlabeled, labels=pseudo))
+        merged = replace(joined, labels=np.concatenate([train.labels, pseudo]))
         models, f1 = _train_fusion_heads(merged, val, config)
         history.append(RoundRecord(round=round_index, val_f1=f1))
         if f1 > best_f1 + eps:

@@ -190,6 +190,18 @@ class TestHeadForward:
         sample = list(np.random.default_rng(0).choice(128 * 128, size=24, replace=False))
         assert grad_check(f, base["wq"], coords=sample) < 1e-4
 
+    @pytest.mark.parametrize("kind", ["vision_linear", "text_linear", "concat_fcnn"])
+    def test_final_weight_gradient_keeps_the_weight_layout(self, kind, rng):
+        leaves = {name: Tensor(rng.standard_normal(shape) * 0.2, requires_grad=True)
+                  for name, shape in expected_param_shapes(kind).items()}
+        text, image = make_batch(rng, 64)
+        g = rng.standard_normal((64, N_CLASSES))
+        (head_forward_batch(kind, leaves, text, image) * Tensor(g)).sum().backward()
+        blocks = {"text": text, "image": image}
+        x = np.concatenate([blocks[name] for name in HEAD_INPUTS[kind]], axis=1)
+        assert leaves["w"].grad.flags.c_contiguous
+        np.testing.assert_allclose(leaves["w"].grad, (x.T @ g).T, rtol=1e-12)
+
 
 class TestPredictBlocks:
     @pytest.mark.parametrize("kind", HEAD_KINDS)

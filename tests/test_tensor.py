@@ -96,6 +96,17 @@ class TestActivations:
         assert out[1] == 1.0 or (1.0 - out[1]) < 1e-300
         assert np.all(np.isfinite(out))
 
+    def test_sigmoid_matches_the_masked_two_branch_form(self):
+        # reference: each sign's branch computed on its own elements only
+        d = np.concatenate([[0.0, -0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0),
+                             800.0, -800.0], np.linspace(-40.0, 40.0, 801)])
+        expected = np.empty_like(d)
+        pos = d >= 0.0
+        expected[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+        ex = np.exp(d[~pos])
+        expected[~pos] = ex / (1.0 + ex)
+        assert sigmoid(Tensor(d)).data.tobytes() == expected.tobytes()
+
     def test_relu6_clips(self):
         out = relu6(Tensor(np.array([7.0, -1.0, 3.0]))).data
         np.testing.assert_array_equal(out, [6.0, 0.0, 3.0])
@@ -216,6 +227,12 @@ class TestAutodiffPlumbing:
         np.testing.assert_array_equal(part.data, [[1.0, 2.0], [6.0, 7.0]])
         (part * Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))).sum().backward()
         np.testing.assert_array_equal(x.grad, [[0, 1, 2, 0, 0], [0, 3, 4, 0, 0]])
+
+    def test_full_width_slice_is_the_tensor_itself(self):
+        x = Tensor(np.arange(10.0).reshape(2, 5), requires_grad=True)
+        assert x.slice_last(0, 5) is x
+        (x.slice_last(0, 5) * Tensor(np.full((2, 5), 3.0))).sum().backward()
+        np.testing.assert_array_equal(x.grad, np.full((2, 5), 3.0))
 
     def test_slice_last_is_a_view(self):
         x = Tensor(np.zeros((2, 5)))

@@ -26,6 +26,8 @@ from mmfusion.fusion import (
 )
 from mmfusion.tensor import Tensor, grad_check
 from mmfusion.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
     ADAM_EPS,
     TrainConfig,
     adam_step,
@@ -130,6 +132,16 @@ class TestWeightedBce:
         loss, grad = weighted_bce_loss(z, y, 2.0 * uniform_weights())
         assert loss == pytest.approx(2.0 * N_CLASSES * LN2, rel=1e-14)
         np.testing.assert_allclose(grad, -1.0, rtol=1e-14)
+
+    def test_bool_targets_give_the_bytes_of_their_float_copy(self):
+        rng = np.random.default_rng(6)
+        z = rng.standard_normal((9, N_CLASSES)) * 4.0
+        y = rng.random((9, N_CLASSES)) < 0.3
+        w = 1.0 + rng.random(N_CLASSES)
+        loss, grad = weighted_bce_loss(z, y, w)
+        float_loss, float_grad = weighted_bce_loss(z, y.astype(np.float64), w)
+        assert loss == float_loss
+        assert grad.tobytes() == float_grad.tobytes()
 
     def test_matches_naive_formula(self):
         rng = np.random.default_rng(5)
@@ -376,6 +388,37 @@ class TestAdam:
         np.testing.assert_array_equal(state.m["w"], np.zeros(3))
         assert state.step == 0
 
+    def test_trajectory_has_the_bits_of_the_plain_expression(self):
+        rng = np.random.default_rng(4)
+        cfg = TrainConfig(lr=1e-2)
+        p = rng.standard_normal((3, 5))
+        params, state = {"w": p}, init_adam_state({"w": p})
+        m = v = np.zeros_like(p)
+        for t in range(1, 31):
+            g = rng.standard_normal((3, 5)) * 10.0 ** rng.integers(-4, 5)
+            params, state = adam_step(params, {"w": g}, state, cfg)
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+            p = p - cfg.lr * (m / (1.0 - ADAM_BETA1**t)) / (np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
+            assert params["w"].tobytes() == p.tobytes()
+            assert state.m["w"].tobytes() == m.tobytes() and state.v["w"].tobytes() == v.tobytes()
+
+    def test_traced_peak_stays_near_four_parameter_sized_arrays(self):
+        # the new m, v and value, one scratch array, and the bool masks of the finiteness check
+        rng = np.random.default_rng(5)
+        params = {"w": rng.standard_normal((N_CLASSES, 1920))}
+        grads = {"w": rng.standard_normal((N_CLASSES, 1920))}
+        params, state = adam_step(params, grads, init_adam_state(params), TrainConfig())
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            adam_step(params, grads, state, TrainConfig())
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * params["w"].nbytes
+
     def test_shape_mismatch_rejected(self):
         params = {"w": np.ones(3)}
         with pytest.raises(ShapeError):
@@ -524,6 +567,17 @@ class TestPseudoLabelLoop:
             assert all(not lv.is_empty for lv in result.pseudo_labels.values())
         else:
             assert result.pseudo_labels == {}
+
+    def test_train_and_pool_are_merged_once(self, monkeypatch):
+        train, test, val = small_splits(seed=23, n_train=96, n_test=48, n_val=48, noise=0.3)
+        merged = []
+        merge = EmbeddingDataset.merge
+        monkeypatch.setattr(EmbeddingDataset, "merge",
+                            lambda self, other: merged.append(other) or merge(self, other))
+        cfg = TrainConfig(lr=1e-2, max_epochs=2, patience=3, batch_size=32)
+        result = pseudo_label_loop(train, test.without_labels(), val, cfg, max_rounds=2)
+        assert len(result.history) == 3  # round 2 trained on round 1's merged rows
+        assert len(merged) == 1
 
     def test_bad_stopping_settings_rejected(self):
         train, test, val = small_splits(n_train=48, n_test=24, n_val=24)

@@ -10,6 +10,7 @@ import argparse
 import time
 
 from mmfusion.data_io import gen_synthetic
+from mmfusion.errors import DatasetError, DomainError
 from mmfusion.fusion import FUSION_SETS, HEAD_KINDS
 from mmfusion.training import TrainConfig, evaluate_model, fused_val_f1, train_head
 
@@ -25,15 +26,19 @@ def main() -> None:
     ap.add_argument("--patience", type=int, default=6)
     args = ap.parse_args()
 
-    # the generator insists on a non-empty test split; this run never reads it
-    train, _, val = gen_synthetic(
-        seed=args.seed, n_train=args.n_train, n_test=1, n_val=args.n_val,
-        noise=args.noise,
-    )
-    config = TrainConfig(
-        lr=args.lr, max_epochs=args.max_epochs, patience=args.patience,
-        seed=args.seed,
-    )
+    # both check every value before any work, so a refusal is a usage error
+    try:
+        config = TrainConfig(
+            lr=args.lr, max_epochs=args.max_epochs, patience=args.patience,
+            seed=args.seed,
+        )
+        # the generator insists on a non-empty test split; this run never reads it
+        train, _, val = gen_synthetic(
+            seed=args.seed, n_train=args.n_train, n_test=1, n_val=args.n_val,
+            noise=args.noise,
+        )
+    except (DatasetError, DomainError) as exc:
+        ap.error(str(exc))
 
     models = {}
     print(f"training {len(HEAD_KINDS)} heads on {len(train)} samples")

@@ -5,9 +5,9 @@ let the pseudo-label loop try to win them back."""
 import argparse
 
 from mmfusion.data_io import gen_synthetic
-from mmfusion.errors import DomainError
+from mmfusion.errors import DatasetError, DomainError
 from mmfusion.fusion import check_fusion_set
-from mmfusion.training import TrainConfig, pseudo_label_loop
+from mmfusion.training import TrainConfig, _check_stopping, pseudo_label_loop
 
 
 def fusion_set(raw: str) -> tuple[str, ...]:
@@ -37,18 +37,23 @@ def main() -> None:
         ap.error(f"--withheld {args.withheld} must lie strictly between 0 and 1 and leave rows "
                  f"both labeled and withheld out of {args.n_train} training rows")
 
-    train, _, val = gen_synthetic(
-        seed=args.seed, n_train=args.n_train, n_test=1, n_val=args.n_val,
-        noise=args.noise,
-    )
+    # each checks every value before any work, so a refusal is a usage error
+    try:
+        config = TrainConfig(
+            lr=1e-2, max_epochs=25, patience=5, seed=args.seed,
+            fusion_set=args.fusion_set,
+        )
+        _check_stopping(args.max_rounds, args.eps)
+        train, _, val = gen_synthetic(
+            seed=args.seed, n_train=args.n_train, n_test=1, n_val=args.n_val,
+            noise=args.noise,
+        )
+    except (DatasetError, DomainError) as exc:
+        ap.error(str(exc))
     labeled = train.subset(range(cut))
     pool = train.subset(range(cut, len(train))).without_labels()
     print(f"{len(labeled)} labeled / {len(pool)} withheld / {len(val)} validation")
 
-    config = TrainConfig(
-        lr=1e-2, max_epochs=25, patience=5, seed=args.seed,
-        fusion_set=args.fusion_set,
-    )
     result = pseudo_label_loop(
         labeled, pool, val, config, max_rounds=args.max_rounds, eps=args.eps,
     )

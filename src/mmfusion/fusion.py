@@ -12,6 +12,9 @@ Four head kinds map an embedding pair to 18 logits:
 * ``cross_attn_fcnn`` the text vector queries the 14 image tokens through
   cross-attention; logits = w @ [attended; text; image] + b
 
+One table, ``_FINAL_COLUMNS``, gives each kind's blocks in weight-column
+order.  Parameter shapes and starts (a zero final layer, plus cross-attention
+for a kind that reads ``attended``), the forward pass and the fold read it.
 Each kind reads only its own embedding blocks (:data:`HEAD_INPUTS`), and
 may be handed ``None`` for a block it does not read.  A block may arrive at
 any float precision, such as the float32 of the embedding files; a head
@@ -23,14 +26,15 @@ Ensembles average logits element-wise before thresholding.  A fusion set
 names two or more distinct head kinds (:func:`check_fusion_set`).  Since
 every final layer is linear in its blocks, :func:`predict_fused_logits` gets
 a set's mean from one pass: it adds each head's weight columns, scaled by
-one over the head count, into the matching columns of one head (the set's
-cross-attention head, else the concat layout) and averages the biases, in
-float64.  :func:`fuse_logits` averages any logits already computed, such as
-logits files.
+one over the head count, into the matching columns of the first kind that
+reads every block of the set, and averages the biases, in float64.
+:func:`fuse_logits` averages any logits already computed, such as logits
+files.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -70,6 +74,19 @@ _FINAL_COLUMNS = {
     "concat_fcnn": _columns("text", "image"),
     "cross_attn_fcnn": _columns("attended", "text", "image"),
 }
+
+# each kind's parameters in draw order, each a shape and a start (a fill, or a standard-normal
+# draw at a scale): a zero final layer, then cross-attention if the kind reads the attended block
+_Param = namedtuple("_Param", "shape fill scale", defaults=(0.0, None))
+_ATTENTION_PARAMS = {
+    **dict.fromkeys(("wq", "wk", "wv"), _Param((TEXT_DIM, TEXT_DIM), scale=1.0 / np.sqrt(TEXT_DIM))),
+    "ln_gain": _Param((TEXT_DIM,), fill=1.0),
+    "ln_bias": _Param((TEXT_DIM,)),
+}
+_PARAMS = {kind: {"w": _Param((N_CLASSES, max(c.stop for c in columns.values()))),
+                  "b": _Param((N_CLASSES,)),
+                  **(_ATTENTION_PARAMS if "attended" in columns else {})}
+           for kind, columns in _FINAL_COLUMNS.items()}
 
 HEAD_KINDS = tuple(_FINAL_COLUMNS)
 
@@ -159,14 +176,15 @@ def _check_kind(kind: str) -> None:
 def expected_param_shapes(kind: str) -> dict[str, tuple[int, ...]]:
     """Parameter table for one head kind; final layer weights are [18, input]."""
     _check_kind(kind)
-    shapes: dict[str, tuple[int, ...]] = {
-        "w": (N_CLASSES, max(cols.stop for cols in _FINAL_COLUMNS[kind].values())),
-        "b": (N_CLASSES,),
-    }
-    if kind == "cross_attn_fcnn":
-        square, row = (TEXT_DIM, TEXT_DIM), (TEXT_DIM,)
-        shapes.update(wq=square, wk=square, wv=square, ln_gain=row, ln_bias=row)
-    return shapes
+    return {name: param.shape for name, param in _PARAMS[kind].items()}
+
+
+def init_head_params(kind: str, seed: int) -> dict[str, np.ndarray]:
+    """A new head's parameters, each from its start; the projections draw in table order."""
+    _check_kind(kind)
+    draw = np.random.default_rng(seed).standard_normal
+    return {name: np.full(p.shape, p.fill) if p.scale is None else p.scale * draw(p.shape)
+            for name, p in _PARAMS[kind].items()}
 
 
 @dataclass
@@ -224,16 +242,15 @@ def head_forward_batch(kind: str, params: Mapping[str, object], text, image) -> 
     None.  Parameter entries may be plain arrays or gradient-requiring
     tensors; the same code path serves inference and training.
     """
-    _batch_rows(kind, text, image)
-    reads = HEAD_INPUTS[kind]
+    n = _batch_rows(kind, text, image)
+    columns = _FINAL_COLUMNS[kind]
     blocks = {name: as_tensor(block) for name, block in (("text", text), ("image", image))
-              if name in reads}
+              if name in columns}
     p = {name: as_tensor(value) for name, value in params.items()}
 
-    if kind == "cross_attn_fcnn":
+    if "attended" in columns:
         ft, fi = blocks["text"], blocks["image"]
-        n = ft.shape[0]
-        attn = AttentionParams(p["wq"], p["wk"], p["wv"], p["ln_gain"], p["ln_bias"])
+        attn = AttentionParams(**{name: p[name] for name in _ATTENTION_PARAMS})
         blocks["attended"] = cross_attention(
             ft.reshape(n, 1, TEXT_DIM), fi.reshape(n, TOKEN_COUNT, TEXT_DIM), attn
         ).reshape(n, TEXT_DIM)
@@ -241,11 +258,11 @@ def head_forward_batch(kind: str, params: Mapping[str, object], text, image) -> 
     # the final layer reads each block through its own columns of w, so no
     # [n, width] copy of the joined features is ever made
     w = p["w"]
-    width = expected_param_shapes(kind)["w"][1]
+    width = _PARAMS[kind]["w"].shape[1]
     if w.ndim != 2 or w.shape[1] != width:
         raise ShapeError(f"final layer expects input width {width}, weights are {w.shape}")
     out = None
-    for name, cols in _FINAL_COLUMNS[kind].items():
+    for name, cols in columns.items():
         part = blocks[name] @ w.slice_last(cols.start, cols.stop).transpose_last()
         out = part if out is None else out + part
     return out + p["b"]
@@ -310,24 +327,23 @@ def _fold(models: Sequence[FusionModel]) -> tuple[str, dict[str, np.ndarray]]:
     """One head whose logits are the mean of a fusion set's logits, as ``(kind, params)``.
 
     Each final layer is linear in its blocks, so every head adds its weight
-    columns into the matching columns of one head: the set's one
-    cross-attention head, folded last, or else a ``concat_fcnn`` layout.
-    The sums are scaled once by ``1 / len(models)``.  The folded arrays stay
-    float64 and never pass through :class:`FusionModel`, whose float32
-    quantize would move the logits.
+    columns into the matching columns of the first kind that reads every block
+    of the set: heads without attention in the order given, then the attention
+    head, which lends its attention parameters.  The sums are scaled once by
+    ``1 / len(models)``.  The folded arrays stay float64 and never pass through
+    :class:`FusionModel`, whose float32 quantize would move the logits.
     """
     check_fusion_set([m.kind for m in models])
-    cross = [m for m in models if m.kind == "cross_attn_fcnn"]
-    folded = [m for m in models if m.kind != "cross_attn_fcnn"] + cross
-    kind = "cross_attn_fcnn" if cross else "concat_fcnn"
-    columns = _FINAL_COLUMNS[kind]
+    folded = sorted(models, key=lambda m: "attended" in _FINAL_COLUMNS[m.kind])
+    reads = {name for m in models for name in _FINAL_COLUMNS[m.kind]}
+    kind, columns = next((k, cols) for k, cols in _FINAL_COLUMNS.items() if reads <= cols.keys())
     w = np.zeros(expected_param_shapes(kind)["w"])
     for m in folded:
         for name, cols in _FINAL_COLUMNS[m.kind].items():
             w[:, columns[name]] += m.params["w"][:, cols]
     b = sum(m.params["b"] for m in folded)
     scale = 1.0 / len(models)
-    return kind, {**(cross[0].params if cross else {}), "w": w * scale, "b": b * scale}
+    return kind, {**folded[-1].params, "w": w * scale, "b": b * scale}
 
 
 def predict_fused_logits(models: Sequence[FusionModel], text, image) -> np.ndarray:

@@ -3,8 +3,9 @@
 Every tensor wraps a float64 ndarray.  Ops never mutate their inputs; when an
 input was created with ``requires_grad=True`` (or depends on one that was),
 the op records a closure that maps the output gradient back onto that input.
-Calling :meth:`Tensor.backward` on a scalar result fills ``.grad`` on every
-reachable gradient-requiring tensor.
+Calling :meth:`Tensor.backward` on a scalar result adds the gradient into
+``.grad`` of every reachable gradient-requiring leaf; a computed tensor's
+``.grad`` stays None.
 
 All arithmetic runs in float64.  Narrower dtypes appear only in file storage,
 never here.
@@ -55,7 +56,12 @@ class Tensor:
         return f"Tensor(shape={self.shape}{flag})"
 
     def backward(self) -> None:
-        """Backpropagate from a scalar, accumulating into ``.grad`` of the leaves."""
+        """Backpropagate from a scalar, accumulating into ``.grad`` of the leaves.
+
+        Only leaves, the tensors without links, keep ``.grad``, adding each
+        pass to what earlier passes left.  A computed tensor's gradient lives
+        for one pass, so a second pass through it counts the first one once.
+        """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar, got shape {self.shape}")
         order: list[Tensor] = []
@@ -73,14 +79,17 @@ class Tensor:
             for parent, _ in node._links:
                 if id(parent) not in seen:
                     stack.append((parent, False))
-        self.grad = np.ones_like(self.data)
+        # this pass's gradient of each node; only a leaf keeps its own, in .grad
+        grads: dict[int, Array] = {id(self): np.ones_like(self.data)}
         for node in reversed(order):
-            g = node.grad
+            g = grads.pop(id(node), None)
             if g is None:
                 continue
+            if not node._links:
+                node.grad = g if node.grad is None else node.grad + g
             for parent, pull in node._links:
                 piece = pull(g)
-                parent.grad = piece if parent.grad is None else parent.grad + piece
+                grads[id(parent)] = grads[id(parent)] + piece if id(parent) in grads else piece
 
     # arithmetic sugar
 

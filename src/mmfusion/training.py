@@ -32,14 +32,13 @@ from .fusion import (
     FUSION_SETS,
     HEAD_INPUTS,
     N_CLASSES,
-    TEXT_DIM,
     FusionModel,
     LabelVector,
     assign_label_matrix,
     assign_labels_batch,
     check_fusion_set,
-    expected_param_shapes,
     head_forward_batch,
+    init_head_params,
     label_vectors,
     logits_to_probs,
     overflow_raises,
@@ -162,6 +161,13 @@ _FIELD_TYPES = {
 }
 
 
+def _check_type(name: str, value, kind: type) -> None:
+    """Refuse ``value`` for ``name`` unless :data:`_FIELD_TYPES` accepts it for ``kind``."""
+    accepted, noun = _FIELD_TYPES[kind]
+    if not isinstance(value, accepted) or isinstance(value, bool) != (accepted is bool):
+        raise DomainError(f"{name} must be {noun}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 5e-4
@@ -174,12 +180,8 @@ class TrainConfig:
 
     def __post_init__(self):
         for field in fields(self):
-            if type(field.default) not in _FIELD_TYPES:
-                continue
-            accepted, noun = _FIELD_TYPES[type(field.default)]
-            value = getattr(self, field.name)
-            if not isinstance(value, accepted) or isinstance(value, bool) != (accepted is bool):
-                raise DomainError(f"{field.name} must be {noun}, got {value!r}")
+            if type(field.default) in _FIELD_TYPES:
+                _check_type(field.name, getattr(self, field.name), type(field.default))
         # lr == 0 is allowed so no-op training stays expressible.
         if not (self.lr >= 0.0 and math.isfinite(self.lr)):
             raise DomainError(f"lr must be a finite value >= 0, got {self.lr}")
@@ -336,21 +338,6 @@ class TrainResult:
     best_epoch: int
 
 
-def init_head_params(kind: str, seed: int) -> dict[str, np.ndarray]:
-    """Zero linear layer; attention projections drawn at scale 128^-0.5."""
-    rng = np.random.default_rng(seed)
-    params: dict[str, np.ndarray] = {}
-    scale = 1.0 / math.sqrt(TEXT_DIM)
-    for name, shape in expected_param_shapes(kind).items():
-        if name in ("wq", "wk", "wv"):
-            params[name] = scale * rng.standard_normal(shape)
-        elif name == "ln_gain":
-            params[name] = np.ones(shape)
-        else:
-            params[name] = np.zeros(shape)
-    return params
-
-
 def evaluate_model(model: FusionModel, data: EmbeddingDataset) -> float:
     """Macro F1 of sigmoid predictions thresholded at ``LABEL_THRESHOLD`` against the labels."""
     if data.labels is None:
@@ -497,6 +484,16 @@ def _train_fusion_heads(
     return models, fused_val_f1(models, val)
 
 
+def _check_stopping(max_rounds: int, eps: float) -> None:
+    """Refuse stopping settings :func:`pseudo_label_loop` cannot run with, before any work."""
+    _check_type("max_rounds", max_rounds, int)
+    _check_type("eps", eps, float)
+    if max_rounds < 0:
+        raise DomainError(f"max_rounds must be >= 0, got {max_rounds}")
+    if not (eps >= 0.0 and math.isfinite(eps)):
+        raise DomainError(f"eps must be a finite value >= 0, got {eps}")
+
+
 def pseudo_label_loop(
     train: EmbeddingDataset,
     test_unlabeled: EmbeddingDataset,
@@ -514,10 +511,7 @@ def pseudo_label_loop(
     embeddings of the two splits are joined once.  Labels the pool may
     carry are never read.  The result is the best round's state.
     """
-    if max_rounds < 0:
-        raise DomainError(f"max_rounds must be >= 0, got {max_rounds}")
-    if not (eps >= 0.0 and math.isfinite(eps)):
-        raise DomainError(f"eps must be a finite value >= 0, got {eps}")
+    _check_stopping(max_rounds, eps)
     if train.labels is None or val.labels is None:
         raise DatasetError("train and val splits must be labeled")
     if not len(test_unlabeled):  # every round would retrain on the unchanged train split

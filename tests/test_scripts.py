@@ -56,11 +56,33 @@ def test_pseudo_label_reports_best_round(fusion_set):
         (("--withheld", "1.5"), "--withheld 1.5 must lie strictly between 0 and 1"),
         (("--withheld", "0"), "--withheld 0.0 must lie strictly between 0 and 1"),
         (("--withheld", "0.999"), "--withheld 0.999 must lie strictly between 0 and 1"),
+        (("--n-val", "0"), "every split needs at least one sample"),
+        (("--noise", "-1"), "noise must be a finite value >= 0, got -1.0"),
+        (("--max-rounds", "-1"), "max_rounds must be >= 0, got -1"),
     ],
-    ids=["unknown_set", "withheld_above_one", "withheld_zero", "nothing_labeled"],
+    ids=["unknown_set", "withheld_above_one", "withheld_zero", "nothing_labeled", "no_val_rows",
+         "negative_noise", "negative_max_rounds"],
 )
 def test_pseudo_label_refuses_bad_flags_before_any_work(flags, message):
-    proc = run_script("run_pseudo_label.py", "--n-train", 200, "--n-val", 50, *flags)
+    assert_refused(run_script("run_pseudo_label.py", "--n-train", 200, "--n-val", 50, *flags),
+                   message)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--max-epochs", "0"), "max_epochs must be >= 1, got 0"),
+        (("--n-train", "0"), "every split needs at least one sample"),
+    ],
+    ids=["no_epochs", "no_train_rows"],
+)
+def test_fusion_ablation_refuses_bad_flags_before_any_work(flags, message):
+    assert_refused(run_script("run_fusion_ablation.py", "--n-train", 100, "--n-val", 30, *flags),
+                   message)
+
+
+def assert_refused(proc, message):
+    """A usage error with the library's message, before any output of work."""
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("usage: ") and message in proc.stderr

@@ -214,6 +214,15 @@ class TestAutodiffPlumbing:
         y.backward()
         np.testing.assert_allclose(x.grad, [7.0])
 
+    def test_second_pass_through_a_shared_intermediate_counts_once(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        y = x * 3.0
+        y.sum().backward()
+        (y * 1.0).sum().backward()
+        # the leaf adds both passes; the intermediate keeps no gradient between them
+        np.testing.assert_array_equal(x.grad, np.full(3, 6.0))
+        assert y.grad is None
+
     def test_broadcast_add_grad(self):
         row = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         block = Tensor(np.ones((3, 2)), requires_grad=True)

@@ -1,6 +1,7 @@
 """Weighting, loss, optimizer, and training-loop tests."""
 
 import math
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -579,11 +580,17 @@ class TestPseudoLabelLoop:
         assert len(result.history) == 3  # round 2 trained on round 1's merged rows
         assert len(merged) == 1
 
-    def test_bad_stopping_settings_rejected(self):
+    def test_bad_stopping_settings_rejected(self, monkeypatch):
         train, test, val = small_splits(n_train=48, n_test=24, n_val=24)
-        for name, value in (("eps", -1e-4), ("eps", math.nan), ("max_rounds", -1)):
-            with pytest.raises(DomainError, match=f"{name} must .* got {value}"):
+        trained = []
+        monkeypatch.setattr("mmfusion.training.train_head",
+                            lambda *args: trained.append(args) or train_head(*args))
+        for name, value in (("eps", -1e-4), ("eps", math.nan), ("max_rounds", -1),
+                            ("max_rounds", 2.5), ("eps", "0.1"), ("max_rounds", True),
+                            ("eps", True)):
+            with pytest.raises(DomainError, match=f"{name} must .* got {re.escape(repr(value))}"):
                 pseudo_label_loop(train, test.without_labels(), val, self.CFG, **{name: value})
+        assert trained == []
 
     def test_overlapping_ids_rejected(self):
         train, test, val = small_splits(n_train=48, n_test=24, n_val=24)

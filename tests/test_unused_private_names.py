@@ -11,10 +11,19 @@ next to them, so a refactor cannot leave a dead definition behind:
   package, ``scripts/`` or ``perfbench/``.  An import does not read a name,
   so the re-exports in ``__init__.py`` do not count.  The acceptance suite counts too, since it
   pins the names it uses.
+
+A third walk keeps each head fact in one home: outside docstrings, a string
+that names a head kind appears only in the head table and ``FUSION_SETS``,
+and one that names an attention parameter only in the attention-parameter
+table and ``attention.py``.
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
+
+from mmfusion.attention import AttentionParams
+from mmfusion.fusion import HEAD_KINDS
 
 REPO = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((REPO / "src" / "mmfusion").glob("*.py"))
@@ -185,3 +194,57 @@ def test_checker_flags_a_constant_only_tests_read():
     }
     readers = dict(package, **{"script.py": "import a\na.used()\n"})
     assert uncalled_public_names(package, readers) == [("a.py", "SPARE", 2), ("a.py", "TABLE", 3)]
+
+
+# ------------------------------------------------------------ head-fact homes
+
+# the top-level tables of the package that may name each kind of fact
+KIND_TABLES = {"_FINAL_COLUMNS", "FUSION_SETS"}
+ATTENTION_TABLES = {"_ATTENTION_PARAMS"}
+
+
+def stray_constants(source: str, names: set[str], tables: set[str]) -> list[tuple[int, str]]:
+    """``(line, value)`` of each string in ``names`` outside the top-level ``tables`` and docstrings."""
+    tree = ast.parse(source)
+    allowed = set()
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+            continue
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        if {t.id for t in targets if isinstance(t, ast.Name)} & tables:
+            allowed.update(map(id, ast.walk(node)))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and ast.get_docstring(node, clean=False) is not None:
+            allowed.add(id(node.body[0].value))
+    return sorted(
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in names and id(node) not in allowed
+    )
+
+
+def test_head_facts_are_named_only_in_their_tables():
+    kinds, attention = set(HEAD_KINDS), {field.name for field in fields(AttentionParams)}
+    stray = []
+    for path in PACKAGE:
+        source = path.read_text(encoding="utf-8")
+        stray += [(path.name, line, value) for line, value in stray_constants(source, kinds, KIND_TABLES)]
+        if path.name != "attention.py":
+            stray += [(path.name, line, value)
+                      for line, value in stray_constants(source, attention, ATTENTION_TABLES)]
+    assert not stray, "head facts named outside their tables: " + ", ".join(
+        f"{module}:{line} {value!r}" for module, line, value in stray
+    )
+
+
+def test_checker_flags_a_stray_head_fact():
+    source = (
+        '"""Docs may say wq."""\n'
+        "TABLE = {'wq': 1}\n"
+        "def run(p):\n"
+        "    'wq'\n"
+        "    return p['wq'] if p.get('kind') != 'wq' else f'{p} wq'\n"
+    )
+    # the docstrings and the table pass; an f-string's text is no name
+    assert stray_constants(source, {"wq"}, {"TABLE"}) == [(5, "wq"), (5, "wq")]

@@ -59,6 +59,7 @@ from .errors import (
     TruncatedFileError,
     UnknownKindError,
     VersionMismatchError,
+    _check_setting,
 )
 from .fusion import (
     CLASS_IDS,
@@ -457,10 +458,12 @@ class EmbeddingDataset:
         repeat = _first_repeat(self.ids)
         if repeat < n:
             raise DuplicateIdError(f"dataset id {self.ids[repeat]!r} appears twice")
-        if self.text.shape != (n, TEXT_DIM):
-            raise ShapeError(f"text embeddings must be ({n}, {TEXT_DIM}), got {self.text.shape}")
-        if self.image.shape != (n, IMAGE_DIM):
-            raise ShapeError(f"image embeddings must be ({n}, {IMAGE_DIM}), got {self.image.shape}")
+        for name, width in MODALITY_DIMS.items():
+            block = getattr(self, name)
+            if not isinstance(block, np.ndarray):
+                raise ShapeError(f"{name} embeddings must be a numpy array, got {type(block).__name__}")
+            if block.shape != (n, width):
+                raise ShapeError(f"{name} embeddings must be ({n}, {width}), got {block.shape}")
         if self.labels is not None:
             object.__setattr__(self, "labels", labels_to_matrix(self.labels))
             if len(self.labels) != n:
@@ -572,12 +575,12 @@ def gen_synthetic(
     while the 8-column blocks make every class linearly separable to both
     modalities combined for any noise level well below 1.
     """
-    if not (noise >= 0.0 and math.isfinite(noise)):
-        raise DatasetError(f"noise must be a finite value >= 0, got {noise}")
+    _check_setting("seed", seed, int, 0)
+    for name, count in (("n_train", n_train), ("n_test", n_test), ("n_val", n_val)):
+        _check_setting(name, count, int)
+    _check_setting("noise", noise, float, 0)
     if min(n_train, n_test, n_val) < 1:
         raise DatasetError("every split needs at least one sample")
-    if seed < 0:
-        raise DatasetError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
 
     def build(prefix: str, count: int) -> EmbeddingDataset:

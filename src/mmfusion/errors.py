@@ -1,8 +1,14 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the one check of a scalar setting.
 
 The CLI maps these onto process exit codes: data and shape problems exit
 with 2, numeric failures with 3.  Anything else is a bug and crashes.
+
+Every entry point checks each scalar setting it takes through :func:`_check_setting`,
+so a wrong type, a non-finite real or a value below its least is a DomainError naming it.
 """
+
+import math
+import numbers
 
 
 class FusionToolkitError(Exception):
@@ -71,3 +77,23 @@ class DatasetError(DataError):
 
 class EmptyPredictionError(DataError):
     """A prediction with no labels was fed where the contract forbids it."""
+
+
+# the type a setting of each kind accepts and its name; a bool is no number, though an int
+_SETTING_TYPES = {
+    bool: (bool, "a bool"),
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a number"),
+}
+
+
+def _check_setting(name: str, value, kind: type, least=None) -> None:
+    """Refuse ``value`` for setting ``name`` unless it is of ``kind``, finite and ``>= least``."""
+    accepted, noun = _SETTING_TYPES[kind]
+    if not isinstance(value, accepted) or isinstance(value, bool) != (accepted is bool):
+        raise DomainError(f"{name} must be {noun}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+    if least is not None and value < least:
+        bound = "a finite value >= " if kind is float else ">= "
+        raise DomainError(f"{name} must be {bound}{least}, got {value}")

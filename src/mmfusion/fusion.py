@@ -42,7 +42,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .attention import AttentionParams, cross_attention
-from .errors import DomainError, LabelDomainError, NumericError, ShapeError
+from .errors import DomainError, LabelDomainError, NumericError, ShapeError, _check_setting
 from .tensor import Tensor, _sigmoid_values, as_tensor
 
 TEXT_DIM = 128
@@ -377,6 +377,7 @@ def assign_label_matrix(probs: np.ndarray, threshold: float = LABEL_THRESHOLD) -
     arr = np.asarray(probs, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != N_CLASSES:
         raise ShapeError(f"probs must be [n, {N_CLASSES}], got {arr.shape}")
+    _check_setting("threshold", threshold, float)
     if not (0.0 <= threshold <= 1.0):
         raise DomainError(f"threshold must lie in [0, 1], got {threshold}")
     if not ((arr >= 0.0) & (arr <= 1.0)).all():

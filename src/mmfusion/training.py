@@ -14,7 +14,6 @@ independent of the logarithm base.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields, replace
 from itertools import combinations
 from typing import Mapping
@@ -23,10 +22,12 @@ import numpy as np
 
 from .data_io import EmbeddingDataset, _read_utf8
 from .errors import (
+    _SETTING_TYPES,
     DatasetError,
     DomainError,
     NumericError,
     ShapeError,
+    _check_setting,
 )
 from .fusion import (
     FUSION_SETS,
@@ -73,18 +74,20 @@ def class_weights(counts, total: int | None = None) -> ClassWeights:
     label assignments in the split.  Counts below 2 are clamped up to 2 so
     the ratio stays defined for absent classes.
     """
-    arr = np.asarray(counts, dtype=np.int64)
+    arr = np.asarray(counts)
     if arr.shape != (N_CLASSES,):
         raise ShapeError(f"need {N_CLASSES} per-class counts, got shape {arr.shape}")
+    if arr.dtype.kind not in "iu":  # an int64 cast would truncate fractional counts
+        raise DomainError(f"per-class counts must have an integer dtype, got {arr.dtype}")
+    arr = arr.astype(np.int64, copy=False)
     if (arr < 0).any():
         raise DomainError("per-class counts must be >= 0")
-    t = int(arr.sum()) if total is None else int(total)
-    if t < 3:
-        raise DomainError(f"total positive count must be >= 3, got {t}")
+    t = arr.sum() if total is None else total
+    _check_setting("total", t, int, 3)
     clamped = np.maximum(arr, 2).astype(np.float64)
     ratio = np.log(clamped) / math.log(t)
     values = 0.5 * (ratio + 1.0 / ratio)
-    return ClassWeights(values=values, total=t, counts=arr)
+    return ClassWeights(values=values, total=int(t), counts=arr)
 
 
 def uniform_weights() -> np.ndarray:
@@ -149,23 +152,12 @@ def _parse_number(key: str, raw: str, convert: type):
     try:
         return convert(raw)
     except ValueError:
-        raise DomainError(f"{key} must be {_FIELD_TYPES[convert][1]}, got {raw!r}") from None
+        raise DomainError(f"{key} must be {_SETTING_TYPES[convert][1]}, got {raw!r}") from None
 
 
-# the type a TrainConfig field accepts and its name, by the type of the field's default;
-# a bool is no number here, though Python counts it as an int
-_FIELD_TYPES = {
-    bool: (bool, "a bool"),
-    int: (numbers.Integral, "an integer"),
-    float: (numbers.Real, "a number"),
-}
-
-
-def _check_type(name: str, value, kind: type) -> None:
-    """Refuse ``value`` for ``name`` unless :data:`_FIELD_TYPES` accepts it for ``kind``."""
-    accepted, noun = _FIELD_TYPES[kind]
-    if not isinstance(value, accepted) or isinstance(value, bool) != (accepted is bool):
-        raise DomainError(f"{name} must be {noun}, got {value!r}")
+# the least value of each numeric TrainConfig field: lr == 0 keeps no-op training
+# expressible, and numpy's generators take no negative seed
+_CONFIG_LEAST = {"lr": 0, "batch_size": 1, "max_epochs": 1, "patience": 0, "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -180,19 +172,9 @@ class TrainConfig:
 
     def __post_init__(self):
         for field in fields(self):
-            if type(field.default) in _FIELD_TYPES:
-                _check_type(field.name, getattr(self, field.name), type(field.default))
-        # lr == 0 is allowed so no-op training stays expressible.
-        if not (self.lr >= 0.0 and math.isfinite(self.lr)):
-            raise DomainError(f"lr must be a finite value >= 0, got {self.lr}")
-        if self.batch_size < 1:
-            raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_epochs < 1:
-            raise DomainError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.patience < 0:
-            raise DomainError(f"patience must be >= 0, got {self.patience}")
-        if self.seed < 0:  # numpy's generators take no negative seed
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+            if type(field.default) in _SETTING_TYPES:
+                value = getattr(self, field.name)
+                _check_setting(field.name, value, type(field.default), _CONFIG_LEAST.get(field.name))
         object.__setattr__(self, "fusion_set", check_fusion_set(self.fusion_set))
 
     @staticmethod
@@ -486,12 +468,8 @@ def _train_fusion_heads(
 
 def _check_stopping(max_rounds: int, eps: float) -> None:
     """Refuse stopping settings :func:`pseudo_label_loop` cannot run with, before any work."""
-    _check_type("max_rounds", max_rounds, int)
-    _check_type("eps", eps, float)
-    if max_rounds < 0:
-        raise DomainError(f"max_rounds must be >= 0, got {max_rounds}")
-    if not (eps >= 0.0 and math.isfinite(eps)):
-        raise DomainError(f"eps must be a finite value >= 0, got {eps}")
+    _check_setting("max_rounds", max_rounds, int, 0)
+    _check_setting("eps", eps, float, 0)
 
 
 def pseudo_label_loop(

@@ -12,13 +12,12 @@ actual execution rather than against themselves.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, _check_setting
 
 CONV_MODES = ("standard", "depthwise", "pointwise", "grouped")
 
@@ -42,9 +41,7 @@ class ConvSpec:
 
     def __post_init__(self):
         for name in ("dk", "m", "n", "df", "groups"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
-                raise DomainError(f"ConvSpec.{name} must be a positive integer, got {v!r}")
+            _check_setting(f"ConvSpec.{name}", getattr(self, name), int, 1)
         if self.mode not in CONV_MODES:
             raise DomainError(f"ConvSpec.mode must be one of {CONV_MODES}, got {self.mode!r}")
         if self.m % self.groups or self.n % self.groups:
@@ -146,6 +143,10 @@ def depthwise_separable_forward(
     return out, dw_macs + pw_macs
 
 
+# the least value of each ScalingSpec field that has one
+_SCALING_LEAST = {"phi": 0, "alpha": 1, "beta": 1, "gamma": 1}
+
+
 @dataclass(frozen=True)
 class ScalingSpec:
     """A shared exponent plus base depth/width/resolution, per-axis rates and a FLOPs budget.
@@ -164,17 +165,11 @@ class ScalingSpec:
 
     def __post_init__(self):
         for field in fields(self):
-            value = getattr(self, field.name)
-            if not math.isfinite(value):
-                raise DomainError(f"ScalingSpec.{field.name} must be finite, got {value}")
-        for name in ("d0", "w0", "r0"):
+            least = _SCALING_LEAST.get(field.name)
+            _check_setting(f"ScalingSpec.{field.name}", getattr(self, field.name), float, least)
+        for name in ("d0", "w0", "r0"):  # > 0, which no least value expresses
             if getattr(self, name) <= 0.0:
                 raise DomainError(f"ScalingSpec.{name} must be positive")
-        for name in ("alpha", "beta", "gamma"):
-            if getattr(self, name) < 1.0:
-                raise DomainError(f"ScalingSpec.{name} must be >= 1")
-        if self.phi < 0.0:
-            raise DomainError("ScalingSpec.phi must be >= 0")
 
 
 class CompoundScaling(NamedTuple):

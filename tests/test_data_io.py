@@ -35,6 +35,7 @@ from mmfusion.errors import (
     BadMagicError,
     ChecksumError,
     DatasetError,
+    DomainError,
     DuplicateIdError,
     FileFormatError,
     KindMismatchError,
@@ -550,6 +551,13 @@ class TestEmbeddingDataset:
         with pytest.raises(ShapeError):
             EmbeddingDataset(ids=("a",), text=np.zeros((1, 64)), image=np.zeros((1, IMAGE_DIM)))
 
+    @pytest.mark.parametrize("name", ["text", "image"])
+    def test_block_that_is_no_array_rejected(self, name):
+        blocks = {"text": np.zeros((1, TEXT_DIM)), "image": np.zeros((1, IMAGE_DIM))}
+        blocks[name] = blocks[name].tolist()  # the right shape, but a list
+        with pytest.raises(ShapeError, match=f"^{name} embeddings must be a numpy array, got list"):
+            EmbeddingDataset(ids=("a",), **blocks)
+
     def test_label_alignment_enforced(self):
         with pytest.raises(DatasetError):
             EmbeddingDataset(
@@ -788,9 +796,9 @@ class TestSynthetic:
 
     @pytest.mark.parametrize("noise", [-0.1, float("nan"), float("inf")])
     def test_negative_noise_rejected(self, noise):
-        with pytest.raises(DatasetError, match=str(noise)):
+        with pytest.raises(DomainError, match=str(noise)):
             gen_synthetic(seed=0, n_train=1, n_test=1, n_val=1, noise=noise)
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(DatasetError, match="-1"):
+        with pytest.raises(DomainError, match="-1"):
             gen_synthetic(seed=-1, n_train=1, n_test=1, n_val=1, noise=0.1)

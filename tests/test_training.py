@@ -102,6 +102,11 @@ class TestClassWeights:
         with pytest.raises(DomainError):
             class_weights(np.full(N_CLASSES, 1), total=2)
 
+    def test_fractional_counts_rejected(self):
+        # an int64 cast would weight the counts 7, which no caller passed
+        with pytest.raises(DomainError, match="integer dtype, got float64"):
+            class_weights(np.full(N_CLASSES, 7.9))
+
     def test_negative_count_rejected(self):
         counts = np.full(N_CLASSES, 5)
         counts[3] = -1
@@ -255,6 +260,14 @@ class TestTrainConfig:
         dict(fusion_set=None),
         dict(fusion_set=5),
         dict(fusion_set="fm1"),
+        dict(lr=math.nan),
+        dict(batch_size=True),
+        dict(batch_size="64"),
+        dict(max_epochs=True),
+        dict(max_epochs="2"),
+        dict(patience="5"),
+        dict(seed=True),
+        dict(seed="0"),
     ])
     def test_wrong_types_rejected_naming_the_field(self, kwargs):
         (name,) = kwargs
@@ -587,7 +600,7 @@ class TestPseudoLabelLoop:
                             lambda *args: trained.append(args) or train_head(*args))
         for name, value in (("eps", -1e-4), ("eps", math.nan), ("max_rounds", -1),
                             ("max_rounds", 2.5), ("eps", "0.1"), ("max_rounds", True),
-                            ("eps", True)):
+                            ("eps", True), ("max_rounds", "2")):
             with pytest.raises(DomainError, match=f"{name} must .* got {re.escape(repr(value))}"):
                 pseudo_label_loop(train, test.without_labels(), val, self.CFG, **{name: value})
         assert trained == []

@@ -190,10 +190,11 @@ class TestCompoundScale:
         with pytest.raises(DomainError):
             ScalingSpec(d0=1.0, w0=1.0, r0=1.0, alpha=0.9, beta=1.0, gamma=1.0, phi=1.0)
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), True, "1"])
     @pytest.mark.parametrize("name", [f.name for f in fields(ScalingSpec)])
     def test_non_finite_field_rejected(self, name, value):
-        with pytest.raises(DomainError, match=rf"ScalingSpec\.{name} must be finite"):
+        rule = "finite" if isinstance(value, float) else "a number"  # a bool is no number
+        with pytest.raises(DomainError, match=rf"ScalingSpec\.{name} must be {rule}"):
             ScalingSpec(**{"phi": 1.0, name: value})
 
 

@@ -5,9 +5,11 @@
     python scripts/fingerprint.py --against REV   # the artifacts REV makes differently
 
 The canonical set runs with one BLAS thread on synthetic data of a fixed
-seed: ``train_head`` (parameters and history) and ``predict_logits`` for
-every head kind, ``fused_probs`` for fm1-fm3, ``pseudo_label_loop`` over
-fm2 and fm3, and the CLI chain (every output file, and the stdout, stderr
+seed: ``gen_synthetic``'s splits as held in memory (each block and the
+labels) and the files ``save_dataset`` writes for them, so a change of data
+representation shows by name; ``train_head`` (parameters and history) and
+``predict_logits`` for every head kind, ``fused_probs`` for fm1-fm3,
+``pseudo_label_loop`` over fm2 and fm3, and the CLI chain (every output file, and the stdout, stderr
 and exit code of each command, one failing command included) with the
 ``--help`` text of the parser and of every subcommand.  ``wall_ms`` lines
 are dropped, so two runs of one tree on one machine print the same listing.
@@ -54,7 +56,7 @@ ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", 
 def collect(out: Path, size: str) -> None:
     """Write every artifact of the canonical set under ``out``, from whatever ``mmfusion`` imports."""
     from mmfusion import cli
-    from mmfusion.data_io import gen_synthetic
+    from mmfusion.data_io import gen_synthetic, save_dataset
     from mmfusion.fusion import FUSION_SETS, HEAD_KINDS, predict_logits
     from mmfusion.training import TrainConfig, fused_probs, pseudo_label_loop, train_head
 
@@ -74,6 +76,11 @@ def collect(out: Path, size: str) -> None:
         for kind, model in models.items():
             for name, arr in model.params.items():
                 save(f"{prefix}/{kind}/{name}.npy", arr)
+
+    for name, split in zip(("train", "test", "val"), (train, test, val)):
+        for block in ("text", "image", "labels"):
+            save(f"gen_synthetic/{name}/{block}.npy", getattr(split, block))
+        save_dataset(split, out / "save_dataset" / name)
 
     models = {}
     for kind in HEAD_KINDS:

@@ -8,9 +8,12 @@ Embedding file (magic ``FEMB``), little-endian throughout::
     bytes 12..15  u32    width d
     bytes 16..    f32    n * d values, row major
 
-Embedding files load as the float32 arrays they store, and datasets read
-from files hold those arrays: a fusion head widens only the blocks it reads,
-one batch at a time, and widening float32 to float64 is exact.
+Every dataset holds its embeddings as float32, the precision of these
+files, whether it was read from files, generated or built in memory: the
+constructor rounds other values once and refuses one that is not finite in
+float32, so a saved dataset reads back bitwise.  A fusion head widens only
+the blocks it reads, one batch at a time, and widening float32 to float64
+is exact.
 
 Sample ids live beside the embeddings in a sidecar text file, one id per
 line, row-aligned with the payload.  An id is not blank and holds no comma
@@ -55,6 +58,7 @@ from .errors import (
     KindMismatchError,
     LabelDomainError,
     NonFiniteError,
+    NumericError,
     ShapeError,
     TruncatedFileError,
     UnknownKindError,
@@ -105,10 +109,11 @@ def _first_non_finite(flat: np.ndarray) -> int | None:
 
 
 def _float32_payload(values: np.ndarray, path) -> np.ndarray:
-    """The [n, d] float32 payload of an embedding file for ``path``, checked before any write.
+    """The [n, d] float32 form of ``values`` for ``path``, a file or a dataset block.
 
-    A float32 array is its own payload; any other values are narrowed from
-    float64.  A value that is not finite in float32 raises :class:`NonFiniteError`.
+    A float32 array is its own payload, without a copy; any other values are
+    rounded from float64.  A value that is not finite in float32 raises
+    :class:`NonFiniteError` naming ``path``, its row and its column.
     """
     arr = np.asarray(values)
     if arr.dtype != np.dtype("<f4"):
@@ -353,7 +358,27 @@ def write_predictions(ids: Sequence[str], labels, path) -> None:
 _DESCRIPTOR = (TEXT_DIM, IMAGE_DIM, N_CLASSES, TEXT_DIM)
 
 
+def _model_payload(name: str, arr: np.ndarray, path) -> bytes:
+    """The float32 bytes of parameter ``name``; a value float32 cannot hold exactly raises.
+
+    :class:`FusionModel` quantizes its parameters, but its arrays stay
+    writable, so a value edited in later is caught here, before any write.
+    """
+    with np.errstate(over="ignore"):  # beyond the float32 range becomes +-inf, caught below
+        payload = arr.astype("<f4")
+    bad = np.flatnonzero(~np.isfinite(payload) | (payload != arr))
+    if bad.size:
+        index = np.unravel_index(bad[0], arr.shape)
+        rule = "exact" if np.isfinite(payload[index]) else "finite"
+        raise NumericError(
+            f"{path}: parameter {name!r} value {arr[index]} at {tuple(map(int, index))} "
+            f"is not {rule} in float32"
+        )
+    return payload.tobytes(order="C")
+
+
 def save_model(model: FusionModel, path) -> None:
+    """Write a model file; parameters the file cannot hold exactly raise before any write."""
     body = bytearray()
     body += struct.pack("<I", FORMAT_VERSION)
     kind_bytes = model.kind.encode("utf-8")
@@ -368,7 +393,7 @@ def save_model(model: FusionModel, path) -> None:
         body += struct.pack("<I", arr.ndim)
         for dim in arr.shape:
             body += struct.pack("<I", dim)
-        body += arr.astype("<f4").tobytes(order="C")
+        body += _model_payload(name, arr, path)
     crc = zlib.crc32(bytes(body))
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
@@ -445,7 +470,12 @@ def load_model(path, expect_kind: str | None = None) -> FusionModel:
 class EmbeddingDataset:
     """Aligned sample ids, text embeddings [n, 128], image embeddings [n, 1792].
 
-    ``labels`` is None (unlabeled pool) or the [n, 18] bool label matrix (see labels_to_matrix).
+    Each block is stored as float32, the precision of the embedding files: a
+    float32 array is kept as it is and any other is rounded from float64, so
+    a dataset holds the bytes :func:`save_dataset` writes.  A value that is
+    not finite in float32 raises :class:`NonFiniteError` naming the block,
+    row and column.  ``labels`` is None (unlabeled pool) or the [n, 18] bool
+    label matrix (see labels_to_matrix).
     """
 
     ids: tuple[str, ...]
@@ -464,6 +494,7 @@ class EmbeddingDataset:
                 raise ShapeError(f"{name} embeddings must be a numpy array, got {type(block).__name__}")
             if block.shape != (n, width):
                 raise ShapeError(f"{name} embeddings must be ({n}, {width}), got {block.shape}")
+            object.__setattr__(self, name, _float32_payload(block, f"{name} embeddings"))
         if self.labels is not None:
             object.__setattr__(self, "labels", labels_to_matrix(self.labels))
             if len(self.labels) != n:
@@ -504,7 +535,11 @@ class EmbeddingDataset:
 
 
 def save_dataset(dataset: EmbeddingDataset, directory) -> None:
-    """Write a dataset directory; a dataset the files cannot hold raises before any write."""
+    """Write a dataset directory from its float32 blocks, without a copy.
+
+    What the files cannot hold, such as a value edited into a block after
+    construction, raises before any write.
+    """
     directory = Path(directory)
     text = _float32_payload(dataset.text, directory / "text.femb")
     image = _float32_payload(dataset.image, directory / "image.femb")
@@ -557,6 +592,10 @@ def load_dataset(directory, require_labels: bool = False) -> EmbeddingDataset:
 # ----------------------------------------------------------------- synthetic
 
 SIGNAL_BLOCK = 8
+# the columns of each embedding that carry class signal: 9 classes of 8 columns
+SIGNAL_COLUMNS = 9 * SIGNAL_BLOCK
+# rows per noise draw; chunked draws give the values of one draw of the whole block
+SYNTHETIC_CHUNK_ROWS = 256
 
 
 def gen_synthetic(
@@ -574,6 +613,12 @@ def gen_synthetic(
     the label space, so a single-modality head is capped near macro-F1 0.5,
     while the 8-column blocks make every class linearly separable to both
     modalities combined for any noise level well below 1.
+
+    Each value is computed in float64 and rounded once to the float32 the
+    splits hold, so they equal the files :func:`save_dataset` writes.  The
+    noise is drawn :data:`SYNTHETIC_CHUNK_ROWS` rows at a time straight into
+    the float32 blocks; only the 72 signal columns of each block wait in
+    float64 for the labels, so no float64 copy of a whole split is made.
     """
     _check_setting("seed", seed, int, 0)
     for name, count in (("n_train", n_train), ("n_test", n_test), ("n_val", n_val)):
@@ -583,18 +628,33 @@ def gen_synthetic(
         raise DatasetError("every split needs at least one sample")
     rng = np.random.default_rng(seed)
 
+    def noise_block(count: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """A [count, width] float32 noise block and its signal columns in float64."""
+        block = np.empty((count, width), dtype=np.float32)
+        signal = np.empty((count, SIGNAL_COLUMNS))
+        chunk = np.empty((min(SYNTHETIC_CHUNK_ROWS, count), width))
+        for lo in range(0, count, SYNTHETIC_CHUNK_ROWS):
+            draw = rng.standard_normal(out=chunk[: count - lo])
+            # too large a noise becomes +-inf, which the dataset refuses by name
+            with np.errstate(over="ignore"):
+                draw *= noise
+                block[lo : lo + len(draw), SIGNAL_COLUMNS:] = draw[:, SIGNAL_COLUMNS:]
+            signal[lo : lo + len(draw)] = draw[:, :SIGNAL_COLUMNS]
+        return block, signal
+
     def build(prefix: str, count: int) -> EmbeddingDataset:
-        text = noise * rng.standard_normal((count, TEXT_DIM))
-        image = noise * rng.standard_normal((count, IMAGE_DIM))
+        blocks = {name: noise_block(count, width) for name, width in MODALITY_DIMS.items()}
         labels = np.zeros((count, N_CLASSES), dtype=bool)
         for row in range(count):
             k = int(rng.integers(1, 5))
             labels[row, rng.choice(N_CLASSES, size=k, replace=False)] = True
-        for target, present in ((text, labels[:, :9]), (image, labels[:, 9:])):
-            signal = target[:, : present.shape[1] * SIGNAL_BLOCK]
+        for (block, signal), present in zip(blocks.values(), (labels[:, :9], labels[:, 9:])):
             # add only where a class is present: absent columns keep their -0.0 at zero noise
             np.add(signal, 1.0, out=signal, where=np.repeat(present, SIGNAL_BLOCK, axis=1))
+            with np.errstate(over="ignore"):
+                block[:, :SIGNAL_COLUMNS] = signal
         ids = tuple(f"{prefix}_{row:05d}" for row in range(count))
-        return EmbeddingDataset(ids=ids, text=text, image=image, labels=labels)
+        return EmbeddingDataset(ids=ids, labels=labels,
+                                **{name: block for name, (block, _) in blocks.items()})
 
     return build("train", n_train), build("test", n_test), build("val", n_val)

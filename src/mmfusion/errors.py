@@ -4,7 +4,8 @@ The CLI maps these onto process exit codes: data and shape problems exit
 with 2, numeric failures with 3.  Anything else is a bug and crashes.
 
 Every entry point checks each scalar setting it takes through :func:`_check_setting`,
-so a wrong type, a non-finite real or a value below its least is a DomainError naming it.
+so a wrong type, a non-finite real, a real beyond the float range or a value below its
+least is a DomainError naming it.
 """
 
 import math
@@ -60,7 +61,7 @@ class KindMismatchError(FileFormatError):
 
 
 class NonFiniteError(DataError):
-    """An input file holds NaN or infinite values."""
+    """An embedding file or dataset block holds a value that is not finite in float32."""
 
 
 class LabelDomainError(DataError):
@@ -92,8 +93,13 @@ def _check_setting(name: str, value, kind: type, least=None) -> None:
     accepted, noun = _SETTING_TYPES[kind]
     if not isinstance(value, accepted) or isinstance(value, bool) != (accepted is bool):
         raise DomainError(f"{name} must be {noun}, got {value!r}")
-    if kind is float and not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value}")
+    if kind is float:
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer or fraction beyond the float range
+            raise DomainError(f"{name} must lie in the float range, got a number beyond it") from None
+        if not finite:
+            raise DomainError(f"{name} must be finite, got {value}")
     if least is not None and value < least:
         bound = "a finite value >= " if kind is float else ">= "
         raise DomainError(f"{name} must be {bound}{least}, got {value}")

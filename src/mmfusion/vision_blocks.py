@@ -12,12 +12,13 @@ actual execution rather than against themselves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, _check_setting
+from .errors import DomainError, NumericError, ShapeError, _check_setting
 
 CONV_MODES = ("standard", "depthwise", "pointwise", "grouped")
 
@@ -186,12 +187,24 @@ def compound_scale(spec: ScalingSpec) -> CompoundScaling:
     Depth grows as alpha^phi, width as beta^phi, resolution as gamma^phi; the
     FLOPs multiplier is (alpha * beta^2 * gamma^2)^phi, and the residual says
     how far the rates stray from the configured FLOPs budget per unit phi.
+    A quantity beyond the float range raises :class:`NumericError` naming it.
     """
-    combined = spec.alpha * spec.beta**2 * spec.gamma**2
+    phi = spec.phi
+
+    def scaled(quantity: str, compute) -> float:
+        try:
+            value = compute()
+        except OverflowError:  # a float power raises where a float product turns to inf
+            value = math.inf
+        if not math.isfinite(value):
+            raise NumericError(f"compound scaling: {quantity} overflows the float range at phi={phi!r}")
+        return value
+
+    combined = scaled("alpha * beta**2 * gamma**2", lambda: spec.alpha * spec.beta**2 * spec.gamma**2)
     return CompoundScaling(
-        depth=spec.d0 * spec.alpha**spec.phi,
-        width=spec.w0 * spec.beta**spec.phi,
-        resolution=spec.r0 * spec.gamma**spec.phi,
-        flops_factor=combined**spec.phi,
-        constraint_residual=combined - spec.budget,
+        depth=scaled("depth", lambda: spec.d0 * spec.alpha**phi),
+        width=scaled("width", lambda: spec.w0 * spec.beta**phi),
+        resolution=scaled("resolution", lambda: spec.r0 * spec.gamma**phi),
+        flops_factor=scaled("flops_factor", lambda: combined**phi),
+        constraint_residual=scaled("constraint_residual", lambda: combined - spec.budget),
     )

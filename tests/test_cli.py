@@ -263,6 +263,14 @@ class TestFlops:
         assert proc.returncode == 3
         assert "numeric failure" in proc.stderr
 
+    @pytest.mark.parametrize("phi, quantity", [("3000", "flops_factor"), ("1e308", "depth")])
+    def test_scaling_overflow_names_the_quantity_and_phi(self, phi, quantity, tmp_path):
+        proc = run_cli("flops", "--phi", phi, "--out", tmp_path / "f")
+        assert proc.returncode == 3
+        assert proc.stderr == (f"numeric failure: compound scaling: {quantity} overflows "
+                               f"the float range at phi={float(phi)!r}\n")
+        assert not (tmp_path / "f" / "flops.txt").exists()
+
     def test_no_flags_is_data_error(self, tmp_path):
         assert run_cli("flops", "--out", tmp_path / "f").returncode == 2
 
@@ -591,11 +599,9 @@ class TestPredictAndFuse:
                   for name, shape in expected_param_shapes("cross_attn_fcnn").items()}
         save_model(FusionModel(kind="cross_attn_fcnn", params=params), tmp_path / "m.fus1")
         data = load_dataset(data_dir / "test")
-        # the loaded blocks are float32, where the multiply itself would overflow
-        huge = EmbeddingDataset(ids=data.ids, text=data.text.astype(np.float64) * 1e200,
-                                image=data.image.astype(np.float64) * 1e200)
-        blocks = {"text": huge.text, "image": huge.image}
-        monkeypatch.setattr(cli, "load_inputs", lambda *args, **kwargs: (huge.ids, blocks, None))
+        # raw float64 blocks: neither float32 nor a dataset could hold these values
+        blocks = {name: getattr(data, name).astype(np.float64) * 1e200 for name in ("text", "image")}
+        monkeypatch.setattr(cli, "load_inputs", lambda *args, **kwargs: (data.ids, blocks, None))
         out = tmp_path / "o"
         code = cli.main(["predict", "--model", str(tmp_path / "m.fus1"),
                          "--data", str(data_dir / "test"), "--out", str(out)])

@@ -41,6 +41,7 @@ from mmfusion.errors import (
     KindMismatchError,
     LabelDomainError,
     NonFiniteError,
+    NumericError,
     ShapeError,
     TruncatedFileError,
     UnknownKindError,
@@ -420,6 +421,17 @@ class TestModelFormat:
         after = predict_logits(load_model(path), text, image)
         np.testing.assert_array_equal(before, after)
 
+    @pytest.mark.parametrize("value, rule", [(np.nan, "finite"), (1e-46, "exact")])
+    def test_save_refuses_a_value_edited_in_before_any_write(self, value, rule, tmp_path):
+        # the arrays stay writable, so a value load_model would refuse, or would read back
+        # as another value, can reach save_model after construction
+        model = make_model("vision_linear")
+        model.params["w"][0, 3] = value
+        path = tmp_path / "m.fus1"
+        with pytest.raises(NumericError, match=rf"parameter 'w' value {value} at \(0, 3\) is not {rule}"):
+            save_model(model, path)
+        assert not path.exists()
+
     def test_expect_kind_mismatch(self, tmp_path):
         path = tmp_path / "m.fus1"
         save_model(make_model("text_linear"), path)
@@ -634,6 +646,24 @@ class TestEmbeddingDataset:
         with pytest.raises(DatasetError):
             a.merge(b)
 
+    @pytest.mark.parametrize("name", ["text", "image"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39, -1e39])
+    def test_block_not_finite_in_float32_rejected(self, name, bad):
+        blocks = {"text": np.zeros((3, TEXT_DIM)), "image": np.zeros((3, IMAGE_DIM))}
+        blocks[name][2, 7] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match=f"^{name} embeddings: value .* at row 2, column 7"):
+                EmbeddingDataset(ids=("a", "b", "c"), **blocks)
+
+    def test_blocks_are_held_as_float32(self):
+        text = np.zeros((2, TEXT_DIM), dtype=np.float32)
+        image = np.full((2, IMAGE_DIM), 0.1)
+        ds = EmbeddingDataset(ids=("a", "b"), text=text, image=image)
+        assert ds.text is text  # a float32 block is kept as it is
+        assert ds.image.dtype == np.float32
+        assert ds.image.tobytes() == image.astype(np.float32).tobytes()
+
     def test_label_counts(self):
         ds = EmbeddingDataset(
             ids=("a", "b"),
@@ -735,11 +765,15 @@ class TestDatasetDirectory:
 
     def test_value_beyond_float32_leaves_no_file(self, tmp_path):
         ds = tiny_dataset(3)
-        image = ds.image.copy()
+        image = ds.image.astype(np.float64)
         image[1, 5] = 1e39
-        bad = EmbeddingDataset(ids=ds.ids, text=ds.text, image=image, labels=ds.labels)
-        with pytest.raises(NonFiniteError, match="image.femb: value 1e"):
-            save_dataset(bad, tmp_path / "d")
+        # the dataset refuses it when built, so there is nothing to save
+        with pytest.raises(NonFiniteError, match=r"^image embeddings: value 1e\+39 at row 1, column 5"):
+            EmbeddingDataset(ids=ds.ids, text=ds.text, image=image, labels=ds.labels)
+        # a value edited into a held block after construction is refused before any write
+        ds.image[2, 7] = np.inf
+        with pytest.raises(NonFiniteError, match="image.femb: value inf at row 2, column 7"):
+            save_dataset(ds, tmp_path / "d")
         assert not (tmp_path / "d").exists()
 
     def test_row_count_mismatch_reported(self, tmp_path):
@@ -793,6 +827,48 @@ class TestSynthetic:
         train, _, _ = gen_synthetic(seed=11, n_train=60, n_test=1, n_val=1, noise=0.5)
         assert train.labels.shape == (60, N_CLASSES) and train.labels.dtype == bool
         assert set(train.labels.sum(axis=1).tolist()) <= {1, 2, 3, 4}
+
+    def test_blocks_are_float32(self):
+        for split in gen_synthetic(seed=2, n_train=5, n_test=3, n_val=2, noise=0.3):
+            assert split.text.dtype == split.image.dtype == np.float32
+
+    def test_save_and_load_is_bitwise(self, tmp_path):
+        splits = gen_synthetic(seed=4, n_train=30, n_test=20, n_val=10, noise=0.3)
+        for name, split in zip(("train", "test", "val"), splits):
+            save_dataset(split, tmp_path / name)
+            back = load_dataset(tmp_path / name)
+            assert back.ids == split.ids
+            assert back.text.tobytes() == split.text.tobytes()
+            assert back.image.tobytes() == split.image.tobytes()
+            np.testing.assert_array_equal(back.labels, split.labels)
+
+    @pytest.mark.parametrize("noise", [0.3, 0.0])
+    def test_values_are_the_float64_recipe_rounded_once(self, noise):
+        # the recipe in float64 with one draw per block, rounded to float32 at the end;
+        # 600 rows cross the chunk boundaries of the draws
+        count = 600
+        rng = np.random.default_rng(9)
+        text = noise * rng.standard_normal((count, TEXT_DIM))
+        image = noise * rng.standard_normal((count, IMAGE_DIM))
+        labels = np.zeros((count, N_CLASSES), dtype=bool)
+        for row in range(count):
+            labels[row, rng.choice(N_CLASSES, size=int(rng.integers(1, 5)), replace=False)] = True
+        for block, present in ((text, labels[:, :9]), (image, labels[:, 9:])):
+            np.add(block[:, :72], 1.0, out=block[:, :72], where=np.repeat(present, 8, axis=1))
+        train, _, _ = gen_synthetic(seed=9, n_train=count, n_test=1, n_val=1, noise=noise)
+        np.testing.assert_array_equal(train.labels, labels)
+        assert train.text.tobytes() == text.astype(np.float32).tobytes()
+        assert train.image.tobytes() == image.astype(np.float32).tobytes()
+
+    def test_peak_memory_stays_near_the_float32_output(self):
+        tracemalloc.start()
+        try:
+            splits = gen_synthetic(0, 4000, 1, 1, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        float32_bytes = sum(4 * len(split) * (TEXT_DIM + IMAGE_DIM) for split in splits)
+        assert peak < 1.5 * float32_bytes
 
     @pytest.mark.parametrize("noise", [-0.1, float("nan"), float("inf")])
     def test_negative_noise_rejected(self, noise):

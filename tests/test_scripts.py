@@ -116,7 +116,8 @@ def test_fingerprint_listing_is_stable(fingerprint, fingerprints):
     assert first == second
     for name in ("train_head/cross_attn_fcnn/w.npy", "fused_probs/fm3.npy",
                  "pseudo_label_loop/fm3/history.csv", "cli/pseudo/rounds.csv",
-                 "cli/log/pseudo-loop-unknown-set.txt", "cli/log/help-flops.txt"):
+                 "cli/log/pseudo-loop-unknown-set.txt", "cli/log/help-flops.txt",
+                 "gen_synthetic/train/image.npy", "save_dataset/val/text.femb"):
         assert name in first
 
 

@@ -5,7 +5,8 @@ For each guarded setting below, a bool and a string are refused with a
 and a fraction for an integer one; a valid value passes.  ``TrainConfig``'s
 fields, the stopping settings of ``pseudo_label_loop`` and ``ScalingSpec``'s
 fields take the same inputs in their own tests in ``test_training.py`` and
-``test_vision_blocks.py``.
+``test_vision_blocks.py``.  A real setting of each of three entry points
+refuses an integer too large for a float.
 """
 
 import math
@@ -17,8 +18,8 @@ import pytest
 from mmfusion.data_io import gen_synthetic
 from mmfusion.errors import DomainError
 from mmfusion.fusion import N_CLASSES, assign_labels
-from mmfusion.training import class_weights
-from mmfusion.vision_blocks import ConvSpec
+from mmfusion.training import TrainConfig, class_weights
+from mmfusion.vision_blocks import ConvSpec, ScalingSpec
 
 
 def synthetic(**setting):
@@ -55,3 +56,18 @@ def test_setting_refuses_bad_values_naming_itself(name):
         with pytest.raises(DomainError, match=f"^{re.escape(name)} must be {rule}, got "):
             call(value)
     call(valid)
+
+
+# an integer too large for a float, which math.isfinite cannot take
+BEYOND_FLOAT = {
+    "lr": lambda v: TrainConfig(lr=v),
+    "ScalingSpec.phi": lambda v: ScalingSpec(phi=v),
+    "noise": lambda v: gen_synthetic(1, 5, 5, 5, v),
+}
+
+
+@pytest.mark.parametrize("name", BEYOND_FLOAT)
+@pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["positive", "negative"])
+def test_real_setting_refuses_an_integer_beyond_the_float_range(name, value):
+    with pytest.raises(DomainError, match=f"^{re.escape(name)} must lie in the float range, got "):
+        BEYOND_FLOAT[name](value)

@@ -1,5 +1,6 @@
 """Cost models, MAC-counted convolution forwards, compound scaling."""
 
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mmfusion.errors import DomainError, ShapeError
+from mmfusion.errors import DomainError, NumericError, ShapeError
 from mmfusion.vision_blocks import (
     ConvSpec,
     ScalingSpec,
@@ -185,6 +186,18 @@ class TestCompoundScale:
         result = compound_scale(spec)
         expected = (alpha * beta**2 * gamma**2) ** phi
         assert abs(result.flops_factor - expected) <= 1e-12 * max(1.0, expected)
+
+    @pytest.mark.parametrize("fields_, quantity", [
+        (dict(phi=3000.0), "flops_factor"),
+        (dict(phi=1e308), "depth"),
+        (dict(phi=1.0, d0=1e308, alpha=10.0), "depth"),
+        (dict(phi=0.0, beta=1e200), "alpha * beta**2 * gamma**2"),
+        (dict(phi=0.0, alpha=1e308, beta=1.0, gamma=1.0, budget=-1e308), "constraint_residual"),
+    ])
+    def test_overflow_names_the_quantity_and_phi(self, fields_, quantity):
+        message = f"compound scaling: {quantity} overflows the float range at phi={fields_['phi']!r}"
+        with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
+            compound_scale(ScalingSpec(**fields_))
 
     def test_rates_below_one_rejected(self):
         with pytest.raises(DomainError):

@@ -7,12 +7,15 @@
 The canonical set runs with one BLAS thread on synthetic data of a fixed
 seed: ``gen_synthetic``'s splits as held in memory (each block and the
 labels) and the files ``save_dataset`` writes for them, so a change of data
-representation shows by name; ``train_head`` (parameters and history) and
-``predict_logits`` for every head kind, ``fused_probs`` for fm1-fm3,
-``pseudo_label_loop`` over fm2 and fm3, and the CLI chain (every output file, and the stdout, stderr
-and exit code of each command, one failing command included) with the
-``--help`` text of the parser and of every subcommand.  ``wall_ms`` lines
-are dropped, so two runs of one tree on one machine print the same listing.
+representation shows by name; the parameter gradients of one weighted-BCE
+backward pass per head kind, at seeded parameters on the first 64 training
+rows, so a change of the backward shows by name too; ``train_head``
+(parameters and history) and ``predict_logits`` for every head kind,
+``fused_probs`` for fm1-fm3, ``pseudo_label_loop`` over fm2 and fm3, and the
+CLI chain (every output file, and the stdout, stderr and exit code of each
+command, one failing command included) with the ``--help`` text of the
+parser and of every subcommand.  ``wall_ms`` lines are dropped, so two runs
+of one tree on one machine print the same listing.
 
 ``--against REV`` unpacks ``git archive REV src`` into a temporary directory
 and runs the same set against that source as well; it lists each artifact
@@ -57,8 +60,11 @@ def collect(out: Path, size: str) -> None:
     """Write every artifact of the canonical set under ``out``, from whatever ``mmfusion`` imports."""
     from mmfusion import cli
     from mmfusion.data_io import gen_synthetic, save_dataset
-    from mmfusion.fusion import FUSION_SETS, HEAD_KINDS, predict_logits
-    from mmfusion.training import TrainConfig, fused_probs, pseudo_label_loop, train_head
+    from mmfusion.fusion import (FUSION_SETS, HEAD_KINDS, expected_param_shapes,
+                                 head_forward_batch, predict_logits)
+    from mmfusion.tensor import Tensor
+    from mmfusion.training import (TrainConfig, bce_loss_node, class_weights, fused_probs,
+                                   pseudo_label_loop, train_head)
 
     s = SIZES[size]
     train, test, val = gen_synthetic(SEED, s["n_train"], s["n_test"], s["n_val"], noise=0.3)
@@ -81,6 +87,19 @@ def collect(out: Path, size: str) -> None:
         for block in ("text", "image", "labels"):
             save(f"gen_synthetic/{name}/{block}.npy", getattr(split, block))
         save_dataset(split, out / "save_dataset" / name)
+
+    # one weighted-BCE backward per kind on the first 64 rows, at drawn parameters, so
+    # its gradients do not depend on training
+    rows = slice(0, 64)
+    weights = class_weights(train.label_counts())
+    for kind in HEAD_KINDS:
+        draw = np.random.default_rng(SEED).standard_normal
+        leaves = {name: Tensor(0.05 * draw(shape), requires_grad=True)
+                  for name, shape in expected_param_shapes(kind).items()}
+        logits = head_forward_batch(kind, leaves, train.text[rows], train.image[rows])
+        bce_loss_node(logits, train.labels[rows], weights).backward()
+        for name, leaf in leaves.items():
+            save(f"backward/{kind}/{name}.npy", leaf.grad)
 
     models = {}
     for kind in HEAD_KINDS:

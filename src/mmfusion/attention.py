@@ -9,6 +9,17 @@ axis, so a whole batch of samples attends in one call.
 Both run on :class:`mmfusion.tensor.Tensor`, so gradients flow to every
 projection matrix when the inputs require them, and both return only their
 output; the attention weights come from their shared core, :func:`_attend`.
+
+The key and value sides each run as one node, :func:`_read_tokens`, whose
+forward computes ``K = Y Wk``, ``V = Y Wv`` and the products with them as
+written, and whose backward is re-associated.  With ``Y`` the key/value
+rows, ``Q`` the queries, ``A`` the attention weights, ``G`` the gradient of
+the scores ``Q Kᵀ`` and ``G'`` that of the output ``A V``, the weights get
+``dWk = (G Y)ᵀ Q`` and ``dWv = (A Y)ᵀ G'``, each one GEMM over every query
+row, and ``Y`` gets ``Gᵀ (Q Wkᵀ) + Aᵀ (G' Wvᵀ)`` only when it needs a
+gradient.  So no [.., t_kv, d] gradient of ``K`` or ``V`` is built: with one
+query row per sample and 14 tokens, the projections' backward costs 36,352
+MAC per sample instead of 462,336.
 """
 
 from __future__ import annotations
@@ -16,8 +27,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ShapeError
-from .tensor import Tensor, as_tensor, layer_norm, softmax_rows
+from .tensor import Tensor, _node, as_tensor, layer_norm, softmax_rows
 
 
 @dataclass
@@ -77,10 +90,37 @@ def _attend(xq: Tensor, ykv: Tensor, params: AttentionParams) -> tuple[Tensor, T
     if params.wv.shape[0] != d_y:
         raise ShapeError(f"wv {params.wv.shape} does not accept rows of width {d_y}")
     q = _project(xq, params.wq)
-    k = _project(ykv, params.wk)
-    v = _project(ykv, params.wv)
-    weights = softmax_rows((q @ k.transpose_last()) * (1.0 / math.sqrt(params.d_k)))
-    return weights @ v, weights
+    scores = _read_tokens(q, ykv, params.wk, keys=True)
+    weights = softmax_rows(scores * (1.0 / math.sqrt(params.d_k)))
+    return _read_tokens(weights, ykv, params.wv, keys=False), weights
+
+
+def _read_tokens(a: Tensor, ykv: Tensor, w: Tensor, keys: bool) -> Tensor:
+    """``a @ Pᵀ`` for the keys, ``a @ P`` for the values, with ``P = ykv @ w``, as one node.
+
+    The forward runs those products as written.  The backward is
+    re-associated, so the [.., t_kv, d] gradient of ``P`` is never built:
+    ``P``'s gradient is ``Lᵀ R``, with ``L`` the output gradient and
+    ``R = a`` for the keys, ``L = a`` and ``R`` the output gradient for the
+    values, so ``w`` gets ``(L ykv)ᵀ R`` as one GEMM over every query row
+    and ``ykv`` gets ``Lᵀ (R wᵀ)``.  ``a``'s gradient is matmul's own.
+    """
+    p = _project(Tensor(ykv.data), Tensor(w.data))
+    out = a @ (p.transpose_last() if keys else p)
+
+    def factors(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return (g, a.data) if keys else (a.data, g)
+
+    def pull_w(g: np.ndarray) -> np.ndarray:
+        left, right = factors(g)
+        read = left @ ykv.data
+        return read.reshape(-1, read.shape[-1]).T @ right.reshape(-1, right.shape[-1])
+
+    def pull_y(g: np.ndarray) -> np.ndarray:
+        left, right = factors(g)
+        return np.swapaxes(left, -1, -2) @ (right @ w.data.T)
+
+    return _node(out.data, (out, lambda g: g), (w, pull_w), (ykv, pull_y))
 
 
 def self_attention(x, params: AttentionParams) -> Tensor:

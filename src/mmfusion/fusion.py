@@ -37,6 +37,7 @@ from __future__ import annotations
 from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -187,16 +188,18 @@ def init_head_params(kind: str, seed: int) -> dict[str, np.ndarray]:
             for name, p in _PARAMS[kind].items()}
 
 
-@dataclass
+@dataclass(frozen=True)
 class FusionModel:
-    """One head kind plus its named parameter arrays.
+    """One head kind plus its named parameter arrays, read-only once checked.
 
     Parameters are stored as float64 values that round-trip exactly through
-    float32, the storage precision of the model file format.
+    float32, the storage precision of the model file format.  ``params`` is
+    a read-only mapping of read-only copies, so no value can be edited in
+    past the checks.
     """
 
     kind: str
-    params: dict[str, np.ndarray]
+    params: Mapping[str, np.ndarray]
 
     def __post_init__(self):
         expected = expected_param_shapes(self.kind)
@@ -210,7 +213,8 @@ class FusionModel:
             if arr.shape != shape:
                 raise ShapeError(f"parameter {name!r} must have shape {shape}, got {arr.shape}")
             clean[name] = _quantize(arr)
-        self.params = clean
+            clean[name].flags.writeable = False
+        object.__setattr__(self, "params", MappingProxyType(clean))
 
 
 def _batch_rows(kind: str, text: np.ndarray | None, image: np.ndarray | None) -> int:

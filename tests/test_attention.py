@@ -240,3 +240,114 @@ class TestCrossAttention:
         ):
             with pytest.raises(ShapeError):
                 cross_attention(Tensor(xq), Tensor(ykv), params)
+
+
+def _np_softmax(s):
+    # the operations of tensor.softmax_rows, so the bits can be compared
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _np_project(x, w):
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + (w.shape[1],))
+
+
+def _np_weight_grad(x, g):
+    # the gradient of w in _np_project(x, w), summed over every row
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
+def reference_attention(xq, ykv, p, probe, residual):
+    """Forward and gradients of ``sum(probe * out)`` through the materialised chain.
+
+    ``out`` is ``A V`` (``residual=False``, self-attention) or
+    ``layer_norm(A V + xq)``; K and V, and their gradients, are built as
+    [.., t_kv, d] arrays: ``dK = Gᵀ Q``, ``dWk = Yᵀ dK``, ``dV = Aᵀ G'``,
+    ``dWv = Yᵀ dV``.
+    """
+    def swap(m):
+        return np.swapaxes(m, -1, -2)
+
+    scale = 1.0 / math.sqrt(p["wq"].shape[1])
+    q, k, v = _np_project(xq, p["wq"]), _np_project(ykv, p["wk"]), _np_project(ykv, p["wv"])
+    a = _np_softmax((q @ swap(k)) * scale)
+    attended = a @ v
+    grads = {}
+    if residual:
+        r = attended + xq
+        mu, var = r.mean(axis=-1, keepdims=True), r.var(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + 1e-5)  # layer_norm's eps
+        xhat = (r - mu) * inv
+        lead = tuple(range(r.ndim - 1))
+        grads["ln_gain"] = (probe * xhat).sum(axis=lead)
+        grads["ln_bias"] = probe.sum(axis=lead)
+        dxhat = probe * p["ln_gain"]
+        d_att = (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                 - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv
+    else:
+        d_att = probe
+    d_a = d_att @ swap(v)
+    d_scores = (d_a - (d_a * a).sum(axis=-1, keepdims=True)) * a * scale
+    d_q, d_k, d_v = d_scores @ k, swap(d_scores) @ q, swap(a) @ d_att
+    grads["wq"] = _np_weight_grad(xq, d_q)
+    grads["wk"] = _np_weight_grad(ykv, d_k)
+    grads["wv"] = _np_weight_grad(ykv, d_v)
+    grads["xq"] = d_q @ p["wq"].T + (d_att if residual else 0.0)
+    grads["ykv"] = d_k @ p["wk"].T + d_v @ p["wv"].T
+    return attended, grads
+
+
+def assert_gradients_match(got, want):
+    for name, ref in want.items():
+        assert got[name].shape == ref.shape, name
+        assert np.abs(got[name] - ref).max() <= 1e-12 * np.abs(ref).max(), name
+
+
+class TestReassociatedBackward:
+    """The key and value weights get their gradients without dK or dV; the forward keeps its bits."""
+
+    @pytest.mark.parametrize("t_q", [1, 3])
+    @pytest.mark.parametrize("batch", [(), (4,)], ids=["unbatched", "batched"])
+    def test_cross_attention_matches_the_materialised_chain(self, t_q, batch, rng):
+        d_x, d_y, d_k, t_kv = 6, 5, 3, 7
+        base = {
+            "wq": rng.standard_normal((d_x, d_k)),
+            "wk": rng.standard_normal((d_y, d_k)),
+            "wv": rng.standard_normal((d_y, d_x)),
+            "ln_gain": rng.standard_normal(d_x),
+            "ln_bias": rng.standard_normal(d_x),
+        }
+        xq = rng.standard_normal(batch + (t_q, d_x))
+        ykv = rng.standard_normal(batch + (t_kv, d_y))
+        probe = rng.standard_normal(batch + (t_q, d_x))
+        leaves = {k: Tensor(v, requires_grad=True) for k, v in base.items()}
+        tq, tkv = Tensor(xq, requires_grad=True), Tensor(ykv, requires_grad=True)
+        params = AttentionParams(**leaves)
+        (cross_attention(tq, tkv, params) * Tensor(probe)).sum().backward()
+
+        attended, want = reference_attention(xq, ykv, base, probe, residual=True)
+        np.testing.assert_array_equal(_attend(Tensor(xq), Tensor(ykv), params)[0].data, attended)
+        got = {k: leaf.grad for k, leaf in leaves.items()}
+        assert_gradients_match({**got, "xq": tq.grad, "ykv": tkv.grad}, want)
+
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_self_attention_matches_the_materialised_chain(self, t, rng):
+        # x is both the query and the key/value source, so its gradient sums three paths
+        d_x, d_k, d_v = 5, 3, 4
+        base = {
+            "wq": rng.standard_normal((d_x, d_k)),
+            "wk": rng.standard_normal((d_x, d_k)),
+            "wv": rng.standard_normal((d_x, d_v)),
+        }
+        x = rng.standard_normal((t, d_x))
+        probe = rng.standard_normal((t, d_v))
+        leaves = {k: Tensor(v, requires_grad=True) for k, v in base.items()}
+        tx = Tensor(x, requires_grad=True)
+        out = self_attention(tx, AttentionParams(**leaves))
+        (out * Tensor(probe)).sum().backward()
+
+        attended, want = reference_attention(x, x, base, probe, residual=False)
+        np.testing.assert_array_equal(out.data, attended)
+        got = {k: leaf.grad for k, leaf in leaves.items()}
+        want["x"] = want.pop("xq") + want.pop("ykv")
+        assert_gradients_match({**got, "x": tx.grad}, want)

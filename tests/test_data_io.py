@@ -423,9 +423,12 @@ class TestModelFormat:
 
     @pytest.mark.parametrize("value, rule", [(np.nan, "finite"), (1e-46, "exact")])
     def test_save_refuses_a_value_edited_in_before_any_write(self, value, rule, tmp_path):
-        # the arrays stay writable, so a value load_model would refuse, or would read back
-        # as another value, can reach save_model after construction
+        # the model refuses the edit; with writes re-enabled on that one array, a value
+        # load_model would refuse, or would read back as another value, reaches save_model
         model = make_model("vision_linear")
+        with pytest.raises(ValueError, match="read-only"):
+            model.params["w"][0, 3] = value
+        model.params["w"].flags.writeable = True
         model.params["w"][0, 3] = value
         path = tmp_path / "m.fus1"
         with pytest.raises(NumericError, match=rf"parameter 'w' value {value} at \(0, 3\) is not {rule}"):

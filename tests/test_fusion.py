@@ -166,6 +166,24 @@ class TestHeadForward:
         with pytest.raises(NumericError):
             FusionModel(kind="text_linear", params=params)
 
+    def test_checked_model_is_read_only(self, rng):
+        model = make_model("cross_attn_fcnn", rng)
+        text, image = make_batch(rng, 3)
+        before = predict_logits(model, text, image)
+        with pytest.raises(ValueError, match="read-only"):
+            model.params["w"][0, 0] = np.nan
+        with pytest.raises(TypeError):
+            model.params["w"] = np.zeros((N_CLASSES, 2048))
+        with pytest.raises(AttributeError):
+            model.kind = "text_linear"
+        np.testing.assert_array_equal(predict_logits(model, text, image), before)
+
+    def test_caller_arrays_stay_writable(self, rng):
+        params = {name: rng.standard_normal(shape)
+                  for name, shape in expected_param_shapes("text_linear").items()}
+        FusionModel(kind="text_linear", params=params)
+        params["w"][0, 0] = 1.0
+
     def test_overflowing_inputs_raise_numeric_error(self, rng):
         model = make_model("cross_attn_fcnn", rng)
         text, image = make_batch(rng, 8)

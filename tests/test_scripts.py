@@ -117,7 +117,8 @@ def test_fingerprint_listing_is_stable(fingerprint, fingerprints):
     for name in ("train_head/cross_attn_fcnn/w.npy", "fused_probs/fm3.npy",
                  "pseudo_label_loop/fm3/history.csv", "cli/pseudo/rounds.csv",
                  "cli/log/pseudo-loop-unknown-set.txt", "cli/log/help-flops.txt",
-                 "gen_synthetic/train/image.npy", "save_dataset/val/text.femb"):
+                 "gen_synthetic/train/image.npy", "save_dataset/val/text.femb",
+                 "backward/cross_attn_fcnn/wk.npy"):
         assert name in first
 
 

@@ -361,8 +361,8 @@ _DESCRIPTOR = (TEXT_DIM, IMAGE_DIM, N_CLASSES, TEXT_DIM)
 def _model_payload(name: str, arr: np.ndarray, path) -> bytes:
     """The float32 bytes of parameter ``name``; a value float32 cannot hold exactly raises.
 
-    :class:`FusionModel` quantizes its parameters, but its arrays stay
-    writable, so a value edited in later is caught here, before any write.
+    :class:`FusionModel` holds quantized, read-only parameters, so a value edited
+    in through an array whose writes were re-enabled is caught here, before any write.
     """
     with np.errstate(over="ignore"):  # beyond the float32 range becomes +-inf, caught below
         payload = arr.astype("<f4")
@@ -466,6 +466,13 @@ def load_model(path, expect_kind: str | None = None) -> FusionModel:
 # ------------------------------------------------------------------ datasets
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of ``arr``; ``arr`` itself stays writable."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class EmbeddingDataset:
     """Aligned sample ids, text embeddings [n, 128], image embeddings [n, 1792].
@@ -475,7 +482,8 @@ class EmbeddingDataset:
     a dataset holds the bytes :func:`save_dataset` writes.  A value that is
     not finite in float32 raises :class:`NonFiniteError` naming the block,
     row and column.  ``labels`` is None (unlabeled pool) or the [n, 18] bool
-    label matrix (see labels_to_matrix).
+    label matrix (see labels_to_matrix).  The blocks and labels are read-only
+    views of what was checked; the caller's own arrays stay writable.
     """
 
     ids: tuple[str, ...]
@@ -494,9 +502,10 @@ class EmbeddingDataset:
                 raise ShapeError(f"{name} embeddings must be a numpy array, got {type(block).__name__}")
             if block.shape != (n, width):
                 raise ShapeError(f"{name} embeddings must be ({n}, {width}), got {block.shape}")
-            object.__setattr__(self, name, _float32_payload(block, f"{name} embeddings"))
+            payload = _float32_payload(block, f"{name} embeddings")
+            object.__setattr__(self, name, _read_only(payload))
         if self.labels is not None:
-            object.__setattr__(self, "labels", labels_to_matrix(self.labels))
+            object.__setattr__(self, "labels", _read_only(labels_to_matrix(self.labels)))
             if len(self.labels) != n:
                 raise DatasetError(f"{len(self.labels)} labels for {n} samples")
             if not self.labels.any(axis=1).all():
@@ -537,8 +546,8 @@ class EmbeddingDataset:
 def save_dataset(dataset: EmbeddingDataset, directory) -> None:
     """Write a dataset directory from its float32 blocks, without a copy.
 
-    What the files cannot hold, such as a value edited into a block after
-    construction, raises before any write.
+    What the files cannot hold raises before any write, such as a value edited in
+    through a block whose writes were re-enabled or through the caller's float32 array.
     """
     directory = Path(directory)
     text = _float32_payload(dataset.text, directory / "text.femb")

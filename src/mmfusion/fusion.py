@@ -18,9 +18,10 @@ for a kind that reads ``attended``), the forward pass and the fold read it.
 Each kind reads only its own embedding blocks (:data:`HEAD_INPUTS`), and
 may be handed ``None`` for a block it does not read.  A block may arrive at
 any float precision, such as the float32 of the embedding files; a head
-widens what it reads to float64, which is exact.  The final layer reads
-each block through its own columns of ``w``, so ``[text; image]`` is never
-built: the concat head computes ``w[:, :128] @ text + w[:, 128:] @ image + b``.
+widens what it reads to float64, which is exact.  The final layer is one
+node reading each block through its own columns of ``w``, so the concat
+head computes ``w[:, :128] @ text + w[:, 128:] @ image + b`` and never
+builds ``[text; image]``.
 
 Ensembles average logits element-wise before thresholding.  A fusion set
 names two or more distinct head kinds (:func:`check_fusion_set`).  Since
@@ -44,7 +45,7 @@ import numpy as np
 
 from .attention import AttentionParams, cross_attention
 from .errors import DomainError, LabelDomainError, NumericError, ShapeError, _check_setting
-from .tensor import Tensor, _sigmoid_values, as_tensor
+from .tensor import Tensor, _node, _sigmoid_values, as_tensor
 
 TEXT_DIM = 128
 IMAGE_DIM = 1792
@@ -258,18 +259,35 @@ def head_forward_batch(kind: str, params: Mapping[str, object], text, image) -> 
         blocks["attended"] = cross_attention(
             ft.reshape(n, 1, TEXT_DIM), fi.reshape(n, TOKEN_COUNT, TEXT_DIM), attn
         ).reshape(n, TEXT_DIM)
+    return _final_layer(blocks, p["w"], p["b"], columns)
 
-    # the final layer reads each block through its own columns of w, so no
-    # [n, width] copy of the joined features is ever made
-    w = p["w"]
-    width = _PARAMS[kind]["w"].shape[1]
-    if w.ndim != 2 or w.shape[1] != width:
-        raise ShapeError(f"final layer expects input width {width}, weights are {w.shape}")
+
+def _final_layer(blocks: dict, w: Tensor, b: Tensor, columns: dict) -> Tensor:
+    """``Σ blocks[name] @ w[:, cols]ᵀ + b`` over ``columns`` in their order, as one node.
+
+    Each product runs through :func:`tensor.matmul`.  The backward gives a
+    block ``g @ w[:, cols]``, ``b`` the column sums of ``g``, and ``w`` one
+    array filled block by block with ``gᵀ @ block``, so no zero-padded
+    [18, width] gradient is made per block.
+    """
+    width = max(cols.stop for cols in columns.values())
+    if w.shape != (N_CLASSES, width) or b.shape != (N_CLASSES,):
+        raise ShapeError(f"final layer needs w {(N_CLASSES, width)} and b {(N_CLASSES,)}, "
+                         f"got {w.shape} and {b.shape}")
     out = None
     for name, cols in columns.items():
-        part = blocks[name] @ w.slice_last(cols.start, cols.stop).transpose_last()
+        part = (Tensor(blocks[name].data) @ Tensor(w.data[:, cols].T)).data
         out = part if out is None else out + part
-    return out + p["b"]
+
+    def pull_w(g: np.ndarray) -> np.ndarray:
+        dw = np.empty_like(w.data)
+        for name, cols in columns.items():
+            np.matmul(g.T, blocks[name].data, out=dw[:, cols])
+        return dw
+
+    reads = [(blocks[name], lambda g, cols=cols: g @ w.data[:, cols])
+             for name, cols in columns.items()]
+    return _node(out + b.data, *reads, (w, pull_w), (b, lambda g: g.sum(axis=0)))
 
 
 @contextmanager

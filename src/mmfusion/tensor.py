@@ -7,6 +7,9 @@ Calling :meth:`Tensor.backward` on a scalar result adds the gradient into
 ``.grad`` of every reachable gradient-requiring leaf; a computed tensor's
 ``.grad`` stays None.
 
+Every op builds its result through :func:`_node`, and so do the layers whose
+backward is cheaper as one piece: ``attention._read_tokens`` and ``fusion._final_layer``.
+
 All arithmetic runs in float64.  Narrower dtypes appear only in file storage,
 never here.
 """
@@ -120,25 +123,6 @@ class Tensor:
             raise ShapeError(f"transpose_last needs rank >= 2, got {self.shape}")
         return _node(np.swapaxes(self.data, -1, -2), (self, lambda g: np.swapaxes(g, -1, -2)))
 
-    def slice_last(self, start: int, stop: int) -> "Tensor":
-        """Columns ``start:stop`` of the last axis, as a view; the full width is ``self``.
-
-        Backward pads the gradient with zeros back to the full width.
-        """
-        width = self.shape[-1] if self.ndim else 0
-        if not 0 <= start < stop <= width:
-            raise ShapeError(f"slice_last({start}, {stop}) is outside a last axis of {width}")
-        if stop - start == width:
-            return self
-        src = self.data.shape
-
-        def pull(g: Array) -> Array:
-            full = np.zeros(src)
-            full[..., start:stop] = g
-            return full
-
-        return _node(self.data[..., start:stop], (self, pull))
-
     def sum(self) -> "Tensor":
         """Sum of every element, as a scalar tensor."""
         src = self.data.shape
@@ -189,22 +173,9 @@ def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
-    return _binary(a, b, np.matmul, lambda g, x, y: g @ np.swapaxes(y, -1, -2), _pull_right)
-
-
-def _pull_right(g: Array, x: Array, y: Array) -> Array:
-    """The gradient of ``y`` in ``x @ y``, laid out as ``y``.
-
-    A transposed 2-D weight view (unit stride down its rows) gets
-    ``(g.T @ x).T``, so the weight behind it receives a C-contiguous
-    gradient; any other ``y`` gets ``x.T @ g``.  Both forms multiply the
-    same pairs, and with the BLAS kernels tried they also sum them in the
-    same order; ``scripts/fingerprint.py --against`` shows whether a host
-    keeps the bits.
-    """
-    if x.ndim == 2 and y.ndim == 2 and y.strides[0] == y.itemsize:
-        return (g.T @ x).T
-    return np.swapaxes(x, -1, -2) @ g
+    return _binary(a, b, np.matmul,
+                   lambda g, x, y: g @ np.swapaxes(y, -1, -2),
+                   lambda g, x, y: np.swapaxes(x, -1, -2) @ g)
 
 
 def relu(x) -> Tensor:

@@ -663,9 +663,22 @@ class TestEmbeddingDataset:
         text = np.zeros((2, TEXT_DIM), dtype=np.float32)
         image = np.full((2, IMAGE_DIM), 0.1)
         ds = EmbeddingDataset(ids=("a", "b"), text=text, image=image)
-        assert ds.text is text  # a float32 block is kept as it is
+        # a float32 block is kept without a copy, as a read-only view
+        assert np.shares_memory(ds.text, text) and not ds.text.flags.writeable
         assert ds.image.dtype == np.float32
         assert ds.image.tobytes() == image.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("name", ["text", "image", "labels"])
+    def test_held_arrays_refuse_writes(self, name):
+        given = {"text": np.zeros((2, TEXT_DIM), dtype=np.float32),
+                 "image": np.zeros((2, IMAGE_DIM), dtype=np.float32),
+                 "labels": np.ones((2, N_CLASSES), dtype=bool)}
+        ds = EmbeddingDataset(ids=("a", "b"), **given)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ds, name)[0, 0] = 0
+        # the caller's own array stays writable, and the dataset views it
+        given[name][0, 0] = 0
+        assert getattr(ds, name)[0, 0] == 0
 
     def test_label_counts(self):
         ds = EmbeddingDataset(
@@ -773,8 +786,13 @@ class TestDatasetDirectory:
         # the dataset refuses it when built, so there is nothing to save
         with pytest.raises(NonFiniteError, match=r"^image embeddings: value 1e\+39 at row 1, column 5"):
             EmbeddingDataset(ids=ds.ids, text=ds.text, image=image, labels=ds.labels)
-        # a value edited into a held block after construction is refused before any write
-        ds.image[2, 7] = np.inf
+        # the dataset refuses an edit into its held block
+        with pytest.raises(ValueError, match="read-only"):
+            ds.image[2, 7] = np.inf
+        # a value edited in through the caller's own float32 array is refused before any write
+        image = ds.image.copy()
+        ds = EmbeddingDataset(ids=ds.ids, text=ds.text, image=image, labels=ds.labels)
+        image[2, 7] = np.inf
         with pytest.raises(NonFiniteError, match="image.femb: value inf at row 2, column 7"):
             save_dataset(ds, tmp_path / "d")
         assert not (tmp_path / "d").exists()

@@ -221,6 +221,69 @@ class TestHeadForward:
         np.testing.assert_allclose(leaves["w"].grad, (x.T @ g).T, rtol=1e-12)
 
 
+class TestFinalLayer:
+    @pytest.mark.parametrize("kind", HEAD_KINDS)
+    def test_matches_plain_numpy_bit_for_bit(self, kind, rng):
+        base = {name: rng.standard_normal(shape) * 0.2
+                for name, shape in expected_param_shapes(kind).items()}
+        leaves = {name: Tensor(value, requires_grad=True) for name, value in base.items()}
+        n = 64
+        text, image = make_batch(rng, n)
+        g = rng.standard_normal((n, N_CLASSES))
+        logits = head_forward_batch(kind, leaves, text, image)
+        (logits * Tensor(g)).sum().backward()
+
+        # the same products and sums in the same order, one block of w's columns at a time
+        blocks = {"text": text, "image": image}
+        attn = {}
+        if "wq" in base:
+            attn = {name: Tensor(base[name], requires_grad=True)
+                    for name in ("wq", "wk", "wv", "ln_gain", "ln_bias")}
+            attended = cross_attention(text.reshape(n, 1, TEXT_DIM),
+                                       image.reshape(n, IMAGE_DIM // TEXT_DIM, TEXT_DIM),
+                                       AttentionParams(**attn)).reshape(n, TEXT_DIM)
+            blocks["attended"] = attended.data
+        w, cols, start, want = base["w"], {}, 0, None
+        for name in (("attended",) if attn else ()) + HEAD_INPUTS[kind]:
+            cols[name] = slice(start, start + blocks[name].shape[1])
+            start = cols[name].stop
+            part = blocks[name] @ w[:, cols[name]].T
+            want = part if want is None else want + part
+        assert logits.data.tobytes() == (want + base["b"]).tobytes()
+        dw = np.concatenate([g.T @ blocks[name] for name in cols], axis=1)
+        assert leaves["w"].grad.tobytes() == dw.tobytes()
+        assert leaves["b"].grad.tobytes() == g.sum(axis=0).tobytes()
+        if attn:
+            # the attended block's gradient is g @ w[:, cols], carried into attention as is
+            (attended * Tensor(g @ w[:, cols["attended"]])).sum().backward()
+            for name, leaf in attn.items():
+                assert leaves[name].grad.tobytes() == leaf.grad.tobytes()
+
+    @pytest.mark.parametrize("name, shape", [("w", (N_CLASSES, TEXT_DIM + IMAGE_DIM + 1)),
+                                             ("w", (N_CLASSES - 1, TEXT_DIM + IMAGE_DIM)),
+                                             ("b", (1,))])
+    def test_misshaped_final_layer_rejected(self, name, shape, rng):
+        params = {**make_model("concat_fcnn", rng).params, name: np.zeros(shape)}
+        with pytest.raises(ShapeError, match=r"final layer needs w \(18, 1920\) and b \(18,\)"):
+            head_forward_batch("concat_fcnn", params, *make_batch(rng, 2))
+
+    @pytest.mark.parametrize("kind, mib", [("concat_fcnn", 0.5), ("vision_linear", 0.3)])
+    def test_backward_makes_no_padded_weight_gradient(self, kind, mib, rng):
+        # a zero-padded [18, 1920] gradient per block would put concat_fcnn past 1 MiB
+        leaves = {name: Tensor(rng.standard_normal(shape) * 0.2, requires_grad=True)
+                  for name, shape in expected_param_shapes(kind).items()}
+        text, image = make_batch(rng, 64)
+        loss = (head_forward_batch(kind, leaves, text, image)
+                * Tensor(rng.standard_normal((64, N_CLASSES)))).sum()
+        tracemalloc.start()
+        try:
+            loss.backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < mib * 2**20
+
+
 class TestPredictBlocks:
     @pytest.mark.parametrize("kind", HEAD_KINDS)
     @pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257, 513])

@@ -230,35 +230,12 @@ class TestAutodiffPlumbing:
         np.testing.assert_array_equal(row.grad, [3.0, 3.0])
         np.testing.assert_array_equal(block.grad, np.ones((3, 2)))
 
-    def test_slice_last_pads_gradient_with_zeros(self):
-        x = Tensor(np.arange(10.0).reshape(2, 5), requires_grad=True)
-        part = x.slice_last(1, 3)
-        np.testing.assert_array_equal(part.data, [[1.0, 2.0], [6.0, 7.0]])
-        (part * Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))).sum().backward()
-        np.testing.assert_array_equal(x.grad, [[0, 1, 2, 0, 0], [0, 3, 4, 0, 0]])
-
-    def test_full_width_slice_is_the_tensor_itself(self):
-        x = Tensor(np.arange(10.0).reshape(2, 5), requires_grad=True)
-        assert x.slice_last(0, 5) is x
-        (x.slice_last(0, 5) * Tensor(np.full((2, 5), 3.0))).sum().backward()
-        np.testing.assert_array_equal(x.grad, np.full((2, 5), 3.0))
-
-    def test_slice_last_is_a_view(self):
-        x = Tensor(np.zeros((2, 5)))
-        assert np.shares_memory(x.slice_last(2, 5).data, x.data)
-
-    @pytest.mark.parametrize("start, stop", [(-1, 2), (3, 3), (4, 2), (0, 6)])
-    def test_slice_last_out_of_range_rejected(self, start, stop):
-        with pytest.raises(ShapeError):
-            Tensor(np.zeros((2, 5))).slice_last(start, stop)
-
 
 # every op, as (input shapes, the op over one tensor per shape)
 OPS = {
     "add": ([(2, 3), (3,)], lambda a, b: a + b),
     "mul": ([(2, 3), (3,)], lambda a, b: a * b),
     "matmul": ([(2, 3), (3, 4)], lambda a, b: a @ b),
-    "slice_last": ([(2, 5)], lambda a: a.slice_last(1, 4)),
     "reshape": ([(2, 3)], lambda a: a.reshape(3, 2)),
     "transpose_last": ([(2, 3)], lambda a: a.transpose_last()),
     "sum": ([(2, 3)], lambda a: a.sum()),
@@ -321,8 +298,6 @@ class TestGradCheck:
                 t.reshape(2, 5), Tensor(np.arange(1.0, 6.0)), Tensor(np.zeros(5))
             ).sum(),
             lambda t: (t.reshape(2, 5) @ Tensor(np.linspace(0.5, 2.0, 15).reshape(5, 3))).sum(),
-            # weight the entries so each column of the slice gets its own gradient
-            lambda t: (t.reshape(2, 5).slice_last(1, 4) * Tensor(np.arange(6.0).reshape(2, 3))).sum(),
             lambda t: (t.reshape(2, 5).transpose_last() * Tensor(np.arange(10.0).reshape(5, 2))).sum(),
             # broadcasting both operands: their gradients are summed back to shape
             lambda t: ((t.reshape(5, 2) + t.reshape(10, 1, 1))

@@ -332,7 +332,7 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         summary = args.handler(args, out)
         write_summary(out, wall_ms=(time.perf_counter() - start) * 1e3, **summary)
-    except (NumericError, OverflowError) as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (DataError, ShapeError, DomainError, OSError) as exc:

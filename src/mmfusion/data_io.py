@@ -100,14 +100,6 @@ def _check_version(version: int, path) -> None:
 # ---------------------------------------------------------------- embeddings
 
 
-def _first_non_finite(flat: np.ndarray) -> int | None:
-    """Index of the first NaN or +-inf in a flat array, None when every value is finite."""
-    # min and max propagate NaN and reach +-inf, so two reductions see any non-finite value
-    if flat.size and not (np.isfinite(flat.min()) and np.isfinite(flat.max())):
-        return int(np.flatnonzero(~np.isfinite(flat))[0])
-    return None
-
-
 def _float32_payload(values: np.ndarray, path) -> np.ndarray:
     """The [n, d] float32 form of ``values`` for ``path``, a file or a dataset block.
 
@@ -122,12 +114,13 @@ def _float32_payload(values: np.ndarray, path) -> np.ndarray:
         raise ShapeError(f"embeddings must be [n, d], got shape {arr.shape}")
     with np.errstate(over="ignore"):  # beyond the float32 range becomes +-inf, caught below
         payload = arr.astype("<f4", copy=False)
-    first = _first_non_finite(payload.ravel())
-    if first is not None:
-        d = arr.shape[1]
+    flat = payload.ravel()
+    # min and max propagate NaN and reach +-inf, so two reductions see any non-finite value
+    if flat.size and not (np.isfinite(flat.min()) and np.isfinite(flat.max())):
+        first, d = int(np.flatnonzero(~np.isfinite(flat))[0]), arr.shape[1]
         raise NonFiniteError(
             f"{path}: value {arr.flat[first]} at row {first // d}, column {first % d} "
-            "is not finite in float32"
+            "is non-finite in float32"
         )
     return payload
 
@@ -166,12 +159,7 @@ def read_embeddings(path) -> np.ndarray:
         if size != expected:
             raise TruncatedFileError(f"{path}: header promises {expected} bytes, found {size}")
         flat = np.fromfile(fh, dtype="<f4", count=n * d)
-    first = _first_non_finite(flat)
-    if first is not None:
-        raise NonFiniteError(
-            f"{path}: non-finite value {flat[first]} at row {first // d}, column {first % d}"
-        )
-    return flat.reshape(n, d)
+    return _float32_payload(flat.reshape(n, d), path)
 
 
 def _first_bad_id(ids: Sequence[str]) -> int:
@@ -605,6 +593,8 @@ SIGNAL_BLOCK = 8
 SIGNAL_COLUMNS = 9 * SIGNAL_BLOCK
 # rows per noise draw; chunked draws give the values of one draw of the whole block
 SYNTHETIC_CHUNK_ROWS = 256
+# the most rows an embedding file's u32 header can count
+_MAX_SPLIT_ROWS = 2**32 - 1
 
 
 def gen_synthetic(
@@ -628,10 +618,16 @@ def gen_synthetic(
     noise is drawn :data:`SYNTHETIC_CHUNK_ROWS` rows at a time straight into
     the float32 blocks; only the 72 signal columns of each block wait in
     float64 for the labels, so no float64 copy of a whole split is made.
+    A split of more rows than an embedding file's header counts raises
+    :class:`DatasetError` before anything is allocated.
     """
     _check_setting("seed", seed, int, 0)
     for name, count in (("n_train", n_train), ("n_test", n_test), ("n_val", n_val)):
         _check_setting(name, count, int)
+        if count > _MAX_SPLIT_ROWS:
+            raise DatasetError(
+                f"{name} is {count}, above the {_MAX_SPLIT_ROWS} rows an embedding file holds"
+            )
     _check_setting("noise", noise, float, 0)
     if min(n_train, n_test, n_val) < 1:
         raise DatasetError("every split needs at least one sample")

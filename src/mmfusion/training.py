@@ -57,8 +57,6 @@ class ClassWeights:
     """Per-class loss weights, all >= 1, derived from positive-label counts."""
 
     values: np.ndarray
-    total: int
-    counts: np.ndarray
 
     def __post_init__(self):
         if self.values.shape != (N_CLASSES,):
@@ -87,7 +85,7 @@ def class_weights(counts, total: int | None = None) -> ClassWeights:
     clamped = np.maximum(arr, 2).astype(np.float64)
     ratio = np.log(clamped) / math.log(t)
     values = 0.5 * (ratio + 1.0 / ratio)
-    return ClassWeights(values=values, total=int(t), counts=arr)
+    return ClassWeights(values=values)
 
 
 def uniform_weights() -> np.ndarray:

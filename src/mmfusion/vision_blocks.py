@@ -59,7 +59,7 @@ class ConvSpec:
 
 def _checked(count: int, what: str) -> int:
     if count > _U64_MAX:
-        raise OverflowError(f"{what} MAC count {count} exceeds the unsigned 64-bit range")
+        raise NumericError(f"{what} MAC count {count} exceeds the unsigned 64-bit range")
     return count
 
 

@@ -262,6 +262,7 @@ class TestFlops:
                        "--df", 2**16, "--out", tmp_path / "f")
         assert proc.returncode == 3
         assert "numeric failure" in proc.stderr
+        assert not (tmp_path / "f" / "flops.txt").exists()
 
     @pytest.mark.parametrize("phi, quantity", [("3000", "flops_factor"), ("1e308", "depth")])
     def test_scaling_overflow_names_the_quantity_and_phi(self, phi, quantity, tmp_path):
@@ -310,6 +311,14 @@ class TestGenSynthetic:
                        "--n-val", 2, "--out", out)
         assert proc.returncode == 2
         assert "seed must be >= 0, got -1" in proc.stderr and "Traceback" not in proc.stderr
+        assert list(out.iterdir()) == []
+
+    def test_huge_split_is_data_error(self, tmp_path):
+        out = tmp_path / "o"
+        proc = run_cli("gen-synthetic", "--n-train", 10**21, "--n-test", 2, "--n-val", 2,
+                       "--out", out)
+        assert proc.returncode == 2
+        assert f"n_train is {10**21}," in proc.stderr and "Traceback" not in proc.stderr
         assert list(out.iterdir()) == []
 
 

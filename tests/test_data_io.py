@@ -899,3 +899,11 @@ class TestSynthetic:
     def test_negative_seed_rejected(self):
         with pytest.raises(DomainError, match="-1"):
             gen_synthetic(seed=-1, n_train=1, n_test=1, n_val=1, noise=0.1)
+
+    # one row past a u32 header, and a count far beyond it; both fail before any allocation
+    @pytest.mark.parametrize("count", [2**32, 10**21])
+    @pytest.mark.parametrize("name", ["n_train", "n_test", "n_val"])
+    def test_split_beyond_an_embedding_header_rejected(self, name, count):
+        sizes = {"n_train": 1, "n_test": 1, "n_val": 1, name: count}
+        with pytest.raises(DatasetError, match=f"^{name} is {count}, above the 4294967295 rows"):
+            gen_synthetic(seed=0, noise=0.1, **sizes)

@@ -82,7 +82,7 @@ class TestCostModels:
 
     def test_overflow_rejected(self):
         spec = ConvSpec(dk=2**16, m=2**16, n=2**16, df=2**16)
-        with pytest.raises(OverflowError):
+        with pytest.raises(NumericError, match="^standard MAC count .* exceeds the unsigned 64-bit range$"):
             cost_standard(spec)
 
     def test_wrong_mode_rejected(self):

@@ -19,8 +19,9 @@ of one tree on one machine print the same listing.
 
 ``--against REV`` unpacks ``git archive REV src`` into a temporary directory
 and runs the same set against that source as well; it lists each artifact
-whose digest differs, with the largest absolute difference of its numbers,
-and exits 1 if any differs.  The working tree is left untouched.  Digests
+whose digest differs, with the largest absolute difference of its numbers
+or, when its numbers are equal, as differing in bytes only (naming any dtype
+change), and exits 1 if any differs.  The working tree is left untouched.  Digests
 are comparable only on one machine: BLAS kernels, and so the low bits, can
 differ between CPUs.
 """
@@ -192,13 +193,13 @@ _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|nan|inf)")
 
 
 def numbers(path: Path) -> np.ndarray | None:
-    """The numbers an artifact holds, flattened, or None for a file that holds no float data."""
+    """The numbers an artifact holds, flattened in their dtype, or None for a file of no numbers."""
     from mmfusion.data_io import load_model, read_embeddings
 
     if path.suffix == ".npy":
-        return np.load(path, allow_pickle=False).astype(np.float64).ravel()
+        return np.load(path, allow_pickle=False).ravel()
     if path.suffix == ".femb":
-        return read_embeddings(path).astype(np.float64).ravel()
+        return read_embeddings(path).ravel()
     if path.suffix == ".fus1":
         params = load_model(path).params
         return np.concatenate([params[name].ravel() for name in sorted(params)])
@@ -209,7 +210,12 @@ def numbers(path: Path) -> np.ndarray | None:
 
 
 def differences(old: Path, new: Path) -> list[str]:
-    """One line per artifact that is missing from one side or whose bytes differ."""
+    """One line per artifact that is missing from one side or whose bytes differ.
+
+    Numbers are compared bit for bit, widened to float64, so an artifact whose
+    bytes differ while its numbers are equal, such as a dtype change, reads
+    apart from one whose numbers moved.
+    """
     a, b = digests(old), digests(new)
     lines = []
     for name in sorted(a.keys() | b.keys()):
@@ -219,9 +225,14 @@ def differences(old: Path, new: Path) -> list[str]:
             x, y = numbers(old / name), numbers(new / name)
             if x is None or y is None or x.shape != y.shape:
                 lines.append(f"{name}: differs")
+                continue
+            wide_x, wide_y = x.astype(np.float64), y.astype(np.float64)
+            if wide_x.tobytes() == wide_y.tobytes():
+                dtypes = f" (dtype {x.dtype} -> {y.dtype})" if x.dtype != y.dtype else ""
+                lines.append(f"{name}: differs in bytes only, values equal{dtypes}")
             else:
                 with np.errstate(invalid="ignore"):
-                    gap = np.abs(x - y)
+                    gap = np.abs(wide_x - wide_y)
                 lines.append(f"{name}: differs, largest absolute difference {np.nanmax(gap, initial=0.0):.3g}")
     return lines
 

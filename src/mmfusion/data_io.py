@@ -30,8 +30,8 @@ Model file (magic ``FUS1``), little-endian::
         u32 name length, name bytes, u32 rank, u32 dims..., f32 payload
     u32 crc32 over everything between the magic and this field
 
-Model values are stored as float32 and widened back to float64 on load;
-models quantize their parameters the same way, so a round trip is exact.
+A model holds its parameters as float32 too, so :func:`load_model` hands
+the payload to :class:`FusionModel` as it is and a round trip is bitwise.
 
 Labels and predictions share one CSV schema: a header ``ImageID,Labels``
 and per row a sample id plus space-separated ascending class ids.
@@ -54,6 +54,7 @@ from .errors import (
     BadMagicError,
     ChecksumError,
     DatasetError,
+    DomainError,
     DuplicateIdError,
     KindMismatchError,
     LabelDomainError,
@@ -103,11 +104,15 @@ def _check_version(version: int, path) -> None:
 def _float32_payload(values: np.ndarray, path) -> np.ndarray:
     """The [n, d] float32 form of ``values`` for ``path``, a file or a dataset block.
 
-    A float32 array is its own payload, without a copy; any other values are
-    rounded from float64.  A value that is not finite in float32 raises
+    A float32 array is its own payload, without a copy; any other real values
+    are rounded from float64.  Values that are not real numbers, such as
+    complex or string arrays, raise :class:`DomainError` naming ``path`` and
+    the dtype.  A value that is not finite in float32 raises
     :class:`NonFiniteError` naming ``path``, its row and its column.
     """
     arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        raise DomainError(f"{path}: values must be real numbers, got dtype {arr.dtype}")
     if arr.dtype != np.dtype("<f4"):
         arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 2:
@@ -135,8 +140,9 @@ def _write_payload(payload: np.ndarray, path) -> None:
 def write_embeddings(values: np.ndarray, path) -> None:
     """Write an [n, d] array as a version-1 embedding file (float32 payload).
 
-    A value that is not finite in float32 raises :class:`NonFiniteError` and
-    no file is created, so every file written here reads back.
+    A value that is not finite in float32 raises :class:`NonFiniteError`, and
+    values that are not real numbers :class:`DomainError`; either way no file
+    is created, so every file written here reads back.
     """
     _write_payload(_float32_payload(values, path), path)
 
@@ -347,26 +353,23 @@ _DESCRIPTOR = (TEXT_DIM, IMAGE_DIM, N_CLASSES, TEXT_DIM)
 
 
 def _model_payload(name: str, arr: np.ndarray, path) -> bytes:
-    """The float32 bytes of parameter ``name``; a value float32 cannot hold exactly raises.
+    """The float32 bytes of parameter ``name``; a value that is not finite raises.
 
-    :class:`FusionModel` holds quantized, read-only parameters, so a value edited
+    :class:`FusionModel` holds finite, read-only float32 parameters, so a value edited
     in through an array whose writes were re-enabled is caught here, before any write.
     """
-    with np.errstate(over="ignore"):  # beyond the float32 range becomes +-inf, caught below
-        payload = arr.astype("<f4")
-    bad = np.flatnonzero(~np.isfinite(payload) | (payload != arr))
+    bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
         index = np.unravel_index(bad[0], arr.shape)
-        rule = "exact" if np.isfinite(payload[index]) else "finite"
         raise NumericError(
             f"{path}: parameter {name!r} value {arr[index]} at {tuple(map(int, index))} "
-            f"is not {rule} in float32"
+            "is not finite in float32"
         )
-    return payload.tobytes(order="C")
+    return arr.astype("<f4", copy=False).tobytes()
 
 
 def save_model(model: FusionModel, path) -> None:
-    """Write a model file; parameters the file cannot hold exactly raise before any write."""
+    """Write a model file; a parameter that is not finite raises before any write."""
     body = bytearray()
     body += struct.pack("<I", FORMAT_VERSION)
     kind_bytes = model.kind.encode("utf-8")
@@ -445,7 +448,7 @@ def load_model(path, expect_kind: str | None = None) -> FusionModel:
                 f"{path}: tensor {name!r} has shape {shape}, descriptor requires {expected[name]}"
             )
         raw = take(4 * math.prod(shape))
-        params[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+        params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape)
     if stream.tell() != len(body):
         raise TruncatedFileError(f"{path}: {len(body) - stream.tell()} unexpected trailing bytes")
     return FusionModel(kind=kind, params=params)
@@ -465,6 +468,8 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class EmbeddingDataset:
     """Aligned sample ids, text embeddings [n, 128], image embeddings [n, 1792].
 
+    ``ids`` is held as a tuple of str; a list is converted, and a str or an
+    id that is not a str raises :class:`DatasetError` naming it.
     Each block is stored as float32, the precision of the embedding files: a
     float32 array is kept as it is and any other is rounded from float64, so
     a dataset holds the bytes :func:`save_dataset` writes.  A value that is
@@ -480,7 +485,14 @@ class EmbeddingDataset:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
+        if not isinstance(self.ids, (tuple, list)):
+            raise DatasetError(f"dataset ids must be a tuple or list of str, got {self.ids!r}")
+        object.__setattr__(self, "ids", tuple(self.ids))
         n = len(self.ids)
+        bad = next((r for r, sample_id in enumerate(self.ids) if not isinstance(sample_id, str)), n)
+        if bad < n:
+            raise DatasetError(f"dataset id {self.ids[bad]!r} is of type "
+                               f"{type(self.ids[bad]).__name__}, not str")
         repeat = _first_repeat(self.ids)
         if repeat < n:
             raise DuplicateIdError(f"dataset id {self.ids[repeat]!r} appears twice")

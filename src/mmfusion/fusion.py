@@ -17,11 +17,12 @@ order.  Parameter shapes and starts (a zero final layer, plus cross-attention
 for a kind that reads ``attended``), the forward pass and the fold read it.
 Each kind reads only its own embedding blocks (:data:`HEAD_INPUTS`), and
 may be handed ``None`` for a block it does not read.  A block may arrive at
-any float precision, such as the float32 of the embedding files; a head
-widens what it reads to float64, which is exact.  The final layer is one
-node reading each block through its own columns of ``w``, so the concat
-head computes ``w[:, :128] @ text + w[:, 128:] @ image + b`` and never
-builds ``[text; image]``.
+any float precision, such as the float32 of the embedding files, and a
+model's parameters are float32 as in its file; a head widens what it reads
+to float64, which is exact.  The final layer is one node reading each
+block through its own columns of ``w``, so the concat head computes
+``w[:, :128] @ text + w[:, 128:] @ image + b`` and never builds
+``[text; image]``.
 
 Ensembles average logits element-wise before thresholding.  A fusion set
 names two or more distinct head kinds (:func:`check_fusion_set`).  Since
@@ -161,13 +162,13 @@ def label_vectors(mask) -> list[LabelVector]:
     return [distinct[i] for i in inverse.tolist()]
 
 
-def _quantize(arr: np.ndarray) -> np.ndarray:
-    # snap to float32-representable values so a saved model predicts identically
+def _quantize(arr) -> np.ndarray:
+    # round once through float64 to the model file's float32, so a saved model predicts identically
     with np.errstate(over="ignore"):
         snapped = np.ascontiguousarray(arr, dtype=np.float64).astype(np.float32)
     if not np.isfinite(snapped).all():
         raise NumericError("parameter values are not finite in float32")
-    return snapped.astype(np.float64)
+    return snapped
 
 
 def _check_kind(kind: str) -> None:
@@ -193,10 +194,11 @@ def init_head_params(kind: str, seed: int) -> dict[str, np.ndarray]:
 class FusionModel:
     """One head kind plus its named parameter arrays, read-only once checked.
 
-    Parameters are stored as float64 values that round-trip exactly through
-    float32, the storage precision of the model file format.  ``params`` is
-    a read-only mapping of read-only copies, so no value can be edited in
-    past the checks.
+    Parameters are held as float32, the precision of the model file format:
+    any other values are rounded once from float64, so a model holds the
+    bytes :func:`data_io.save_model` writes.  A head widens them as it reads
+    them, which is exact.  ``params`` is a read-only mapping of read-only
+    copies, so no value can be edited in past the checks.
     """
 
     kind: str
@@ -210,10 +212,10 @@ class FusionModel:
             )
         clean = {}
         for name, shape in expected.items():
-            arr = np.asarray(self.params[name], dtype=np.float64)
-            if arr.shape != shape:
-                raise ShapeError(f"parameter {name!r} must have shape {shape}, got {arr.shape}")
-            clean[name] = _quantize(arr)
+            if np.shape(self.params[name]) != shape:
+                raise ShapeError(f"parameter {name!r} must have shape {shape}, "
+                                 f"got {np.shape(self.params[name])}")
+            clean[name] = _quantize(self.params[name])
             clean[name].flags.writeable = False
         object.__setattr__(self, "params", MappingProxyType(clean))
 
@@ -316,8 +318,12 @@ def predict_logits(model: FusionModel, text: np.ndarray | None, image: np.ndarra
 
 @overflow_raises()
 def _run_head(kind: str, params: Mapping[str, np.ndarray], text, image) -> np.ndarray:
-    """:func:`predict_logits` for one head kind and its parameter arrays, quantized or not."""
+    """:func:`predict_logits` for one head kind and its parameter arrays, float32 or float64.
+
+    The parameters are widened once, not once per block.
+    """
     n = _batch_rows(kind, text, image)
+    params = {name: as_tensor(value) for name, value in params.items()}
     blocks = max(1, -(-n // PREDICT_BLOCK_ROWS))
     bounds = [n * i // blocks for i in range(blocks + 1)]
     out = np.empty((n, N_CLASSES))
@@ -352,18 +358,19 @@ def _fold(models: Sequence[FusionModel]) -> tuple[str, dict[str, np.ndarray]]:
     columns into the matching columns of the first kind that reads every block
     of the set: heads without attention in the order given, then the attention
     head, which lends its attention parameters.  The sums are scaled once by
-    ``1 / len(models)``.  The folded arrays stay float64 and never pass through
-    :class:`FusionModel`, whose float32 quantize would move the logits.
+    ``1 / len(models)``.  Both sums run in float64, in fold order, and the
+    folded arrays never pass through :class:`FusionModel`, whose float32
+    quantize would move the logits.
     """
     check_fusion_set([m.kind for m in models])
     folded = sorted(models, key=lambda m: "attended" in _FINAL_COLUMNS[m.kind])
     reads = {name for m in models for name in _FINAL_COLUMNS[m.kind]}
     kind, columns = next((k, cols) for k, cols in _FINAL_COLUMNS.items() if reads <= cols.keys())
-    w = np.zeros(expected_param_shapes(kind)["w"])
+    w, b = np.zeros(expected_param_shapes(kind)["w"]), np.zeros(N_CLASSES)
     for m in folded:
         for name, cols in _FINAL_COLUMNS[m.kind].items():
             w[:, columns[name]] += m.params["w"][:, cols]
-    b = sum(m.params["b"] for m in folded)
+        b += m.params["b"]
     scale = 1.0 / len(models)
     return kind, {**folded[-1].params, "w": w * scale, "b": b * scale}
 

@@ -10,8 +10,9 @@ Calling :meth:`Tensor.backward` on a scalar result adds the gradient into
 Every op builds its result through :func:`_node`, and so do the layers whose
 backward is cheaper as one piece: ``attention._read_tokens`` and ``fusion._final_layer``.
 
-All arithmetic runs in float64.  Narrower dtypes appear only in file storage,
-never here.
+All arithmetic runs in float64: a tensor widens what it wraps, such as a
+dataset's float32 embedding block or a model's float32 parameters, which is
+exact.
 """
 
 from __future__ import annotations

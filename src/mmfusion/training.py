@@ -383,7 +383,7 @@ def train_head(
             loss_sum += float(loss.data) * len(idx)
         epoch_loss = loss_sum / n
 
-        snapshot = FusionModel(kind=kind, params=params)  # quantized copies, never aliases
+        snapshot = FusionModel(kind=kind, params=params)  # float32 copies, never aliases
         if has_val:
             val_f1 = evaluate_model(snapshot, val)
             if val_f1 > best_f1:

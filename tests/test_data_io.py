@@ -154,6 +154,19 @@ class TestEmbeddingFormat:
                 write_embeddings(np.array([[bad, 0.0]]), path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("values, dtype", [
+        (np.array([[1 + 5j, 0.0]]), "complex128"),
+        (np.array([["1.5", "2"]]), "<U3"),
+        (np.array([[1.5, None]]), "object"),
+    ], ids=["complex", "str", "object"])
+    def test_writer_refuses_values_that_are_not_real(self, values, dtype, tmp_path):
+        path = tmp_path / "e.femb"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"e.femb: values must be real numbers, got dtype {dtype}$"):
+                write_embeddings(values, path)
+        assert not path.exists()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_rejected(self, bad, tmp_path):
         values = np.zeros((3, 4))
@@ -421,19 +434,32 @@ class TestModelFormat:
         after = predict_logits(load_model(path), text, image)
         np.testing.assert_array_equal(before, after)
 
-    @pytest.mark.parametrize("value, rule", [(np.nan, "finite"), (1e-46, "exact")])
-    def test_save_refuses_a_value_edited_in_before_any_write(self, value, rule, tmp_path):
+    @pytest.mark.parametrize("value", [pytest.param(np.nan, id="nan-finite")])
+    def test_save_refuses_a_value_edited_in_before_any_write(self, value, tmp_path):
         # the model refuses the edit; with writes re-enabled on that one array, a value
-        # load_model would refuse, or would read back as another value, reaches save_model
+        # load_model would refuse reaches save_model
         model = make_model("vision_linear")
         with pytest.raises(ValueError, match="read-only"):
             model.params["w"][0, 3] = value
         model.params["w"].flags.writeable = True
         model.params["w"][0, 3] = value
         path = tmp_path / "m.fus1"
-        with pytest.raises(NumericError, match=rf"parameter 'w' value {value} at \(0, 3\) is not {rule}"):
+        with pytest.raises(NumericError, match=rf"parameter 'w' value {value} at \(0, 3\) is not finite"):
             save_model(model, path)
         assert not path.exists()
+
+    def test_held_and_loaded_params_are_the_file_float32(self, tmp_path):
+        model = make_model("cross_attn_fcnn", seed=5)
+        path = tmp_path / "m.fus1"
+        save_model(model, path)
+        back = load_model(path)
+        for params in (model.params, back.params):
+            assert all(arr.dtype == np.float32 and not arr.flags.writeable
+                       for arr in params.values())
+        assert all(back.params[name].tobytes() == arr.tobytes()
+                   for name, arr in model.params.items())
+        # 86,290 values at 4 bytes each, half the bytes of float64 copies
+        assert sum(arr.nbytes for arr in back.params.values()) == 4 * 86_290
 
     def test_expect_kind_mismatch(self, tmp_path):
         path = tmp_path / "m.fus1"
@@ -565,6 +591,30 @@ class TestEmbeddingDataset:
     def test_width_enforced(self):
         with pytest.raises(ShapeError):
             EmbeddingDataset(ids=("a",), text=np.zeros((1, 64)), image=np.zeros((1, IMAGE_DIM)))
+
+    @pytest.mark.parametrize("ids, message", [
+        # a str is a sequence of one-character ids only by accident
+        ("ab", "dataset ids must be a tuple or list of str, got 'ab'"),
+        (("a", 7), "dataset id 7 is of type int, not str"),
+    ], ids=["str", "int_id"])
+    def test_ids_that_are_no_strs_rejected(self, ids, message):
+        with pytest.raises(DatasetError, match=f"^{message}$"):
+            EmbeddingDataset(ids=ids, text=np.zeros((2, TEXT_DIM)), image=np.zeros((2, IMAGE_DIM)))
+
+    def test_list_ids_held_as_a_tuple(self):
+        ds = EmbeddingDataset(ids=["a", "b"], text=np.zeros((2, TEXT_DIM)),
+                              image=np.zeros((2, IMAGE_DIM)))
+        assert ds.ids == ("a", "b")
+        assert ds.merge(tiny_dataset(2, labeled=False)).ids == ("a", "b", "s_0", "s_1")
+
+    @pytest.mark.parametrize("name", ["text", "image"])
+    def test_complex_block_rejected_without_a_warning(self, name):
+        blocks = {"text": np.zeros((1, TEXT_DIM)), "image": np.zeros((1, IMAGE_DIM))}
+        blocks[name] = blocks[name] + 5j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{name} embeddings: .* got dtype complex128$"):
+                EmbeddingDataset(ids=("a",), **blocks)
 
     @pytest.mark.parametrize("name", ["text", "image"])
     def test_block_that_is_no_array_rejected(self, name):

@@ -139,12 +139,30 @@ def test_fingerprint_reports_a_perturbed_artifact(fingerprint, fingerprints, tmp
     assert float(lines[1].rsplit(" ", 1)[1]) > 0.0
 
 
-def test_fingerprint_against_a_revision(fingerprint, capsys):
-    # HEAD makes the same bytes only while src/ and the tool itself match it
-    if subprocess.run(["git", "-C", str(REPO), "diff", "--quiet", "HEAD", "--", "src",
-                       "scripts/fingerprint.py"], capture_output=True).returncode:
-        pytest.skip("not a git checkout whose src/ and scripts/fingerprint.py match HEAD")
-    code = fingerprint.main(["--against", "HEAD"], size="tiny")
+def test_fingerprint_tells_a_dtype_change_from_a_value_change(fingerprint, tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    w = np.random.default_rng(0).standard_normal((3, 4)).astype(np.float32)
+    for root, dtype in ((old, np.float64), (new, np.float32)):
+        root.mkdir()
+        np.save(root / "w.npy", w.astype(dtype))  # float32-exact either way
+        np.save(root / "b.npy", np.full(3, 0.5 if root is old else 0.75))
+    assert fingerprint.differences(old, new) == [
+        "b.npy: differs, largest absolute difference 0.25",
+        "w.npy: differs in bytes only, values equal (dtype float64 -> float32)",
+    ]
+
+
+def test_fingerprint_against_a_revision(fingerprint, capsys, tmp_path):
+    # a tree of the working tree's src/, written through a scratch index, makes the same
+    # bytes as the working tree whether or not src/ matches HEAD
+    env = {**os.environ, "GIT_INDEX_FILE": str(tmp_path / "index")}
+    add = subprocess.run(["git", "-C", str(REPO), "add", "--", "src"], env=env,
+                         capture_output=True)
+    if add.returncode:
+        pytest.skip("not a git checkout")
+    tree = subprocess.run(["git", "-C", str(REPO), "write-tree"], env=env, capture_output=True,
+                          text=True, check=True).stdout.strip()
+    code = fingerprint.main(["--against", tree], size="tiny")
     out = capsys.readouterr().out
     assert code == 0, out
-    assert re.fullmatch(r"0 of \d+ artifacts differ from HEAD", out.strip())
+    assert re.fullmatch(rf"0 of \d+ artifacts differ from {tree}", out.strip())

@@ -10,15 +10,15 @@ Embedding file (magic ``FEMB``), little-endian throughout::
 
 Every dataset holds its embeddings as float32, the precision of these
 files, whether it was read from files, generated or built in memory: the
-constructor rounds other values once and refuses one that is not finite in
-float32, so a saved dataset reads back bitwise.  A fusion head widens only
+readers, writers and constructor share one rule (:func:`errors._float32_payload`),
+so a saved dataset reads back bitwise.  A fusion head widens only
 the blocks it reads, one batch at a time, and widening float32 to float64
 is exact.
 
 Sample ids live beside the embeddings in a sidecar text file, one id per
 line, row-aligned with the payload.  An id is not blank and holds no comma
 and no character that ``str.splitlines`` breaks on, so every reader here
-gets it back unchanged.
+gets it back unchanged.  A dataset checks its ids by this rule when built.
 
 Model file (magic ``FUS1``), little-endian::
 
@@ -54,7 +54,6 @@ from .errors import (
     BadMagicError,
     ChecksumError,
     DatasetError,
-    DomainError,
     DuplicateIdError,
     KindMismatchError,
     LabelDomainError,
@@ -65,6 +64,7 @@ from .errors import (
     UnknownKindError,
     VersionMismatchError,
     _check_setting,
+    _float32_payload,
 )
 from .fusion import (
     CLASS_IDS,
@@ -101,35 +101,6 @@ def _check_version(version: int, path) -> None:
 # ---------------------------------------------------------------- embeddings
 
 
-def _float32_payload(values: np.ndarray, path) -> np.ndarray:
-    """The [n, d] float32 form of ``values`` for ``path``, a file or a dataset block.
-
-    A float32 array is its own payload, without a copy; any other real values
-    are rounded from float64.  Values that are not real numbers, such as
-    complex or string arrays, raise :class:`DomainError` naming ``path`` and
-    the dtype.  A value that is not finite in float32 raises
-    :class:`NonFiniteError` naming ``path``, its row and its column.
-    """
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "biuf":
-        raise DomainError(f"{path}: values must be real numbers, got dtype {arr.dtype}")
-    if arr.dtype != np.dtype("<f4"):
-        arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeError(f"embeddings must be [n, d], got shape {arr.shape}")
-    with np.errstate(over="ignore"):  # beyond the float32 range becomes +-inf, caught below
-        payload = arr.astype("<f4", copy=False)
-    flat = payload.ravel()
-    # min and max propagate NaN and reach +-inf, so two reductions see any non-finite value
-    if flat.size and not (np.isfinite(flat.min()) and np.isfinite(flat.max())):
-        first, d = int(np.flatnonzero(~np.isfinite(flat))[0]), arr.shape[1]
-        raise NonFiniteError(
-            f"{path}: value {arr.flat[first]} at row {first // d}, column {first % d} "
-            "is non-finite in float32"
-        )
-    return payload
-
-
 def _write_payload(payload: np.ndarray, path) -> None:
     with open(path, "wb") as fh:
         fh.write(EMBEDDING_MAGIC)
@@ -144,7 +115,9 @@ def write_embeddings(values: np.ndarray, path) -> None:
     values that are not real numbers :class:`DomainError`; either way no file
     is created, so every file written here reads back.
     """
-    _write_payload(_float32_payload(values, path), path)
+    if np.ndim(values) != 2:
+        raise ShapeError(f"embeddings must be [n, d], got shape {np.shape(values)}")
+    _write_payload(_float32_payload(values, path, NonFiniteError), path)
 
 
 def read_embeddings(path) -> np.ndarray:
@@ -165,7 +138,7 @@ def read_embeddings(path) -> np.ndarray:
         if size != expected:
             raise TruncatedFileError(f"{path}: header promises {expected} bytes, found {size}")
         flat = np.fromfile(fh, dtype="<f4", count=n * d)
-    return _float32_payload(flat.reshape(n, d), path)
+    return _float32_payload(flat.reshape(n, d), path, NonFiniteError)
 
 
 def _first_bad_id(ids: Sequence[str]) -> int:
@@ -352,24 +325,11 @@ def write_predictions(ids: Sequence[str], labels, path) -> None:
 _DESCRIPTOR = (TEXT_DIM, IMAGE_DIM, N_CLASSES, TEXT_DIM)
 
 
-def _model_payload(name: str, arr: np.ndarray, path) -> bytes:
-    """The float32 bytes of parameter ``name``; a value that is not finite raises.
-
-    :class:`FusionModel` holds finite, read-only float32 parameters, so a value edited
-    in through an array whose writes were re-enabled is caught here, before any write.
-    """
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        index = np.unravel_index(bad[0], arr.shape)
-        raise NumericError(
-            f"{path}: parameter {name!r} value {arr[index]} at {tuple(map(int, index))} "
-            "is not finite in float32"
-        )
-    return arr.astype("<f4", copy=False).tobytes()
-
-
 def save_model(model: FusionModel, path) -> None:
-    """Write a model file; a parameter that is not finite raises before any write."""
+    """Write a model file; a parameter that is not finite raises before any write.
+
+    So a value edited in through a held array whose writes were re-enabled is refused.
+    """
     body = bytearray()
     body += struct.pack("<I", FORMAT_VERSION)
     kind_bytes = model.kind.encode("utf-8")
@@ -384,7 +344,7 @@ def save_model(model: FusionModel, path) -> None:
         body += struct.pack("<I", arr.ndim)
         for dim in arr.shape:
             body += struct.pack("<I", dim)
-        body += _model_payload(name, arr, path)
+        body += _float32_payload(arr, f"{path}: parameter {name!r}", NumericError).tobytes()
     crc = zlib.crc32(bytes(body))
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
@@ -468,8 +428,9 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class EmbeddingDataset:
     """Aligned sample ids, text embeddings [n, 128], image embeddings [n, 1792].
 
-    ``ids`` is held as a tuple of str; a list is converted, and a str or an
-    id that is not a str raises :class:`DatasetError` naming it.
+    ``ids`` is held as a tuple of str; a list is converted, and a str, an id
+    that is not a str, or one the id files cannot hold (blank, or holding a
+    comma or a line break) raises :class:`DatasetError` naming it.
     Each block is stored as float32, the precision of the embedding files: a
     float32 array is kept as it is and any other is rounded from float64, so
     a dataset holds the bytes :func:`save_dataset` writes.  A value that is
@@ -493,6 +454,7 @@ class EmbeddingDataset:
         if bad < n:
             raise DatasetError(f"dataset id {self.ids[bad]!r} is of type "
                                f"{type(self.ids[bad]).__name__}, not str")
+        _check_ids(self.ids, "dataset")
         repeat = _first_repeat(self.ids)
         if repeat < n:
             raise DuplicateIdError(f"dataset id {self.ids[repeat]!r} appears twice")
@@ -502,7 +464,7 @@ class EmbeddingDataset:
                 raise ShapeError(f"{name} embeddings must be a numpy array, got {type(block).__name__}")
             if block.shape != (n, width):
                 raise ShapeError(f"{name} embeddings must be ({n}, {width}), got {block.shape}")
-            payload = _float32_payload(block, f"{name} embeddings")
+            payload = _float32_payload(block, f"{name} embeddings", NonFiniteError)
             object.__setattr__(self, name, _read_only(payload))
         if self.labels is not None:
             object.__setattr__(self, "labels", _read_only(labels_to_matrix(self.labels)))
@@ -546,13 +508,13 @@ class EmbeddingDataset:
 def save_dataset(dataset: EmbeddingDataset, directory) -> None:
     """Write a dataset directory from its float32 blocks, without a copy.
 
-    What the files cannot hold raises before any write, such as a value edited in
-    through a block whose writes were re-enabled or through the caller's float32 array.
+    The ids were checked when the dataset was built.  A value the files cannot
+    hold raises before any write, such as one edited in through a block whose
+    writes were re-enabled or through the caller's float32 array.
     """
     directory = Path(directory)
-    text = _float32_payload(dataset.text, directory / "text.femb")
-    image = _float32_payload(dataset.image, directory / "image.femb")
-    _check_ids(dataset.ids, directory / "ids.csv")
+    text = _float32_payload(dataset.text, directory / "text.femb", NonFiniteError)
+    image = _float32_payload(dataset.image, directory / "image.femb", NonFiniteError)
     directory.mkdir(parents=True, exist_ok=True)
     _write_payload(text, directory / "text.femb")
     _write_payload(image, directory / "image.femb")

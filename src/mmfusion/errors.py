@@ -1,15 +1,18 @@
-"""Exception types shared across the toolkit, and the one check of a scalar setting.
+"""Exception types shared across the toolkit, and the one check of a setting or a float32 array.
 
 The CLI maps these onto process exit codes: data and shape problems exit
 with 2, numeric failures with 3.  Anything else is a bug and crashes.
 
 Every entry point checks each scalar setting it takes through :func:`_check_setting`,
 so a wrong type, a non-finite real, a real beyond the float range or a value below its
-least is a DomainError naming it.
+least is a DomainError naming it.  Every float32 array the package holds or writes,
+model parameters and embeddings alike, passes :func:`_float32_payload`.
 """
 
 import math
 import numbers
+
+import numpy as np
 
 
 class FusionToolkitError(Exception):
@@ -103,3 +106,28 @@ def _check_setting(name: str, value, kind: type, least=None) -> None:
     if least is not None and value < least:
         bound = "a finite value >= " if kind is float else ">= "
         raise DomainError(f"{name} must be {bound}{least}, got {value}")
+
+
+def _float32_payload(values, source, error: type[FusionToolkitError]) -> np.ndarray:
+    """The float32 form of ``values`` for ``source``, such as a file, a block or a parameter.
+
+    A float32 array is its own payload, without a copy; any other real values
+    are rounded once from float64.  Values that are not real numbers, such as
+    complex or string arrays, raise :class:`DomainError` naming ``source`` and
+    the dtype.  A value that is not finite in float32 raises ``error`` naming
+    ``source``, the value, its row and its column (row 0 for a vector).
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        raise DomainError(f"{source}: values must be real numbers, got dtype {arr.dtype}")
+    if arr.dtype != np.dtype("<f4"):
+        arr = np.asarray(arr, dtype=np.float64)
+    with np.errstate(over="ignore"):  # beyond the float32 range becomes +-inf, caught below
+        payload = arr.astype("<f4", copy=False)
+    flat = payload.ravel()
+    # min and max propagate NaN and reach +-inf, so two reductions see any non-finite value
+    if flat.size and not (np.isfinite(flat.min()) and np.isfinite(flat.max())):
+        first, d = int(np.flatnonzero(~np.isfinite(flat))[0]), arr.shape[-1]
+        raise error(f"{source}: value {arr.flat[first]} at row {first // d}, column {first % d} "
+                    "is non-finite in float32")
+    return payload

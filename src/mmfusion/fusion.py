@@ -45,7 +45,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .attention import AttentionParams, cross_attention
-from .errors import DomainError, LabelDomainError, NumericError, ShapeError, _check_setting
+from .errors import (
+    DomainError,
+    LabelDomainError,
+    NumericError,
+    ShapeError,
+    _check_setting,
+    _float32_payload,
+)
 from .tensor import Tensor, _node, _sigmoid_values, as_tensor
 
 TEXT_DIM = 128
@@ -162,15 +169,6 @@ def label_vectors(mask) -> list[LabelVector]:
     return [distinct[i] for i in inverse.tolist()]
 
 
-def _quantize(arr) -> np.ndarray:
-    # round once through float64 to the model file's float32, so a saved model predicts identically
-    with np.errstate(over="ignore"):
-        snapped = np.ascontiguousarray(arr, dtype=np.float64).astype(np.float32)
-    if not np.isfinite(snapped).all():
-        raise NumericError("parameter values are not finite in float32")
-    return snapped
-
-
 def _check_kind(kind: str) -> None:
     if kind not in HEAD_KINDS:
         raise DomainError(f"unknown head kind {kind!r}, expected one of {HEAD_KINDS}")
@@ -194,11 +192,12 @@ def init_head_params(kind: str, seed: int) -> dict[str, np.ndarray]:
 class FusionModel:
     """One head kind plus its named parameter arrays, read-only once checked.
 
-    Parameters are held as float32, the precision of the model file format:
-    any other values are rounded once from float64, so a model holds the
-    bytes :func:`data_io.save_model` writes.  A head widens them as it reads
-    them, which is exact.  ``params`` is a read-only mapping of read-only
-    copies, so no value can be edited in past the checks.
+    Parameters are held as float32, the precision of the model file format,
+    by the rule a dataset's blocks follow (:func:`errors._float32_payload`),
+    but a value not finite in float32 raises :class:`NumericError`.  So a
+    model holds the bytes :func:`data_io.save_model` writes, and a head
+    widens them as it reads them, which is exact.  ``params`` is a read-only
+    mapping of read-only copies, so no value can be edited in past the checks.
     """
 
     kind: str
@@ -215,7 +214,8 @@ class FusionModel:
             if np.shape(self.params[name]) != shape:
                 raise ShapeError(f"parameter {name!r} must have shape {shape}, "
                                  f"got {np.shape(self.params[name])}")
-            clean[name] = _quantize(self.params[name])
+            payload = _float32_payload(self.params[name], f"parameter {name!r}", NumericError)
+            clean[name] = payload.copy()  # never the caller's own float32 array
             clean[name].flags.writeable = False
         object.__setattr__(self, "params", MappingProxyType(clean))
 
@@ -310,8 +310,8 @@ def predict_logits(model: FusionModel, text: np.ndarray | None, image: np.ndarra
     own, so a float32 pool is never copied whole.  No block holds a lone
     row unless the batch is one row, since numpy routes a one-row product
     through a different kernel.  A block the head does not read may be
-    None.  A value that overflows or turns invalid raises
-    :class:`NumericError`.
+    None.  A value that overflows or turns invalid, or a row whose logits
+    are not finite, raises :class:`NumericError`.
     """
     return _run_head(model.kind, model.params, text, image)
 
@@ -320,7 +320,8 @@ def predict_logits(model: FusionModel, text: np.ndarray | None, image: np.ndarra
 def _run_head(kind: str, params: Mapping[str, np.ndarray], text, image) -> np.ndarray:
     """:func:`predict_logits` for one head kind and its parameter arrays, float32 or float64.
 
-    The parameters are widened once, not once per block.
+    The parameters are widened once, not once per block.  Logits that are
+    not finite, such as a NaN input row's, raise naming their first row.
     """
     n = _batch_rows(kind, text, image)
     params = {name: as_tensor(value) for name, value in params.items()}
@@ -333,6 +334,9 @@ def _run_head(kind: str, params: Mapping[str, np.ndarray], text, image) -> np.nd
             kind, params,
             None if text is None else text[rows], None if image is None else image[rows],
         ).data
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        raise NumericError(f"logits of row {int(finite.argmin())} are not finite")
     return out
 
 
@@ -360,7 +364,7 @@ def _fold(models: Sequence[FusionModel]) -> tuple[str, dict[str, np.ndarray]]:
     head, which lends its attention parameters.  The sums are scaled once by
     ``1 / len(models)``.  Both sums run in float64, in fold order, and the
     folded arrays never pass through :class:`FusionModel`, whose float32
-    quantize would move the logits.
+    rounding would move the logits.
     """
     check_fusion_set([m.kind for m in models])
     folded = sorted(models, key=lambda m: "attended" in _FINAL_COLUMNS[m.kind])

@@ -444,7 +444,8 @@ class TestModelFormat:
         model.params["w"].flags.writeable = True
         model.params["w"][0, 3] = value
         path = tmp_path / "m.fus1"
-        with pytest.raises(NumericError, match=rf"parameter 'w' value {value} at \(0, 3\) is not finite"):
+        with pytest.raises(NumericError,
+                           match=rf"parameter 'w': value {value} at row 0, column 3 is non-finite"):
             save_model(model, path)
         assert not path.exists()
 
@@ -600,6 +601,15 @@ class TestEmbeddingDataset:
     def test_ids_that_are_no_strs_rejected(self, ids, message):
         with pytest.raises(DatasetError, match=f"^{message}$"):
             EmbeddingDataset(ids=ids, text=np.zeros((2, TEXT_DIM)), image=np.zeros((2, IMAGE_DIM)))
+
+    # the id files' rule: no comma, no line break, not blank
+    @pytest.mark.parametrize("bad", ["a,7", "  ", "a\nb"], ids=["comma", "blank", "line-break"])
+    def test_ids_the_files_cannot_hold_rejected(self, bad):
+        with pytest.raises(DatasetError) as info:
+            EmbeddingDataset(ids=("first", bad), text=np.zeros((2, TEXT_DIM)),
+                             image=np.zeros((2, IMAGE_DIM)))
+        assert str(info.value) == (f"dataset: sample id {bad!r} is blank or holds a comma "
+                                   "or a line break")
 
     def test_list_ids_held_as_a_tuple(self):
         ds = EmbeddingDataset(ids=["a", "b"], text=np.zeros((2, TEXT_DIM)),
@@ -823,11 +833,10 @@ class TestDatasetDirectory:
 
     def test_bad_id_leaves_no_file(self, tmp_path):
         ds = tiny_dataset(3)
-        bad = EmbeddingDataset(ids=("s_0", "a,7", "s_2"), text=ds.text, image=ds.image,
-                               labels=ds.labels)
+        # the dataset refuses the id when built, so there is nothing to save
         with pytest.raises(DatasetError, match="'a,7'"):
-            save_dataset(bad, tmp_path / "d")
-        assert not (tmp_path / "d").exists()
+            EmbeddingDataset(ids=("s_0", "a,7", "s_2"), text=ds.text, image=ds.image,
+                             labels=ds.labels)
 
     def test_value_beyond_float32_leaves_no_file(self, tmp_path):
         ds = tiny_dataset(3)

@@ -12,6 +12,7 @@ from mmfusion.attention import AttentionParams, cross_attention
 from mmfusion.errors import DomainError, LabelDomainError, NumericError, ShapeError
 from mmfusion.fusion import (
     CLASS_IDS,
+    FUSION_SETS,
     HEAD_INPUTS,
     HEAD_KINDS,
     IMAGE_DIM,
@@ -28,6 +29,7 @@ from mmfusion.fusion import (
     label_vectors,
     labels_to_matrix,
     logits_to_probs,
+    predict_fused_logits,
     predict_logits,
 )
 from mmfusion.tensor import Tensor, grad_check
@@ -163,8 +165,23 @@ class TestHeadForward:
     def test_float32_overflow_rejected(self):
         params = {"w": np.zeros((N_CLASSES, TEXT_DIM)), "b": np.zeros(N_CLASSES)}
         params["w"][2, 5] = 1e39  # finite in float64, past the float32 maximum
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match=r"^parameter 'w': value 1e\+39 at row 2, column 5 "):
             FusionModel(kind="text_linear", params=params)
+        params["w"][2, 5], params["b"][4] = 0.0, -np.inf  # a vector's value reports row 0
+        with pytest.raises(NumericError, match="^parameter 'b': value -inf at row 0, column 4 "):
+            FusionModel(kind="text_linear", params=params)
+
+    @pytest.mark.parametrize("bad, dtype", [
+        (np.full((N_CLASSES, TEXT_DIM), "0.5"), "<U3"),  # would parse as 0.5
+        (np.zeros((N_CLASSES, TEXT_DIM)) + 1j, "complex128"),  # would drop the 1j
+    ], ids=["str", "complex"])
+    def test_parameter_that_is_not_real_rejected_without_a_warning(self, bad, dtype):
+        params = {"w": bad, "b": np.zeros(N_CLASSES)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError,
+                               match=f"^parameter 'w': values must be real numbers, got dtype {dtype}$"):
+                FusionModel(kind="text_linear", params=params)
 
     def test_checked_model_is_read_only(self, rng):
         model = make_model("cross_attn_fcnn", rng)
@@ -333,6 +350,17 @@ class TestPrecisionAndInputs:
         finally:
             tracemalloc.stop()
         assert peak < 24 * 2**20
+
+    def test_non_finite_logits_name_their_row(self, rng):
+        text, image = make_batch(rng, 2)
+        text = text.astype(np.float32)
+        text[1] = np.nan
+        model = make_model("text_linear", rng)
+        with pytest.raises(NumericError, match="^logits of row 1 are not finite$"):
+            predict_logits(model, text, None)
+        folded = [make_model(kind, rng) for kind in FUSION_SETS["fm2"]]
+        with pytest.raises(NumericError, match="^logits of row 1 are not finite$"):
+            predict_fused_logits(folded, text, image)
 
     @pytest.mark.parametrize("kind", ["vision_linear", "text_linear"])
     def test_unread_block_may_be_none(self, kind, rng):

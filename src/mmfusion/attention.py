@@ -77,7 +77,7 @@ class AttentionParams:
 def _project(x: Tensor, w: Tensor) -> Tensor:
     # fold the leading axes into GEMM rows, so the weight gradient is one product
     lead = x.shape[:-1]
-    return (x.reshape(-1, x.shape[-1]) @ w).reshape(lead + (w.shape[1],))
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*lead, w.shape[1])
 
 
 def _attend(xq: Tensor, ykv: Tensor, params: AttentionParams) -> tuple[Tensor, Tensor]:
@@ -105,8 +105,8 @@ def _read_tokens(a: Tensor, ykv: Tensor, w: Tensor, keys: bool) -> Tensor:
     values, so ``w`` gets ``(L ykv)ᵀ R`` as one GEMM over every query row
     and ``ykv`` gets ``Lᵀ (R wᵀ)``.  ``a``'s gradient is matmul's own.
     """
-    p = _project(Tensor(ykv.data), Tensor(w.data))
-    out = a @ (p.transpose_last() if keys else p)
+    p = _project(Tensor(ykv.data), Tensor(w.data)).data
+    out = a @ Tensor(np.swapaxes(p, -1, -2) if keys else p)
 
     def factors(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return (g, a.data) if keys else (a.data, g)

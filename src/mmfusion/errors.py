@@ -1,12 +1,14 @@
-"""Exception types shared across the toolkit, and the one check of a setting or a float32 array.
+"""Exception types shared across the toolkit, and the one check of a setting or an array's dtype.
 
 The CLI maps these onto process exit codes: data and shape problems exit
 with 2, numeric failures with 3.  Anything else is a bug and crashes.
 
 Every entry point checks each scalar setting it takes through :func:`_check_setting`,
 so a wrong type, a non-finite real, a real beyond the float range or a value below its
-least is a DomainError naming it.  Every float32 array the package holds or writes,
-model parameters and embeddings alike, passes :func:`_float32_payload`.
+least is a DomainError naming it.  Every array the package widens to float64 passes
+:func:`_float64`, so a complex, string or object array is a DomainError naming its
+source and dtype, not a silent cast.  Every float32 array it holds or writes, model
+parameters and embeddings alike, passes :func:`_float32_payload`, which keeps that rule.
 """
 
 import math
@@ -108,6 +110,15 @@ def _check_setting(name: str, value, kind: type, least=None) -> None:
         raise DomainError(f"{name} must be {bound}{least}, got {value}")
 
 
+def _float64(values, source) -> np.ndarray:
+    """``values`` as float64, not copied when float64 already; a dtype whose kind is not
+    real (``"biuf"``), such as complex, string or object, is a DomainError naming ``source``."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        raise DomainError(f"{source}: values must be real numbers, got dtype {arr.dtype}")
+    return arr.astype(np.float64, copy=False)
+
+
 def _float32_payload(values, source, error: type[FusionToolkitError]) -> np.ndarray:
     """The float32 form of ``values`` for ``source``, such as a file, a block or a parameter.
 
@@ -118,10 +129,8 @@ def _float32_payload(values, source, error: type[FusionToolkitError]) -> np.ndar
     ``source``, the value, its row and its column (row 0 for a vector).
     """
     arr = np.asarray(values)
-    if arr.dtype.kind not in "biuf":
-        raise DomainError(f"{source}: values must be real numbers, got dtype {arr.dtype}")
     if arr.dtype != np.dtype("<f4"):
-        arr = np.asarray(arr, dtype=np.float64)
+        arr = _float64(arr, source)
     with np.errstate(over="ignore"):  # beyond the float32 range becomes +-inf, caught below
         payload = arr.astype("<f4", copy=False)
     flat = payload.ravel()

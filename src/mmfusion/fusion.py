@@ -52,6 +52,7 @@ from .errors import (
     ShapeError,
     _check_setting,
     _float32_payload,
+    _float64,
 )
 from .tensor import Tensor, _node, _sigmoid_values, as_tensor
 
@@ -245,14 +246,15 @@ def _batch_rows(kind: str, text: np.ndarray | None, image: np.ndarray | None) ->
 def head_forward_batch(kind: str, params: Mapping[str, object], text, image) -> Tensor:
     """Run one head over a batch of arrays; ``text`` is [n, 128] and ``image`` [n, 1792].
 
-    Only the blocks the kind reads are widened to float64; the other may be
-    None.  Parameter entries may be plain arrays or gradient-requiring
-    tensors; the same code path serves inference and training.
+    Only the blocks the kind reads are widened to float64, and a block that is
+    not real is a DomainError naming it; the other may be None.  Parameter
+    entries may be plain arrays or gradient-requiring tensors; the same code
+    path serves inference and training.
     """
     n = _batch_rows(kind, text, image)
     columns = _FINAL_COLUMNS[kind]
-    blocks = {name: as_tensor(block) for name, block in (("text", text), ("image", image))
-              if name in columns}
+    blocks = {name: Tensor(_float64(block, f"{name} batch"))
+              for name, block in (("text", text), ("image", image)) if name in columns}
     p = {name: as_tensor(value) for name, value in params.items()}
 
     if "attended" in columns:
@@ -388,7 +390,7 @@ def fuse_logits(logit_sets: Sequence) -> np.ndarray:
     """Element-wise mean of two or more aligned logit arrays, widened to float64."""
     if len(logit_sets) < 2:
         raise DomainError(f"fusion needs at least two logit sets, got {len(logit_sets)}")
-    arrays = [np.asarray(a, dtype=np.float64) for a in logit_sets]
+    arrays = [_float64(a, f"logit set {i}") for i, a in enumerate(logit_sets)]
     shape = arrays[0].shape
     for a in arrays[1:]:
         if a.shape != shape:
@@ -398,7 +400,7 @@ def fuse_logits(logit_sets: Sequence) -> np.ndarray:
 
 def logits_to_probs(logits) -> np.ndarray:
     """Independent per-class probabilities: the sigmoid of each logit, in float64."""
-    return _sigmoid_values(np.asarray(logits, dtype=np.float64))
+    return _sigmoid_values(_float64(logits, "logits"))
 
 
 def assign_label_matrix(probs: np.ndarray, threshold: float = LABEL_THRESHOLD) -> np.ndarray:
@@ -407,7 +409,7 @@ def assign_label_matrix(probs: np.ndarray, threshold: float = LABEL_THRESHOLD) -
     A row with none falls back to its argmax, and ties resolve to the lowest
     slot, so no row of the [n, 18] bool result is ever empty.
     """
-    arr = np.asarray(probs, dtype=np.float64)
+    arr = _float64(probs, "probs")
     if arr.ndim != 2 or arr.shape[1] != N_CLASSES:
         raise ShapeError(f"probs must be [n, {N_CLASSES}], got {arr.shape}")
     _check_setting("threshold", threshold, float)

@@ -9,10 +9,13 @@ Calling :meth:`Tensor.backward` on a scalar result adds the gradient into
 
 Every op builds its result through :func:`_node`, and so do the layers whose
 backward is cheaper as one piece: ``attention._read_tokens`` and ``fusion._final_layer``.
+Every gradient has its tensor's shape, or :meth:`Tensor.backward` raises
+:class:`ShapeError` naming both, so ``+``, ``*`` and ``@`` broadcast only
+operands needing no gradient, such as the constant in ``scores * scale``.
 
-All arithmetic runs in float64: a tensor widens what it wraps, such as a
-dataset's float32 embedding block or a model's float32 parameters, which is
-exact.
+All arithmetic runs in float64: a tensor widens what it wraps through
+:func:`errors._float64`, such as a dataset's float32 embedding block or a
+model's float32 parameters, which is exact.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ShapeError
+from .errors import DomainError, NumericError, ShapeError, _float64
 
 Array = np.ndarray
 
@@ -42,7 +45,7 @@ class Tensor:
     __array_ufunc__ = None
 
     def __init__(self, data, requires_grad: bool = False, _links: Sequence = ()):
-        self.data: Array = np.asarray(data, dtype=np.float64)
+        self.data: Array = _float64(data, "tensor data")
         self.grad: Array | None = None
         self._links = tuple(_links)
         self.requires_grad = bool(requires_grad) or bool(self._links)
@@ -65,6 +68,7 @@ class Tensor:
         Only leaves, the tensors without links, keep ``.grad``, adding each
         pass to what earlier passes left.  A computed tensor's gradient lives
         for one pass, so a second pass through it counts the first one once.
+        A pulled gradient whose shape is not its parent's raises ShapeError.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar, got shape {self.shape}")
@@ -93,6 +97,9 @@ class Tensor:
                 node.grad = g if node.grad is None else node.grad + g
             for parent, pull in node._links:
                 piece = pull(g)
+                if piece.shape != parent.data.shape:
+                    raise ShapeError(f"gradient of shape {piece.shape} pulled into a tensor "
+                                     f"of shape {parent.data.shape}")
                 grads[id(parent)] = grads[id(parent)] + piece if id(parent) in grads else piece
 
     # arithmetic sugar
@@ -108,21 +115,14 @@ class Tensor:
 
     # shape ops
 
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
+    def reshape(self, *shape: int) -> "Tensor":
+        """The values in ``shape``, given as ints; one that does not fit, or a tuple, is a ShapeError."""
         src = self.data.shape
         try:
             data = self.data.reshape(shape)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ShapeError(f"cannot reshape {src} to {shape}") from exc
         return _node(data, (self, lambda g: g.reshape(src)))
-
-    def transpose_last(self) -> "Tensor":
-        """Swap the last two axes."""
-        if self.ndim < 2:
-            raise ShapeError(f"transpose_last needs rank >= 2, got {self.shape}")
-        return _node(np.swapaxes(self.data, -1, -2), (self, lambda g: np.swapaxes(g, -1, -2)))
 
     def sum(self) -> "Tensor":
         """Sum of every element, as a scalar tensor."""
@@ -135,38 +135,21 @@ def _node(data, *links: tuple[Tensor, Callable[[Array], Array]]) -> Tensor:
     return Tensor(data, _links=[link for link in links if link[0].requires_grad])
 
 
-def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
-    """Sum a gradient over the axes numpy broadcasting introduced."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    squeezed = tuple(
-        i for i, (gdim, sdim) in enumerate(zip(grad.shape, shape)) if sdim == 1 and gdim != 1
-    )
-    if squeezed:
-        grad = grad.sum(axis=squeezed, keepdims=True)
-    return grad
-
-
 def _binary(a, b, forward, pull_a, pull_b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     try:
         data = forward(a.data, b.data)
     except ValueError as exc:
         raise ShapeError(f"incompatible shapes {a.shape} and {b.shape}") from exc
-    return _node(
-        data,
-        (a, lambda g: _unbroadcast(pull_a(g, a.data, b.data), a.data.shape)),
-        (b, lambda g: _unbroadcast(pull_b(g, a.data, b.data), b.data.shape)),
-    )
+    return _node(data, (a, lambda g: pull_a(g, b.data)), (b, lambda g: pull_b(g, a.data)))
 
 
 def add(a, b) -> Tensor:
-    return _binary(a, b, np.add, lambda g, x, y: g, lambda g, x, y: g)
+    return _binary(a, b, np.add, lambda g, y: g, lambda g, x: g)
 
 
 def mul(a, b) -> Tensor:
-    return _binary(a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
+    return _binary(a, b, np.multiply, lambda g, y: g * y, lambda g, x: g * x)
 
 
 def matmul(a, b) -> Tensor:
@@ -175,8 +158,8 @@ def matmul(a, b) -> Tensor:
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
     return _binary(a, b, np.matmul,
-                   lambda g, x, y: g @ np.swapaxes(y, -1, -2),
-                   lambda g, x, y: np.swapaxes(x, -1, -2) @ g)
+                   lambda g, y: g @ np.swapaxes(y, -1, -2),
+                   lambda g, x: np.swapaxes(x, -1, -2) @ g)
 
 
 def relu(x) -> Tensor:
@@ -293,7 +276,7 @@ def grad_check(f, x, coords: Sequence[int] | None = None) -> float:
     the sweep to a subset of flat indices; by default every coordinate is
     probed.
     """
-    x0 = np.array(x, dtype=np.float64)
+    x0 = _float64(x, "grad_check point")
     leaf = Tensor(x0, requires_grad=True)
     out = f(leaf)
     if not isinstance(out, Tensor) or out.data.size != 1:

@@ -28,6 +28,7 @@ from .errors import (
     NumericError,
     ShapeError,
     _check_setting,
+    _float64,
 )
 from .fusion import (
     FUSION_SETS,
@@ -97,7 +98,7 @@ def uniform_weights() -> np.ndarray:
 
 
 def _weight_values(weights) -> np.ndarray:
-    w = weights.values if isinstance(weights, ClassWeights) else np.asarray(weights, dtype=np.float64)
+    w = weights.values if isinstance(weights, ClassWeights) else _float64(weights, "weights")
     if w.shape != (N_CLASSES,):
         raise ShapeError(f"weights must have shape ({N_CLASSES},), got {w.shape}")
     return w
@@ -111,13 +112,13 @@ def weighted_bce_loss(logits: np.ndarray, targets, weights) -> tuple[float, np.n
     ``max(z, 0) - z*y + log1p(exp(-|z|))``, the overflow-free form of
     ``-[y log s + (1-y) log(1-s)]``.
     """
-    z = np.asarray(logits, dtype=np.float64)
+    z = _float64(logits, "logits")
     if z.ndim != 2 or z.shape[1] != N_CLASSES:
         raise ShapeError(f"logits must be [batch, {N_CLASSES}], got {z.shape}")
     if z.shape[0] < 1:
         raise DomainError("loss needs at least one sample")
     targets = np.asarray(targets)
-    y = targets.astype(np.float64, copy=False)
+    y = _float64(targets, "targets")
     if y.shape != z.shape:
         raise ShapeError(f"targets shape {y.shape} does not match logits {z.shape}")
     # bool targets, the label matrix's own dtype, are 0/1 by construction
@@ -274,7 +275,7 @@ def adam_step(
     new_v: dict[str, np.ndarray] = {}
     for name, p in params.items():
         g = grads.get(name)
-        g = np.zeros_like(p) if g is None else np.asarray(g, dtype=np.float64)
+        g = np.zeros_like(p) if g is None else _float64(g, f"gradient for {name!r}")
         if g.shape != p.shape:
             raise ShapeError(f"gradient for {name!r} has shape {g.shape}, parameter {p.shape}")
         with np.errstate(over="ignore", invalid="ignore"):

@@ -5,9 +5,9 @@ sanity-checked, not trained, so no gradient bookkeeping is attached.
 Convolutions use stride 1 and zero padding that preserves the spatial side,
 with the feature map laid out as ``[H, W, channels]``.
 
-``conv2d_forward`` counts every scalar multiply it performs while sliding, so
-the closed-form multiply-accumulate (MAC) costs can be checked against an
-actual execution rather than against themselves.
+``conv2d_forward`` runs one ``einsum`` over the windows of the padded input and
+counts the multiplies it performs, so the closed-form multiply-accumulate (MAC)
+costs can be checked against an actual execution rather than against themselves.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ShapeError, _check_setting
+from .errors import DomainError, NumericError, ShapeError, _check_setting, _float64
 
 CONV_MODES = ("standard", "depthwise", "pointwise", "grouped")
 
@@ -105,8 +105,8 @@ def conv2d_forward(x: np.ndarray, kernels: np.ndarray, spec: ConvSpec) -> tuple[
     Returns the ``[df, df, n]`` output and the exact number of scalar
     multiplies performed (zero-padded positions included).
     """
-    x = np.asarray(x, dtype=np.float64)
-    kernels = np.asarray(kernels, dtype=np.float64)
+    x = _float64(x, "conv input")
+    kernels = _float64(kernels, "conv kernels")
     g = spec.groups
     cin_g = spec.m // g
     cout_g = spec.n // g
@@ -120,17 +120,12 @@ def conv2d_forward(x: np.ndarray, kernels: np.ndarray, spec: ConvSpec) -> tuple[
     before = (spec.dk - 1) // 2
     after = spec.dk - 1 - before
     padded = np.pad(x, ((before, after), (before, after), (0, 0)))
-    out = np.zeros((spec.df, spec.df, spec.n))
-    macs = 0
-    for i in range(spec.df):
-        for j in range(spec.df):
-            patch = padded[i : i + spec.dk, j : j + spec.dk, :]
-            for gi in range(g):
-                sub = patch[:, :, gi * cin_g : (gi + 1) * cin_g]
-                kers = kernels[:, :, :, gi * cout_g : (gi + 1) * cout_g]
-                out[i, j, gi * cout_g : (gi + 1) * cout_g] = np.tensordot(sub, kers, axes=3)
-                macs += sub.size * cout_g
-    return out, macs
+    # [df, df, m, dk, dk] windows, the channel axis split into its groups
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (spec.dk, spec.dk), axis=(0, 1))
+    patches = windows.reshape(spec.df, spec.df, g, cin_g, spec.dk, spec.dk)
+    per_group = kernels.reshape(spec.dk, spec.dk, cin_g, g, cout_g)
+    out = np.einsum("ijgcab,abcgo->ijgo", patches, per_group)
+    return out.reshape(spec.df, spec.df, spec.n), patches.size * cout_g
 
 
 def depthwise_separable_forward(

@@ -7,19 +7,42 @@ fields, the stopping settings of ``pseudo_label_loop`` and ``ScalingSpec``'s
 fields take the same inputs in their own tests in ``test_training.py`` and
 ``test_vision_blocks.py``.  A real setting of each of three entry points
 refuses an integer too large for a float.
+
+Every array the package widens to float64 goes through one rule too,
+``errors._float64``: each entry point below refuses a complex, a numeric-string
+and a ``None`` array with a ``DomainError`` naming the array and its dtype, and
+emits no warning on the way.
 """
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from mmfusion.data_io import gen_synthetic
 from mmfusion.errors import DomainError
-from mmfusion.fusion import N_CLASSES, assign_labels
-from mmfusion.training import TrainConfig, class_weights
-from mmfusion.vision_blocks import ConvSpec, ScalingSpec
+from mmfusion.fusion import (
+    N_CLASSES,
+    FusionModel,
+    assign_label_matrix,
+    assign_labels,
+    fuse_logits,
+    init_head_params,
+    logits_to_probs,
+    predict_logits,
+)
+from mmfusion.tensor import Tensor, grad_check
+from mmfusion.training import (
+    TrainConfig,
+    adam_step,
+    class_weights,
+    init_adam_state,
+    uniform_weights,
+    weighted_bce_loss,
+)
+from mmfusion.vision_blocks import ConvSpec, ScalingSpec, conv2d_forward
 
 
 def synthetic(**setting):
@@ -71,3 +94,50 @@ BEYOND_FLOAT = {
 def test_real_setting_refuses_an_integer_beyond_the_float_range(name, value):
     with pytest.raises(DomainError, match=f"^{re.escape(name)} must lie in the float range, got "):
         BEYOND_FLOAT[name](value)
+
+
+LOGITS = np.zeros((2, N_CLASSES))
+TARGETS = np.zeros((2, N_CLASSES), dtype=bool)
+PARAMS = {"w": np.zeros((2, 3))}
+TEXT_HEAD = FusionModel("text_linear", init_head_params("text_linear", 0))
+CONV = ConvSpec(dk=3, m=2, n=2, df=4)
+
+# entry point: (the shape of the array it widens, the name its error gives, a call taking it)
+WIDENED = {
+    "Tensor": ((2, 3), "tensor data", Tensor),
+    "grad_check": ((3,), "grad_check point", lambda v: grad_check(lambda t: t.sum(), v)),
+    "fuse_logits": (LOGITS.shape, "logit set 1", lambda v: fuse_logits([LOGITS, v])),
+    "logits_to_probs": (LOGITS.shape, "logits", logits_to_probs),
+    "assign_label_matrix": (LOGITS.shape, "probs", assign_label_matrix),
+    "bce_logits": (LOGITS.shape, "logits",
+                   lambda v: weighted_bce_loss(v, TARGETS, uniform_weights())),
+    "bce_targets": (LOGITS.shape, "targets",
+                    lambda v: weighted_bce_loss(LOGITS, v, uniform_weights())),
+    "bce_weights": ((N_CLASSES,), "weights", lambda v: weighted_bce_loss(LOGITS, TARGETS, v)),
+    "adam_step": ((2, 3), "gradient for 'w'", lambda v: adam_step(
+        PARAMS, {"w": v}, init_adam_state(PARAMS), TrainConfig())),
+    "conv_input": ((4, 4, 2), "conv input",
+                   lambda v: conv2d_forward(v, np.zeros((3, 3, 2, 2)), CONV)),
+    "conv_kernels": ((3, 3, 2, 2), "conv kernels",
+                     lambda v: conv2d_forward(np.zeros((4, 4, 2)), v, CONV)),
+    "predict_logits": ((2, 128), "text batch", lambda v: predict_logits(TEXT_HEAD, v, None)),
+}
+
+NOT_REAL = {
+    "complex": lambda shape: np.full(shape, 0.5 + 1j),
+    "numeric-string": lambda shape: np.full(shape, "0.5"),
+    "none": lambda shape: np.full(shape, None).tolist(),
+}
+
+
+@pytest.mark.parametrize("name", WIDENED)
+@pytest.mark.parametrize("bad", NOT_REAL)
+def test_array_that_is_not_real_refused_naming_itself(name, bad):
+    shape, source, call = WIDENED[name]
+    values = NOT_REAL[bad](shape)
+    dtype = np.asarray(values).dtype
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^{re.escape(source)}: values must be real "
+                                              f"numbers, got dtype {re.escape(str(dtype))}$"):
+            call(values)

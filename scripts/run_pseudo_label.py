@@ -7,7 +7,7 @@ import argparse
 from mmfusion.data_io import gen_synthetic
 from mmfusion.errors import DatasetError, DomainError
 from mmfusion.fusion import check_fusion_set
-from mmfusion.training import TrainConfig, _check_stopping, pseudo_label_loop
+from mmfusion.training import TrainConfig, check_stopping, pseudo_label_loop
 
 
 def fusion_set(raw: str) -> tuple[str, ...]:
@@ -43,7 +43,7 @@ def main() -> None:
             lr=1e-2, max_epochs=25, patience=5, seed=args.seed,
             fusion_set=args.fusion_set,
         )
-        _check_stopping(args.max_rounds, args.eps)
+        check_stopping(args.max_rounds, args.eps)
         train, _, val = gen_synthetic(
             seed=args.seed, n_train=args.n_train, n_test=1, n_val=args.n_val,
             noise=args.noise,

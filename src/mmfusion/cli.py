@@ -126,25 +126,21 @@ def cmd_gen_synthetic(args, out: Path) -> dict:
 def cmd_train_head(args, out: Path) -> dict:
     config = _resolve_config(args)
     train = load_dataset(args.train, require_labels=True)
-    val = load_dataset(args.val, require_labels=True) if args.val else None
-    if val is not None and not len(val):  # nothing to score, so refuse before training
-        raise DatasetError(f"{args.val}: validation split has no rows")
+    val = load_dataset(args.val, require_labels=True)
     result = train_head(train, val, args.kind, config)
     save_model(result.model, out / "model.fus1")
     history_lines = ["epoch,train_loss,val_f1"]
     history_lines += [f"{r.epoch},{r.train_loss!r},{r.val_f1!r}" for r in result.history]
     (out / "history.csv").write_text("\n".join(history_lines) + "\n", encoding="utf-8")
     best = result.history[result.best_epoch - 1]
-    summary = {"epochs": len(result.history), "seed": config.seed}
-    if val is not None:
-        probs = logits_to_probs(predict_logits(result.model, val.text, val.image))
-        summary.update(_scores(assign_label_matrix(probs), val.labels))
+    probs = logits_to_probs(predict_logits(result.model, val.text, val.image))
     print(f"trained {args.kind}: best epoch {result.best_epoch}, val f1 {best.val_f1!r}")
-    return summary
+    return {"epochs": len(result.history), "seed": config.seed,
+            **_scores(assign_label_matrix(probs), val.labels)}
 
 
 def cmd_predict(args, out: Path) -> dict:
-    model = load_model(args.model, expect_kind=args.kind)
+    model = load_model(args.model)
     ids, blocks, labels = load_inputs(args.data, HEAD_INPUTS[model.kind])
     logits = predict_logits(model, blocks.get("text"), blocks.get("image"))
     scores = _label_and_write(logits, ids, labels, args.threshold, out)
@@ -270,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("train-head", help="train one head and save it")
     p.add_argument("--train", required=True, help="training dataset directory")
-    p.add_argument("--val", help="validation dataset directory")
+    p.add_argument("--val", required=True,
+                   help="labeled validation dataset directory, scored after every epoch")
     p.add_argument("--kind", required=True, choices=HEAD_KINDS)
     # one head trains here, so only pseudo-loop reads fusion_set; a --config file may name it
     _add_config_flags(p, skip=("fusion_set",))
@@ -278,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("predict", help="run a saved model over a dataset")
     p.add_argument("--model", required=True, help="model file")
-    p.add_argument("--kind", choices=HEAD_KINDS, help="require this head kind")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--threshold", type=float, default=LABEL_THRESHOLD)
     p.set_defaults(handler=cmd_predict)

@@ -55,7 +55,6 @@ from .errors import (
     ChecksumError,
     DatasetError,
     DuplicateIdError,
-    KindMismatchError,
     LabelDomainError,
     NonFiniteError,
     NumericError,
@@ -352,7 +351,7 @@ def save_model(model: FusionModel, path) -> None:
         fh.write(struct.pack("<I", crc))
 
 
-def load_model(path, expect_kind: str | None = None) -> FusionModel:
+def load_model(path) -> FusionModel:
     """Load a model file, verifying checksum, kind, and every declared shape."""
     blob = Path(path).read_bytes()
     _check_magic(blob, MODEL_MAGIC, len(blob), path)
@@ -381,8 +380,6 @@ def load_model(path, expect_kind: str | None = None) -> FusionModel:
     kind = take(u32()).decode("utf-8", errors="replace")
     if kind not in HEAD_KINDS:
         raise UnknownKindError(f"{path}: unknown head kind {kind!r}")
-    if expect_kind is not None and kind != expect_kind:
-        raise KindMismatchError(f"{path}: holds {kind!r}, caller expected {expect_kind!r}")
     dims = tuple(u32() for _ in range(4))
     if dims != _DESCRIPTOR:
         raise ShapeError(
@@ -480,9 +477,15 @@ class EmbeddingDataset:
         return EmbeddingDataset(ids=self.ids, text=self.text, image=self.image)
 
     def subset(self, indices: Sequence[int]) -> "EmbeddingDataset":
-        idx = list(indices)
+        """The rows at ``indices``, each an integer in ``[0, len(self))``, else DatasetError."""
+        idx = np.asarray(indices)
+        if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+            raise DatasetError(f"subset indices must be integers in one axis, got {idx.dtype}")
+        if idx.size and not 0 <= idx.min() <= idx.max() < len(self):
+            raise DatasetError(f"subset indices {idx.min()}..{idx.max()} leave [0, {len(self)})")
+        idx = idx.astype(np.intp, copy=False)  # an empty list reads as float64
         return EmbeddingDataset(
-            ids=tuple(self.ids[i] for i in idx),
+            ids=tuple(self.ids[i] for i in idx.tolist()),
             text=self.text[idx],
             image=self.image[idx],
             labels=None if self.labels is None else self.labels[idx],

@@ -5,7 +5,8 @@ with 2, numeric failures with 3.  Anything else is a bug and crashes.
 
 Every entry point checks each scalar setting it takes through :func:`_check_setting`,
 so a wrong type, a non-finite real, a real beyond the float range or a value below its
-least is a DomainError naming it.  Every array the package widens to float64 passes
+least is a DomainError naming it; a dataset, model or config of the wrong type fails
+:func:`_check_type`, naming it too.  Every array the package widens to float64 passes
 :func:`_float64`, so a complex, string or object array is a DomainError naming its
 source and dtype, not a silent cast.  Every float32 array it holds or writes, model
 parameters and embeddings alike, passes :func:`_float32_payload`, which keeps that rule.
@@ -61,10 +62,6 @@ class UnknownKindError(FileFormatError):
     """A model file declares an architecture kind this build does not know."""
 
 
-class KindMismatchError(FileFormatError):
-    """A model file holds a different architecture kind than the caller expected."""
-
-
 class NonFiniteError(DataError):
     """An embedding file or dataset block holds a value that is not finite in float32."""
 
@@ -108,6 +105,12 @@ def _check_setting(name: str, value, kind: type, least=None) -> None:
     if least is not None and value < least:
         bound = "a finite value >= " if kind is float else ">= "
         raise DomainError(f"{name} must be {bound}{least}, got {value}")
+
+
+def _check_type(name: str, value, kind: type, error: type[FusionToolkitError]) -> None:
+    """Refuse ``value`` for argument ``name`` with ``error`` unless it is a ``kind``."""
+    if not isinstance(value, kind):
+        raise error(f"{name} must be of type {kind.__name__}, got {type(value).__name__}")
 
 
 def _float64(values, source) -> np.ndarray:

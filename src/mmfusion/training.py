@@ -14,9 +14,9 @@ independent of the logarithm base.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 from itertools import combinations
-from typing import Mapping
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .errors import (
     NumericError,
     ShapeError,
     _check_setting,
+    _check_type,
     _float64,
 )
 from .fusion import (
@@ -321,6 +322,8 @@ class TrainResult:
 
 def evaluate_model(model: FusionModel, data: EmbeddingDataset) -> float:
     """Macro F1 of sigmoid predictions thresholded at ``LABEL_THRESHOLD`` against the labels."""
+    _check_type("model", model, FusionModel, DomainError)
+    _check_type("data", data, EmbeddingDataset, DatasetError)
     if data.labels is None:
         raise DatasetError("evaluation needs a labeled dataset")
     probs = logits_to_probs(predict_logits(model, data.text, data.image))
@@ -330,28 +333,25 @@ def evaluate_model(model: FusionModel, data: EmbeddingDataset) -> float:
 @overflow_raises()
 def train_head(
     train: EmbeddingDataset,
-    val: EmbeddingDataset | None,
+    val: EmbeddingDataset,
     kind: str,
     config: TrainConfig,
 ) -> TrainResult:
     """Mini-batch Adam on one head; returns the best-validation snapshot.
 
-    Validation runs on a float32-quantized snapshot after every epoch, so the
-    F1 recorded in the history is exactly the F1 of the model a caller would
-    save and reload.  With no validation data the final epoch's snapshot is
-    returned and the history carries NaN in the F1 column.  A value that
-    overflows or turns invalid anywhere in training raises
-    :class:`NumericError`.
+    Both splits must be labeled, non-empty and share no id, else a DatasetError
+    is raised before any training.  Validation runs on a float32-quantized
+    snapshot after every epoch, so the history's F1 is exactly that of the
+    model a caller would save and reload.  A value that overflows or turns
+    invalid anywhere in training raises :class:`NumericError`.
     """
-    if len(train) == 0:
-        raise DatasetError("training set is empty")
-    if train.labels is None:
-        raise DatasetError("training set has no labels")
-    has_val = val is not None and len(val) > 0
-    if has_val and val.labels is None:
-        raise DatasetError("validation set has no labels")
-    if has_val:
-        _check_disjoint(train=train, val=val)
+    _check_type("config", config, TrainConfig, DomainError)
+    _check_splits(train=train, val=val)
+    for name, data in (("training", train), ("validation", val)):
+        if len(data) == 0:
+            raise DatasetError(f"{name} split has no rows")
+        if data.labels is None:
+            raise DatasetError(f"{name} split has no labels")
 
     if config.class_weighting:
         weights = class_weights(train.label_counts())
@@ -365,9 +365,7 @@ def train_head(
     inputs = {name: getattr(train, name) for name in HEAD_INPUTS[kind]}
 
     history: list[EpochRecord] = []
-    best_model: FusionModel | None = None
-    best_f1 = -math.inf
-    best_epoch = 0
+    best_f1 = -math.inf  # a macro F1 is finite, so epoch 1 always sets the best snapshot
 
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(n)
@@ -385,26 +383,22 @@ def train_head(
         epoch_loss = loss_sum / n
 
         snapshot = FusionModel(kind=kind, params=params)  # float32 copies, never aliases
-        if has_val:
-            val_f1 = evaluate_model(snapshot, val)
-            if val_f1 > best_f1:
-                best_f1 = val_f1
-                best_model = snapshot
-                best_epoch = epoch
-        else:
-            val_f1 = math.nan
+        val_f1 = evaluate_model(snapshot, val)
+        if val_f1 > best_f1:
+            best_f1 = val_f1
             best_model = snapshot
             best_epoch = epoch
         history.append(EpochRecord(epoch=epoch, train_loss=epoch_loss, val_f1=val_f1))
-        if has_val and epoch - best_epoch > config.patience:
+        if epoch - best_epoch > config.patience:
             break
 
-    assert best_model is not None
     return TrainResult(model=best_model, history=tuple(history), best_epoch=best_epoch)
 
 
-def _check_disjoint(**splits: EmbeddingDataset) -> None:
-    """Raise :class:`DatasetError` when two of the named splits share an id."""
+def _check_splits(**splits: EmbeddingDataset) -> None:
+    """Raise :class:`DatasetError` when a named split is not a dataset or two share an id."""
+    for name, data in splits.items():
+        _check_type(name, data, EmbeddingDataset, DatasetError)
     pools = {name: set(data.ids) for name, data in splits.items()}
     for (name_a, ids_a), (name_b, ids_b) in combinations(pools.items(), 2):
         overlap = ids_a & ids_b
@@ -441,6 +435,7 @@ class PseudoLabelResult:
 
 def fused_val_f1(models: Mapping[str, FusionModel], data: EmbeddingDataset) -> float:
     """Macro F1 of mean-fused logits from several heads on labeled data."""
+    _check_type("data", data, EmbeddingDataset, DatasetError)
     if data.labels is None:
         raise DatasetError("fused evaluation needs a labeled dataset")
     probs = fused_probs(models, data)
@@ -449,6 +444,9 @@ def fused_val_f1(models: Mapping[str, FusionModel], data: EmbeddingDataset) -> f
 
 def fused_probs(models: Mapping[str, FusionModel], data: EmbeddingDataset) -> np.ndarray:
     """Sigmoid probabilities of the heads' mean-fused logits, [n, 18], from folded heads."""
+    _check_type("models", models, Mapping, DomainError)
+    for kind, model in models.items():
+        _check_type(f"models[{kind!r}]", model, FusionModel, DomainError)
     return logits_to_probs(predict_fused_logits(list(models.values()), data.text, data.image))
 
 
@@ -465,7 +463,7 @@ def _train_fusion_heads(
     return models, fused_val_f1(models, val)
 
 
-def _check_stopping(max_rounds: int, eps: float) -> None:
+def check_stopping(max_rounds: int, eps: float) -> None:
     """Refuse stopping settings :func:`pseudo_label_loop` cannot run with, before any work."""
     _check_setting("max_rounds", max_rounds, int, 0)
     _check_setting("eps", eps, float, 0)
@@ -488,14 +486,11 @@ def pseudo_label_loop(
     embeddings of the two splits are joined once.  Labels the pool may
     carry are never read.  The result is the best round's state.
     """
-    _check_stopping(max_rounds, eps)
-    if train.labels is None or val.labels is None:
-        raise DatasetError("train and val splits must be labeled")
+    check_stopping(max_rounds, eps)
+    _check_type("config", config, TrainConfig, DomainError)
+    _check_splits(train=train, test=test_unlabeled, val=val)
     if not len(test_unlabeled):  # every round would retrain on the unchanged train split
         raise DatasetError("the unlabeled pool has no rows")
-    if not len(val):  # no round could be scored
-        raise DatasetError("the validation split has no rows")
-    _check_disjoint(train=train, test=test_unlabeled, val=val)
 
     models, f1 = _train_fusion_heads(train, val, config)
     history = [RoundRecord(round=0, val_f1=f1)]

@@ -42,6 +42,11 @@ def run_cli(*argv, cwd=None):
     )
 
 
+def train_head_flags(train, val, kind="text_linear"):
+    """The flags train-head requires: the training and validation splits and the head kind."""
+    return ["--train", train, "--val", val, "--kind", kind]
+
+
 def write_shuffled_rows(src, dst, seed=0):
     """Copy a labels CSV with its data rows in a shuffled order."""
     header, *rows = src.read_text().splitlines()
@@ -76,9 +81,7 @@ def trained_dir(tmp_path_factory, data_dir):
     out = tmp_path_factory.mktemp("cli_model")
     proc = run_cli(
         "train-head",
-        "--train", data_dir / "train",
-        "--val", data_dir / "val",
-        "--kind", "text_linear",
+        *train_head_flags(data_dir / "train", data_dir / "val"),
         "--lr", 0.01,
         "--max-epochs", 4,
         "--out", out,
@@ -128,8 +131,7 @@ SUBCOMMAND_ARGS = {
     "gen-synthetic": lambda data, model, pred: [
         "--n-train", 8, "--n-test", 4, "--n-val", 4],
     "train-head": lambda data, model, pred: [
-        "--train", data / "train", "--val", data / "val", "--kind", "text_linear",
-        "--max-epochs", 2],
+        *train_head_flags(data / "train", data / "val"), "--max-epochs", 2],
     "predict": lambda data, model, pred: ["--model", model, "--data", data / "test"],
     "fuse-logits": lambda data, model, pred: [
         "--logits", pred / "logits.femb", pred / "logits.femb", "--ids", pred / "ids.csv",
@@ -146,9 +148,8 @@ SUBCOMMAND_ARGS = {
 FAILING_ARGS = {
     "gen-synthetic": lambda data, model, pred: ["--n-train", 0],
     "train-head": lambda data, model, pred: [
-        "--train", data / "train", "--kind", "text_linear", "--lr", "-1"],
-    "predict": lambda data, model, pred: [
-        "--model", model, "--kind", "vision_linear", "--data", data / "test"],
+        *train_head_flags(data / "train", data / "val"), "--lr", "-1"],
+    "predict": lambda data, model, pred: ["--model", model, "--data", data / "nowhere"],
     "fuse-logits": lambda data, model, pred: [
         "--logits", pred / "logits.femb", "--ids", pred / "ids.csv"],
     "evaluate": lambda data, model, pred: [
@@ -210,7 +211,7 @@ class TestConfigFlags:
         assert cli._resolve_config(args) == TrainConfig(fusion_set=FUSION_SETS["fm3"])
 
     def test_train_head_takes_fusion_set_only_from_a_config_file(self, tmp_path):
-        required = ["train-head", "--train", "t", "--kind", "text_linear"]
+        required = ["train-head", *train_head_flags("t", "v")]
         assert cli.main([*required, "--fusion-set", "fm3", "--out", str(tmp_path / "o")]) == 1
         assert not (tmp_path / "o").exists()
         # one config file may serve train-head and pseudo-loop alike
@@ -220,7 +221,7 @@ class TestConfigFlags:
         assert cli._resolve_config(args).fusion_set == FUSION_SETS["fm3"]
 
     @pytest.mark.parametrize("command, required", [
-        ("train-head", ["--train", "t", "--kind", "text_linear"]),
+        ("train-head", train_head_flags("t", "v")),
         ("pseudo-loop", ["--train", "t", "--test", "p", "--val", "v"]),
     ])
     @pytest.mark.parametrize("key, flag, raw, value", CONFIG_FLAGS)
@@ -336,21 +337,19 @@ class TestTrainHead:
         cfg = tmp_path / "train.cfg"
         cfg.write_text("lr = 0.01\nmax_epochs = 2\npatience = 9\n")
         out_file = tmp_path / "by_file"
-        proc = run_cli("train-head", "--train", data_dir / "train",
-                       "--val", data_dir / "val", "--kind", "text_linear",
+        proc = run_cli("train-head", *train_head_flags(data_dir / "train", data_dir / "val"),
                        "--config", cfg, "--out", out_file)
         assert proc.returncode == 0, proc.stderr
         assert summary_lines(out_file)["epochs"] == "2"
         out_flag = tmp_path / "by_flag"
-        proc = run_cli("train-head", "--train", data_dir / "train",
-                       "--val", data_dir / "val", "--kind", "text_linear",
+        proc = run_cli("train-head", *train_head_flags(data_dir / "train", data_dir / "val"),
                        "--config", cfg, "--max-epochs", 3, "--out", out_flag)
         assert proc.returncode == 0, proc.stderr
         assert summary_lines(out_flag)["epochs"] == "3"
 
     @pytest.mark.parametrize("flag, raw", [("--lr", "abc"), ("--batch-size", "1.5")])
     def test_non_numeric_flag_is_data_error(self, flag, raw, data_dir, tmp_path):
-        proc = run_cli("train-head", "--train", data_dir / "train", "--kind", "text_linear",
+        proc = run_cli("train-head", *train_head_flags(data_dir / "train", data_dir / "val"),
                        flag, raw, "--out", tmp_path / "o")
         assert proc.returncode == 2
         assert repr(raw) in proc.stderr and "Traceback" not in proc.stderr
@@ -358,15 +357,15 @@ class TestTrainHead:
     def test_non_numeric_config_value_is_data_error(self, data_dir, tmp_path):
         cfg = tmp_path / "train.cfg"
         cfg.write_text("max_epochs = 2\nlr = abc\n")
-        proc = run_cli("train-head", "--train", data_dir / "train", "--kind", "text_linear",
+        proc = run_cli("train-head", *train_head_flags(data_dir / "train", data_dir / "val"),
                        "--config", cfg, "--out", tmp_path / "o")
         assert proc.returncode == 2
         assert "lr must be a number, got 'abc'" in proc.stderr
 
     def test_val_overlapping_train_is_data_error(self, data_dir, tmp_path):
         out = tmp_path / "o"
-        proc = run_cli("train-head", "--train", data_dir / "train", "--val", data_dir / "train",
-                       "--kind", "text_linear", "--max-epochs", 1, "--out", out)
+        proc = run_cli("train-head", *train_head_flags(data_dir / "train", data_dir / "train"),
+                       "--max-epochs", 1, "--out", out)
         assert proc.returncode == 2
         assert "train and val splits share 96 ids, e.g. 'train_00000'" in proc.stderr
         assert not (out / "model.fus1").exists()
@@ -374,15 +373,23 @@ class TestTrainHead:
     def test_empty_val_is_refused_before_training(self, data_dir, tmp_path):
         empty = save_empty_split(tmp_path / "empty")
         out = tmp_path / "o"
-        proc = run_cli("train-head", "--train", data_dir / "train", "--val", empty,
-                       "--kind", "text_linear", "--max-epochs", 1, "--out", out)
+        proc = run_cli("train-head", *train_head_flags(data_dir / "train", empty),
+                       "--max-epochs", 1, "--out", out)
         assert proc.returncode == 2
-        assert f"{empty}: validation split has no rows" in proc.stderr
+        assert proc.stderr == "error: validation split has no rows\n"
         assert list(out.iterdir()) == []
 
-    def test_missing_train_dir_is_data_error(self, tmp_path):
-        proc = run_cli("train-head", "--train", tmp_path / "nowhere",
-                       "--kind", "text_linear", "--out", tmp_path / "o")
+    def test_missing_val_is_usage_error(self, data_dir, tmp_path):
+        out = tmp_path / "o"
+        proc = run_cli("train-head", "--train", data_dir / "train", "--kind", "text_linear",
+                       "--out", out)
+        assert proc.returncode == 1
+        assert "the following arguments are required: --val" in proc.stderr
+        assert not out.exists()
+
+    def test_missing_train_dir_is_data_error(self, data_dir, tmp_path):
+        proc = run_cli("train-head", *train_head_flags(tmp_path / "nowhere", data_dir / "val"),
+                       "--out", tmp_path / "o")
         assert proc.returncode == 2
 
 
@@ -394,7 +401,7 @@ def test_text_input_that_is_not_utf8_is_data_error(command, data_dir, trained_di
     elif command == "train-head":
         bad = tmp_path / "train.cfg"
         bad.write_bytes(b"lr = 0.01\n\xff\n")
-        argv = ["--train", data_dir / "train", "--kind", "text_linear", "--config", bad]
+        argv = [*train_head_flags(data_dir / "train", data_dir / "val"), "--config", bad]
     else:
         split = tmp_path / "split"
         shutil.copytree(data_dir / "test", split)
@@ -436,13 +443,6 @@ class TestPredictAndFuse:
             outs.append(out)
         for fname in ("predictions.csv", "logits.femb"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
-
-    def test_kind_mismatch_is_data_error(self, trained_dir, data_dir, tmp_path):
-        proc = run_cli("predict", "--model", trained_dir / "model.fus1",
-                       "--kind", "vision_linear", "--data", data_dir / "test",
-                       "--out", tmp_path / "o")
-        assert proc.returncode == 2
-        assert "vision_linear" in proc.stderr
 
     def test_corrupt_model_is_data_error(self, trained_dir, data_dir, tmp_path):
         blob = bytearray((trained_dir / "model.fus1").read_bytes())
@@ -553,7 +553,7 @@ class TestPredictAndFuse:
         header = EMBEDDING_MAGIC + struct.pack("<III", 1, *text.shape)  # write_embeddings refuses inf
         (bad / "text.femb").write_bytes(header + text.astype("<f4").tobytes())
         if command == "train-head":
-            argv = ("--train", bad, "--kind", "text_linear")
+            argv = train_head_flags(bad, data_dir / "val")
         elif command == "predict":
             argv = ("--model", trained_dir / "model.fus1", "--data", bad)
         else:

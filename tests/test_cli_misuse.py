@@ -106,7 +106,7 @@ def check_labels_output(out) -> None:
 
 
 def check_model_output(out) -> None:
-    load_model(out / "model.fus1", expect_kind="text_linear")
+    assert load_model(out / "model.fus1").kind == "text_linear"
     assert (out / "history.csv").read_text(encoding="utf-8").startswith("epoch,")
 
 

@@ -38,7 +38,6 @@ from mmfusion.errors import (
     DomainError,
     DuplicateIdError,
     FileFormatError,
-    KindMismatchError,
     LabelDomainError,
     NonFiniteError,
     NumericError,
@@ -461,13 +460,6 @@ class TestModelFormat:
                    for name, arr in model.params.items())
         # 86,290 values at 4 bytes each, half the bytes of float64 copies
         assert sum(arr.nbytes for arr in back.params.values()) == 4 * 86_290
-
-    def test_expect_kind_mismatch(self, tmp_path):
-        path = tmp_path / "m.fus1"
-        save_model(make_model("text_linear"), path)
-        with pytest.raises(KindMismatchError):
-            load_model(path, expect_kind="vision_linear")
-        assert load_model(path, expect_kind="text_linear").kind == "text_linear"
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.fus1"

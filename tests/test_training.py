@@ -516,14 +516,16 @@ class TestTrainHead:
         result = train_head(train, val, "concat_fcnn", cfg)
         assert evaluate_model(result.model, train) >= 0.99
 
-    def test_no_validation_set_trains_to_the_end(self):
-        train, _, _ = small_splits(n_train=48)
-        cfg = TrainConfig(lr=5e-3, max_epochs=4, patience=0, batch_size=16)
-        for val in (None, train.subset([])):
-            result = train_head(train, val, "text_linear", cfg)
-            assert len(result.history) == cfg.max_epochs
-            assert all(math.isnan(r.val_f1) for r in result.history)
-            assert result.best_epoch == cfg.max_epochs
+    def test_missing_or_empty_val_refused_before_training(self, monkeypatch):
+        train, _, val = small_splits(n_train=48, n_val=24)
+        started = []
+        monkeypatch.setattr("mmfusion.training.init_head_params",
+                            lambda *args: started.append(args))
+        with pytest.raises(DatasetError, match="val must be of type EmbeddingDataset"):
+            train_head(train, None, "text_linear", TrainConfig())
+        with pytest.raises(DatasetError, match="^validation split has no rows$"):
+            train_head(train, val.subset([]), "text_linear", TrainConfig())
+        assert started == []
 
     def test_early_stopping_caps_history(self):
         train, _, val = small_splits(n_train=48, n_val=24)
@@ -641,13 +643,14 @@ class TestPseudoLabelLoop:
         assert trained == []
 
     def test_empty_val_rejected_before_training(self, monkeypatch):
+        # the loop leaves this check to its first train_head call, which makes it first
         train, test, val = small_splits(n_train=48, n_test=12, n_val=24)
-        trained = []
-        monkeypatch.setattr("mmfusion.training.train_head",
-                            lambda *args: trained.append(args) or train_head(*args))
+        started = []
+        monkeypatch.setattr("mmfusion.training.init_head_params",
+                            lambda *args: started.append(args))
         with pytest.raises(DatasetError, match="validation split has no rows"):
             pseudo_label_loop(train, test.without_labels(), val.subset([]), self.CFG)
-        assert trained == []
+        assert started == []
 
     def test_fused_eval_requires_labels(self):
         train, test, val = small_splits(n_train=48, n_test=12, n_val=24)
@@ -656,6 +659,51 @@ class TestPseudoLabelLoop:
         result = train_head(train, val, "text_linear", TrainConfig(lr=5e-3, max_epochs=2))
         with pytest.raises(DatasetError):
             fused_val_f1({"a": result.model, "b": result.model}, val.without_labels())
+
+
+# each call that hands an entry point an argument of the wrong type or an index it cannot
+# take, with the typed error it must raise; the calls get a train split, a val split and a model
+WRONG_ARGUMENTS = [
+    pytest.param(lambda tr, va, m: train_head(tr, None, "text_linear", TrainConfig()),
+                 DatasetError, id="train_head-val-None"),
+    pytest.param(lambda tr, va, m: train_head(tr, va, "text_linear", {"lr": 1e-2}),
+                 DomainError, id="train_head-config-dict"),
+    pytest.param(lambda tr, va, m: train_head(None, va, "text_linear", TrainConfig()),
+                 DatasetError, id="train_head-train-None"),
+    pytest.param(lambda tr, va, m: train_head(tr, "val", "text_linear", TrainConfig()),
+                 DatasetError, id="train_head-val-str"),
+    pytest.param(lambda tr, va, m: pseudo_label_loop(tr, va.without_labels(), va, None),
+                 DomainError, id="pseudo_label_loop-config-None"),
+    pytest.param(lambda tr, va, m: evaluate_model(m, None), DatasetError,
+                 id="evaluate_model-data-None"),
+    pytest.param(lambda tr, va, m: evaluate_model(None, va), DomainError,
+                 id="evaluate_model-model-None"),
+    pytest.param(lambda tr, va, m: fused_val_f1([m], va), DomainError,
+                 id="fused_val_f1-models-list"),
+    pytest.param(lambda tr, va, m: va.subset(range(4)).subset([7]), DatasetError,
+                 id="subset-index-out-of-range"),
+    pytest.param(lambda tr, va, m: va.subset(range(4)).subset([1.0]), DatasetError,
+                 id="subset-index-float"),
+    pytest.param(lambda tr, va, m: va.subset(range(4)).subset(np.ones(4, dtype=bool)),
+                 DatasetError, id="subset-numpy-bool-mask"),
+    pytest.param(lambda tr, va, m: va.subset(range(4)).subset([True, False, True, False]),
+                 DatasetError, id="subset-list-bool-mask"),
+]
+
+
+@pytest.mark.parametrize("call, error", WRONG_ARGUMENTS)
+def test_wrong_argument_is_a_typed_refusal_before_any_work(call, error, monkeypatch, tmp_path):
+    train, _, val = small_splits(n_train=24, n_test=1, n_val=12)
+    model = FusionModel(kind="text_linear", params=init_head_params("text_linear", 0))
+    started = []
+    for name in ("init_head_params", "predict_logits", "predict_fused_logits"):
+        monkeypatch.setattr(f"mmfusion.training.{name}",
+                            lambda *args, name=name: started.append(name))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(error) as caught:  # a warning would fail the test: filterwarnings="error"
+        call(train, val, model)
+    assert caught.type is error
+    assert started == [] and list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------- fused inference

@@ -1,6 +1,6 @@
 """Every name the package defines is read where it counts.
 
-Two stdlib ``ast`` walks over one name reader, like the unused-import check
+Stdlib ``ast`` walks over one name reader, like the unused-import check
 next to them, so a refactor cannot leave a dead definition behind:
 
 * A ``_name`` bound at the top level of a ``src/mmfusion`` module must be
@@ -11,6 +11,8 @@ next to them, so a refactor cannot leave a dead definition behind:
   package, ``scripts/`` or ``perfbench/``.  An import does not read a name,
   so the re-exports in ``__init__.py`` do not count.  The acceptance suite counts too, since it
   pins the names it uses.
+* No module under ``scripts/`` or ``perfbench/`` imports a ``_name`` from
+  ``mmfusion``: what runs the package from outside reads its public names only.
 
 A third walk keeps each head fact in one home: outside docstrings, a string
 that names a head kind appears only in the head table and ``FUSION_SETS``,
@@ -194,6 +196,40 @@ def test_checker_flags_a_constant_only_tests_read():
     }
     readers = dict(package, **{"script.py": "import a\na.used()\n"})
     assert uncalled_public_names(package, readers) == [("a.py", "SPARE", 2), ("a.py", "TABLE", 3)]
+
+
+# ---------------------------------------------------------- private imports
+
+
+def private_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """``(line, name)`` of each private name the module imports from ``mmfusion``."""
+    return sorted(
+        (node.lineno, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mmfusion"
+        for alias in node.names
+        if is_private(alias.name)
+    )
+
+
+def test_no_script_imports_a_private_name():
+    outside = sorted((REPO / "scripts").glob("*.py")) + sorted((REPO / "perfbench").glob("*.py"))
+    found = [(path.relative_to(REPO), line, name)
+             for path in outside
+             for line, name in private_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found, "private names imported from mmfusion: " + ", ".join(
+        f"{path}:{line} {name}" for path, line, name in found
+    )
+
+
+def test_checker_flags_a_private_import():
+    source = (
+        "from mmfusion.training import TrainConfig, _check\n"
+        "from mmfusion import _HIDDEN as shown\n"
+        "from tracer import _local\n"
+        "from . import _sibling\n"
+    )
+    assert private_imports(ast.parse(source)) == [(1, "_check"), (2, "_HIDDEN")]
 
 
 # ------------------------------------------------------------ head-fact homes

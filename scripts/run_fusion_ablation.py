@@ -46,7 +46,7 @@ def main() -> None:
         t0 = time.monotonic()
         result = train_head(train, val, kind, config)
         models[kind] = result.model
-        val_f1 = evaluate_model(result.model, val)
+        val_f1 = result.history[result.best_epoch - 1].val_f1
         train_f1 = evaluate_model(result.model, train)
         print(
             f"  {kind:<16} val F1 {val_f1:.4f}  train F1 {train_f1:.4f}  "

@@ -3,10 +3,15 @@
 Every subcommand works inside its --out directory.  ``main`` creates that
 directory, times the subcommand and, only when it succeeds, writes
 ``summary.txt`` there: key=value lines with the keys macro_f1,
-mean_accuracy, epochs, seed, wall_ms taken from what the subcommand returns
-(``nan`` where a key does not apply; for pseudo-loop, ``epochs`` counts
-executed rounds).  Exit codes: 0 success, 1 usage error, 2 data or shape
-error, 3 numeric failure.  wall_ms is the only nondeterministic output.
+mean_accuracy, epochs, seed, macs_per_row, wall_ms taken from what the
+subcommand returns (``nan`` where a key does not apply).  For pseudo-loop,
+``epochs`` counts executed rounds.  train-head and pseudo-loop report the
+validation scores their library call recorded for the best epoch or round;
+neither predicts the validation split again.  macs_per_row, written by
+train-head and predict, is the head's forward multiply-accumulates per row
+(:func:`fusion.forward_macs`).  Exit codes: 0 success, 1 usage error, 2 data
+or shape error, 3 numeric failure.  wall_ms is the only nondeterministic
+output.
 """
 
 from __future__ import annotations
@@ -42,12 +47,13 @@ from .fusion import (
     N_CLASSES,
     CLASS_IDS,
     assign_label_matrix,
+    forward_macs,
     fuse_logits,
     logits_to_probs,
     predict_logits,
 )
-from .metrics import confusion_counts, f1_per_class, macro_f1, mean_accuracy
-from .training import TrainConfig, fused_probs, pseudo_label_loop, train_head
+from .metrics import confusion_counts, f1_per_class, macro_f1, mean_accuracy, scores
+from .training import TrainConfig, pseudo_label_loop, train_head
 from .vision_blocks import (
     ConvSpec,
     ScalingSpec,
@@ -82,7 +88,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-SUMMARY_KEYS = ("macro_f1", "mean_accuracy", "epochs", "seed", "wall_ms")
+SUMMARY_KEYS = ("macro_f1", "mean_accuracy", "epochs", "seed", "macs_per_row", "wall_ms")
 
 
 def write_summary(out_dir: Path, **values) -> None:
@@ -91,22 +97,17 @@ def write_summary(out_dir: Path, **values) -> None:
     (out_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _scores(preds: np.ndarray, truth: np.ndarray) -> dict:
-    counts = confusion_counts(preds, truth)
-    return {"macro_f1": macro_f1(counts), "mean_accuracy": mean_accuracy(counts)}
-
-
 def _label_and_write(logits: np.ndarray, ids, truth, threshold: float, out: Path) -> dict:
     """Label ``logits``, score them against ``truth`` if given, then write the three outputs.
 
     Scoring first means labels that cannot be scored leave ``out`` empty.
     """
     preds = assign_label_matrix(logits_to_probs(logits), threshold=threshold)
-    scores = {} if truth is None else _scores(preds, truth)
+    summary = {} if truth is None else scores(preds, truth)
     write_embeddings(logits, out / "logits.femb")
     write_ids(ids, out / "ids.csv")
     write_predictions(ids, preds, out / "predictions.csv")
-    return scores
+    return summary
 
 
 # ---------------------------------------------------------------- subcommands
@@ -133,19 +134,19 @@ def cmd_train_head(args, out: Path) -> dict:
     history_lines += [f"{r.epoch},{r.train_loss!r},{r.val_f1!r}" for r in result.history]
     (out / "history.csv").write_text("\n".join(history_lines) + "\n", encoding="utf-8")
     best = result.history[result.best_epoch - 1]
-    probs = logits_to_probs(predict_logits(result.model, val.text, val.image))
     print(f"trained {args.kind}: best epoch {result.best_epoch}, val f1 {best.val_f1!r}")
     return {"epochs": len(result.history), "seed": config.seed,
-            **_scores(assign_label_matrix(probs), val.labels)}
+            "macro_f1": best.val_f1, "mean_accuracy": best.val_mean_accuracy,
+            "macs_per_row": forward_macs(args.kind)}
 
 
 def cmd_predict(args, out: Path) -> dict:
     model = load_model(args.model)
     ids, blocks, labels = load_inputs(args.data, HEAD_INPUTS[model.kind])
     logits = predict_logits(model, blocks.get("text"), blocks.get("image"))
-    scores = _label_and_write(logits, ids, labels, args.threshold, out)
+    summary = _label_and_write(logits, ids, labels, args.threshold, out)
     print(f"wrote predictions for {len(ids)} samples to {out}")
-    return scores
+    return {**summary, "macs_per_row": forward_macs(model.kind)}
 
 
 def _logits_in_order(path, ids) -> np.ndarray:
@@ -167,9 +168,9 @@ def cmd_fuse_logits(args, out: Path) -> dict:
     truth = None
     if args.labels:
         truth = rows_in_order(ids, *read_label_matrix(args.labels), args.labels)
-    scores = _label_and_write(fuse_logits(blocks), ids, truth, args.threshold, out)
+    summary = _label_and_write(fuse_logits(blocks), ids, truth, args.threshold, out)
     print(f"fused {len(args.logits)} logit sets over {len(ids)} samples")
-    return scores
+    return summary
 
 
 def cmd_evaluate(args, out: Path) -> dict:
@@ -203,12 +204,10 @@ def cmd_pseudo_loop(args, out: Path) -> dict:
     (out / "rounds.csv").write_text("\n".join(rounds_lines) + "\n", encoding="utf-8")
     if result.pseudo_labels:  # keyed by the test ids, in their order
         write_predictions(*zip(*result.pseudo_labels.items()), out / "pseudo_labels.csv")
-    preds = assign_label_matrix(fused_probs(result.models, val))
-    print(
-        f"pseudo-label loop: best round {result.best_round} "
-        f"with fused val f1 {result.best_val_f1!r}"
-    )
-    return {"epochs": len(result.history), "seed": config.seed, **_scores(preds, val.labels)}
+    best = result.history[result.best_round]
+    print(f"pseudo-label loop: best round {result.best_round} with fused val f1 {best.val_f1!r}")
+    return {"epochs": len(result.history), "seed": config.seed,
+            "macro_f1": best.val_f1, "mean_accuracy": best.val_mean_accuracy}
 
 
 def cmd_flops(args, out: Path) -> dict:

@@ -54,6 +54,7 @@ from .errors import (
     BadMagicError,
     ChecksumError,
     DatasetError,
+    DomainError,
     DuplicateIdError,
     LabelDomainError,
     NonFiniteError,
@@ -63,6 +64,7 @@ from .errors import (
     UnknownKindError,
     VersionMismatchError,
     _check_setting,
+    _check_type,
     _float32_payload,
 )
 from .fusion import (
@@ -92,6 +94,12 @@ def _check_magic(head: bytes, magic: bytes, size: int, path) -> None:
         raise BadMagicError(f"{path}: expected magic {magic!r}, found {head[:4]!r}")
 
 
+def _check_path(path, name: str = "path") -> None:
+    """Refuse a path argument ``name`` that is neither a str nor an ``os.PathLike`` with a
+    DomainError, before any file is opened: ``open`` would take an int for a file descriptor."""
+    _check_type(name, path, (str, os.PathLike), DomainError)
+
+
 def _check_version(version: int, path) -> None:
     if version != FORMAT_VERSION:
         raise VersionMismatchError(f"{path}: version {version}, this reader speaks {FORMAT_VERSION}")
@@ -101,6 +109,7 @@ def _check_version(version: int, path) -> None:
 
 
 def _write_payload(payload: np.ndarray, path) -> None:
+    _check_path(path)
     with open(path, "wb") as fh:
         fh.write(EMBEDDING_MAGIC)
         fh.write(struct.pack("<III", FORMAT_VERSION, *payload.shape))
@@ -125,6 +134,7 @@ def read_embeddings(path) -> np.ndarray:
     The values stay float32: a fusion head widens the blocks it reads, which
     is exact.  A NaN or +-inf value raises :class:`NonFiniteError`.
     """
+    _check_path(path)
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(16)
@@ -152,8 +162,16 @@ def _first_bad_id(ids: Sequence[str]) -> int:
 
 
 def _check_ids(ids: Sequence[str], source) -> None:
-    """Raise :class:`DatasetError` for the first id the readers cannot read back."""
-    bad = _first_bad_id(ids)
+    """Raise :class:`DatasetError` unless ``ids`` is a tuple or list of str ids that the
+    readers can read back, naming the first id that is not."""
+    if not isinstance(ids, (tuple, list)):  # a str would read as one-character ids
+        raise DatasetError(f"{source} ids must be a tuple or list of str, got {ids!r}")
+    try:
+        bad = _first_bad_id(ids)
+    except TypeError:  # its join takes only str ids
+        bad = next(r for r, sample_id in enumerate(ids) if not isinstance(sample_id, str))
+        raise DatasetError(f"{source} id {ids[bad]!r} is of type "
+                           f"{type(ids[bad]).__name__}, not str") from None
     if bad < len(ids):
         raise DatasetError(
             f"{source}: sample id {ids[bad]!r} is blank or holds a comma or a line break"
@@ -161,6 +179,7 @@ def _check_ids(ids: Sequence[str], source) -> None:
 
 
 def write_ids(ids: Sequence[str], path) -> None:
+    _check_path(path)
     _check_ids(ids, path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(f"{sample_id}\n" for sample_id in ids))
@@ -176,6 +195,7 @@ def _first_repeat(ids: Sequence[str]) -> int:
 
 def _read_utf8(path, error: type[Exception]) -> str:
     """The text of ``path``, newlines normalised; bytes that are not UTF-8 raise ``error``."""
+    _check_path(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
@@ -299,13 +319,14 @@ def rows_in_order(
 
 def write_predictions(ids: Sequence[str], labels, path) -> None:
     """Write aligned ids and label sets (any form labels_to_matrix takes) as CSV."""
+    _check_path(path)
+    _check_ids(ids, path)
     mask = labels_to_matrix(labels)
     if len(ids) != len(mask):
         raise DatasetError(f"{len(ids)} ids vs {len(mask)} label sets")
     counts = mask.sum(axis=1)
     if not counts.all():
         raise LabelDomainError(f"refusing to write an empty label set for {ids[counts.argmin()]!r}")
-    _check_ids(ids, path)
     names = _CLASS_ID_STRS[np.nonzero(mask)[1]].tolist()
     ends = np.cumsum(counts).tolist()
     rows = (
@@ -329,6 +350,8 @@ def save_model(model: FusionModel, path) -> None:
 
     So a value edited in through a held array whose writes were re-enabled is refused.
     """
+    _check_type("model", model, FusionModel, DomainError)
+    _check_path(path)
     body = bytearray()
     body += struct.pack("<I", FORMAT_VERSION)
     kind_bytes = model.kind.encode("utf-8")
@@ -353,6 +376,7 @@ def save_model(model: FusionModel, path) -> None:
 
 def load_model(path) -> FusionModel:
     """Load a model file, verifying checksum, kind, and every declared shape."""
+    _check_path(path)
     blob = Path(path).read_bytes()
     _check_magic(blob, MODEL_MAGIC, len(blob), path)
     if len(blob) < 12:
@@ -443,15 +467,9 @@ class EmbeddingDataset:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        if not isinstance(self.ids, (tuple, list)):
-            raise DatasetError(f"dataset ids must be a tuple or list of str, got {self.ids!r}")
+        _check_ids(self.ids, "dataset")
         object.__setattr__(self, "ids", tuple(self.ids))
         n = len(self.ids)
-        bad = next((r for r, sample_id in enumerate(self.ids) if not isinstance(sample_id, str)), n)
-        if bad < n:
-            raise DatasetError(f"dataset id {self.ids[bad]!r} is of type "
-                               f"{type(self.ids[bad]).__name__}, not str")
-        _check_ids(self.ids, "dataset")
         repeat = _first_repeat(self.ids)
         if repeat < n:
             raise DuplicateIdError(f"dataset id {self.ids[repeat]!r} appears twice")
@@ -515,6 +533,8 @@ def save_dataset(dataset: EmbeddingDataset, directory) -> None:
     hold raises before any write, such as one edited in through a block whose
     writes were re-enabled or through the caller's float32 array.
     """
+    _check_type("dataset", dataset, EmbeddingDataset, DatasetError)
+    _check_path(directory, "directory")
     directory = Path(directory)
     text = _float32_payload(dataset.text, directory / "text.femb", NonFiniteError)
     image = _float32_payload(dataset.image, directory / "image.femb", NonFiniteError)
@@ -536,6 +556,7 @@ def load_inputs(
     checked against the ids and its width.  The labels are the [n, 18] bool
     matrix in id order, or None.
     """
+    _check_path(directory, "directory")
     directory = Path(directory)
     for name in [f"{m}.femb" for m in modalities] + ["ids.csv"]:
         if not (directory / name).exists():

@@ -5,10 +5,10 @@ with 2, numeric failures with 3.  Anything else is a bug and crashes.
 
 Every entry point checks each scalar setting it takes through :func:`_check_setting`,
 so a wrong type, a non-finite real, a real beyond the float range or a value below its
-least is a DomainError naming it; a dataset, model or config of the wrong type fails
-:func:`_check_type`, naming it too.  Every array the package widens to float64 passes
-:func:`_float64`, so a complex, string or object array is a DomainError naming its
-source and dtype, not a silent cast.  Every float32 array it holds or writes, model
+least is a DomainError naming it; a dataset, model, config or file path of the wrong
+type fails :func:`_check_type`, naming it too.  Every array the package widens to
+float64 passes :func:`_float64`, so a complex, string or object array is a DomainError
+naming its source and dtype, not a silent cast.  Every float32 array it holds or writes, model
 parameters and embeddings alike, passes :func:`_float32_payload`, which keeps that rule.
 """
 
@@ -107,10 +107,13 @@ def _check_setting(name: str, value, kind: type, least=None) -> None:
         raise DomainError(f"{name} must be {bound}{least}, got {value}")
 
 
-def _check_type(name: str, value, kind: type, error: type[FusionToolkitError]) -> None:
-    """Refuse ``value`` for argument ``name`` with ``error`` unless it is a ``kind``."""
+def _check_type(name: str, value, kind: type | tuple[type, ...],
+                error: type[FusionToolkitError]) -> None:
+    """Refuse ``value`` for argument ``name`` with ``error`` unless it is a ``kind``, one
+    type or a tuple of them."""
     if not isinstance(value, kind):
-        raise error(f"{name} must be of type {kind.__name__}, got {type(value).__name__}")
+        kinds = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise error(f"{name} must be of type {kinds}, got {type(value).__name__}")
 
 
 def _float64(values, source) -> np.ndarray:

@@ -14,7 +14,8 @@ Four head kinds map an embedding pair to 18 logits:
 
 One table, ``_FINAL_COLUMNS``, gives each kind's blocks in weight-column
 order.  Parameter shapes and starts (a zero final layer, plus cross-attention
-for a kind that reads ``attended``), the forward pass and the fold read it.
+for a kind that reads ``attended``), the forward pass, its MAC count
+(:func:`forward_macs`) and the fold read it.
 Each kind reads only its own embedding blocks (:data:`HEAD_INPUTS`), and
 may be handed ``None`` for a block it does not read.  A block may arrive at
 any float precision, such as the float32 of the embedding files, and a
@@ -36,11 +37,12 @@ files.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -142,7 +144,10 @@ class LabelVector:
 
 
 def labels_to_matrix(labels) -> np.ndarray:
-    """The [n, 18] bool matrix of a 0/1 matrix, a sequence of its rows, or label vectors."""
+    """The [n, 18] bool matrix of a 0/1 matrix, a sequence of its rows, or label vectors;
+    anything else, such as None, raises :class:`ShapeError`."""
+    if not isinstance(labels, Iterable):
+        raise ShapeError(f"labels must be [n, {N_CLASSES}], got {type(labels).__name__}")
     if not isinstance(labels, np.ndarray):
         rows = [row.bits if isinstance(row, LabelVector) else row for row in labels]
         labels = np.array(rows) if rows else np.zeros((0, N_CLASSES), dtype=bool)
@@ -179,6 +184,28 @@ def expected_param_shapes(kind: str) -> dict[str, tuple[int, ...]]:
     """Parameter table for one head kind; final layer weights are [18, input]."""
     _check_kind(kind)
     return {name: param.shape for name, param in _PARAMS[kind].items()}
+
+
+def forward_macs(kind: str) -> int:
+    """The multiply-accumulates of one row's forward pass through a head of ``kind``.
+
+    Every matrix product costs rows x inner x outer; bias adds, the softmax,
+    the residual add and the layer norm are not products and are not
+    counted, the convention of the conv cost model in ``vision_blocks``.
+    The final layer is one product of its weight.  A kind with attention
+    draws three projections: the query's maps the one text row, the keys'
+    and the values' each map the :data:`TOKEN_COUNT` image tokens, and the
+    scores and the value mix cost one key or value width per token.
+    """
+    _check_kind(kind)
+    macs = math.prod(_PARAMS[kind]["w"].shape)
+    projections = [p.shape for p in _PARAMS[kind].values() if p.scale is not None]
+    if projections:
+        (d_x, d_k), (d_y, _), (_, d_v) = projections
+        macs += d_x * d_k  # the query
+        macs += TOKEN_COUNT * d_y * (d_k + d_v)  # the keys and the values
+        macs += TOKEN_COUNT * (d_k + d_v)  # the scores and the value mix
+    return macs
 
 
 def init_head_params(kind: str, seed: int) -> dict[str, np.ndarray]:

@@ -77,3 +77,9 @@ def f1_per_class(counts: ConfusionCounts) -> np.ndarray:
 def macro_f1(counts: ConfusionCounts) -> float:
     """Unweighted mean of the 18 per-class F1 scores."""
     return float(f1_per_class(counts).mean())
+
+
+def scores(predictions, truths) -> dict[str, float]:
+    """``macro_f1`` and ``mean_accuracy`` of ``predictions`` against ``truths``, from one tally."""
+    counts = confusion_counts(predictions, truths)
+    return {"macro_f1": macro_f1(counts), "mean_accuracy": mean_accuracy(counts)}

@@ -34,6 +34,7 @@ from .errors import (
 from .fusion import (
     FUSION_SETS,
     HEAD_INPUTS,
+    MODALITY_DIMS,
     N_CLASSES,
     FusionModel,
     LabelVector,
@@ -48,7 +49,7 @@ from .fusion import (
     predict_fused_logits,
     predict_logits,
 )
-from .metrics import confusion_counts, macro_f1
+from .metrics import scores
 from .tensor import Tensor, _node, _sigmoid_values, as_tensor
 
 # ------------------------------------------------------------- class weights
@@ -311,6 +312,7 @@ class EpochRecord:
     epoch: int
     train_loss: float
     val_f1: float
+    val_mean_accuracy: float
 
 
 @dataclass(frozen=True)
@@ -322,12 +324,17 @@ class TrainResult:
 
 def evaluate_model(model: FusionModel, data: EmbeddingDataset) -> float:
     """Macro F1 of sigmoid predictions thresholded at ``LABEL_THRESHOLD`` against the labels."""
+    return _model_scores(model, data)["macro_f1"]
+
+
+def _model_scores(model: FusionModel, data: EmbeddingDataset) -> dict[str, float]:
+    """:func:`metrics.scores` of one model's thresholded predictions on labeled ``data``."""
     _check_type("model", model, FusionModel, DomainError)
     _check_type("data", data, EmbeddingDataset, DatasetError)
     if data.labels is None:
         raise DatasetError("evaluation needs a labeled dataset")
     probs = logits_to_probs(predict_logits(model, data.text, data.image))
-    return macro_f1(confusion_counts(assign_label_matrix(probs), data.labels))
+    return scores(assign_label_matrix(probs), data.labels)
 
 
 @overflow_raises()
@@ -340,10 +347,12 @@ def train_head(
     """Mini-batch Adam on one head; returns the best-validation snapshot.
 
     Both splits must be labeled, non-empty and share no id, else a DatasetError
-    is raised before any training.  Validation runs on a float32-quantized
-    snapshot after every epoch, so the history's F1 is exactly that of the
-    model a caller would save and reload.  A value that overflows or turns
-    invalid anywhere in training raises :class:`NumericError`.
+    is raised before any training.  Validation runs once per epoch, on the
+    float32 snapshot that epoch ends with, and its record keeps both scores
+    (:func:`metrics.scores`).  So ``history[best_epoch - 1]`` holds exactly the
+    scores of the returned model, which a caller would save and reload, and
+    no caller needs to predict the validation split again.  A value that
+    overflows or turns invalid anywhere in training raises :class:`NumericError`.
     """
     _check_type("config", config, TrainConfig, DomainError)
     _check_splits(train=train, val=val)
@@ -383,12 +392,14 @@ def train_head(
         epoch_loss = loss_sum / n
 
         snapshot = FusionModel(kind=kind, params=params)  # float32 copies, never aliases
-        val_f1 = evaluate_model(snapshot, val)
-        if val_f1 > best_f1:
-            best_f1 = val_f1
+        val_scores = _model_scores(snapshot, val)
+        if val_scores["macro_f1"] > best_f1:
+            best_f1 = val_scores["macro_f1"]
             best_model = snapshot
             best_epoch = epoch
-        history.append(EpochRecord(epoch=epoch, train_loss=epoch_loss, val_f1=val_f1))
+        history.append(EpochRecord(epoch=epoch, train_loss=epoch_loss,
+                                   val_f1=val_scores["macro_f1"],
+                                   val_mean_accuracy=val_scores["mean_accuracy"]))
         if epoch - best_epoch > config.patience:
             break
 
@@ -416,12 +427,13 @@ def _check_splits(**splits: EmbeddingDataset) -> None:
 class RoundRecord:
     round: int
     val_f1: float
+    val_mean_accuracy: float
 
 
 @dataclass(frozen=True)
 class PseudoLabelResult:
     """State of the best round: its heads, the pseudo-labels its training
-    set was built with (empty for round 0), and the per-round F1 trace."""
+    set was built with (empty for round 0), and the per-round scores."""
 
     models: dict[str, FusionModel]
     pseudo_labels: dict[str, LabelVector]
@@ -435,11 +447,15 @@ class PseudoLabelResult:
 
 def fused_val_f1(models: Mapping[str, FusionModel], data: EmbeddingDataset) -> float:
     """Macro F1 of mean-fused logits from several heads on labeled data."""
+    return _fused_scores(models, data)["macro_f1"]
+
+
+def _fused_scores(models: Mapping[str, FusionModel], data: EmbeddingDataset) -> dict[str, float]:
+    """:func:`metrics.scores` of the heads' fused, thresholded predictions on labeled ``data``."""
     _check_type("data", data, EmbeddingDataset, DatasetError)
     if data.labels is None:
         raise DatasetError("fused evaluation needs a labeled dataset")
-    probs = fused_probs(models, data)
-    return macro_f1(confusion_counts(assign_label_matrix(probs), data.labels))
+    return scores(assign_label_matrix(fused_probs(models, data)), data.labels)
 
 
 def fused_probs(models: Mapping[str, FusionModel], data: EmbeddingDataset) -> np.ndarray:
@@ -457,10 +473,12 @@ def fused_predictions(
 
 
 def _train_fusion_heads(
-    train: EmbeddingDataset, val: EmbeddingDataset, config: TrainConfig
-) -> tuple[dict[str, FusionModel], float]:
+    train: EmbeddingDataset, val: EmbeddingDataset, config: TrainConfig, round_index: int
+) -> tuple[dict[str, FusionModel], RoundRecord]:
     models = {kind: train_head(train, val, kind, config).model for kind in config.fusion_set}
-    return models, fused_val_f1(models, val)
+    val_scores = _fused_scores(models, val)
+    return models, RoundRecord(round=round_index, val_f1=val_scores["macro_f1"],
+                               val_mean_accuracy=val_scores["mean_accuracy"])
 
 
 def check_stopping(max_rounds: int, eps: float) -> None:
@@ -480,10 +498,14 @@ def pseudo_label_loop(
     """Self-training: label the unlabeled pool with the fused heads, retrain,
     keep going while fused validation F1 improves by more than ``eps``.
 
+    Each round's fused heads are scored on ``val`` once and its record keeps
+    both scores, so ``history[best_round]`` holds the returned heads' scores.
+
     Every round labels the merged training set afresh, with the original
     labels of the labeled split plus new pseudo-labels, so stale
-    pseudo-labels never accumulate and no id is ever duplicated; the
-    embeddings of the two splits are joined once.  Labels the pool may
+    pseudo-labels never accumulate and no id is ever duplicated.  The
+    embeddings of the two splits are joined once, before the first round,
+    and each round builds and checks its split once.  Labels the pool may
     carry are never read.  The result is the best round's state.
     """
     check_stopping(max_rounds, eps)
@@ -492,24 +514,25 @@ def pseudo_label_loop(
     if not len(test_unlabeled):  # every round would retrain on the unchanged train split
         raise DatasetError("the unlabeled pool has no rows")
 
-    models, f1 = _train_fusion_heads(train, val, config)
-    history = [RoundRecord(round=0, val_f1=f1)]
+    models, record = _train_fusion_heads(train, val, config, 0)
+    history = [record]
     best_models = models
     best_pseudo: dict[str, LabelVector] = {}
     best_round = 0
-    best_f1 = f1
 
-    joined = train.without_labels().merge(test_unlabeled.without_labels())  # train then pool
+    # train rows then pool rows; every round's split holds these blocks
+    joined = {name: np.concatenate([getattr(train, name), getattr(test_unlabeled, name)])
+              for name in MODALITY_DIMS}
     for round_index in range(1, max_rounds + 1):
         pseudo = assign_label_matrix(fused_probs(best_models, test_unlabeled))
-        merged = replace(joined, labels=np.concatenate([train.labels, pseudo]))
-        models, f1 = _train_fusion_heads(merged, val, config)
-        history.append(RoundRecord(round=round_index, val_f1=f1))
-        if f1 > best_f1 + eps:
+        merged = EmbeddingDataset(ids=train.ids + test_unlabeled.ids,
+                                  labels=np.concatenate([train.labels, pseudo]), **joined)
+        models, record = _train_fusion_heads(merged, val, config, round_index)
+        history.append(record)
+        if record.val_f1 > history[best_round].val_f1 + eps:
             best_models = models
             best_pseudo = dict(zip(test_unlabeled.ids, label_vectors(pseudo)))
             best_round = round_index
-            best_f1 = f1
         else:
             break
 

@@ -9,6 +9,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import mmfusion.fusion as fusion_mod
 from mmfusion import cli
 from mmfusion.data_io import (
     EMBEDDING_MAGIC,
@@ -28,6 +29,7 @@ from mmfusion.fusion import (
     TEXT_DIM,
     FusionModel,
     expected_param_shapes,
+    forward_macs,
 )
 from mmfusion.training import TrainConfig
 from mmfusion.vision_blocks import ScalingSpec, compound_scale
@@ -174,6 +176,9 @@ class TestSummaryContract:
         keys = [line.split("=", 1)[0] for line in (out / "summary.txt").read_text().splitlines()]
         assert tuple(keys) == cli.SUMMARY_KEYS
         assert float(summary_lines(out)["wall_ms"]) >= 0.0
+        # the two commands that run a head state its forward cost; both run text_linear here
+        macs = str(forward_macs("text_linear")) if command in ("train-head", "predict") else "nan"
+        assert summary_lines(out)["macs_per_row"] == macs
 
     @pytest.mark.parametrize("command", sorted(FAILING_ARGS))
     def test_failure_leaves_no_summary(self, command, data_dir, trained_dir, pred_dir, tmp_path):
@@ -243,7 +248,7 @@ class TestFlops:
         assert "separable_macs=41984" in proc.stdout
         assert (tmp_path / "f" / "flops.txt").exists()
         assert set(summary_lines(tmp_path / "f")) == {
-            "macro_f1", "mean_accuracy", "epochs", "seed", "wall_ms"
+            "macro_f1", "mean_accuracy", "epochs", "seed", "macs_per_row", "wall_ms"
         }
 
     def test_compound_scaling_block(self, tmp_path):
@@ -697,6 +702,67 @@ class TestThreshold:
         assert proc.returncode == 2
         assert "threshold must lie in [0, 1]" in proc.stderr
         assert list(out.iterdir()) == []
+
+
+def count_head_passes(monkeypatch) -> list[int]:
+    """The row count of every pass of a head over a batch, filled as the passes run.
+
+    ``predict_logits`` and every fused prediction go through ``fusion._run_head``.
+    """
+    passes = []
+    run_head = fusion_mod._run_head
+
+    def counting(kind, params, text, image):
+        passes.append(len(image if text is None else text))
+        return run_head(kind, params, text, image)
+
+    monkeypatch.setattr(fusion_mod, "_run_head", counting)
+    return passes
+
+
+class TestValidationScoredOnce:
+    """train-head and pseudo-loop report the scores their library call recorded."""
+
+    def test_train_head_scores_each_epoch_once(self, data_dir, tmp_path, monkeypatch):
+        passes = count_head_passes(monkeypatch)
+        results = []
+        train_head = cli.train_head
+        monkeypatch.setattr(cli, "train_head", lambda *args: results.append(train_head(*args))
+                            or results[-1])
+        out = tmp_path / "head"
+        argv = [*train_head_flags(str(data_dir / "train"), str(data_dir / "val"), "concat_fcnn"),
+                "--lr", "0.01", "--max-epochs", "3", "--out", str(out)]
+        assert cli.main(["train-head", *argv]) == 0
+        (result,) = results
+        val_rows = len(load_dataset(data_dir / "val"))
+        assert passes == [val_rows] * len(result.history)
+        best = result.history[result.best_epoch - 1]
+        summary = summary_lines(out)
+        assert summary["macro_f1"] == repr(best.val_f1)
+        assert summary["mean_accuracy"] == repr(best.val_mean_accuracy)
+
+    def test_pseudo_loop_makes_no_pass_after_the_loop(self, data_dir, tmp_path, monkeypatch):
+        passes = count_head_passes(monkeypatch)
+        results, passes_at_return = [], []
+        loop = cli.pseudo_label_loop
+
+        def recording(*args, **kwargs):
+            results.append(loop(*args, **kwargs))
+            passes_at_return.append(len(passes))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "pseudo_label_loop", recording)
+        out = tmp_path / "loop"
+        assert cli.main(["pseudo-loop", "--train", str(data_dir / "train"),
+                         "--test", str(data_dir / "test"), "--val", str(data_dir / "val"),
+                         "--lr", "0.01", "--max-epochs", "2", "--max-rounds", "1",
+                         "--out", str(out)]) == 0
+        (result,) = results
+        assert passes_at_return == [len(passes)]
+        best = result.history[result.best_round]
+        summary = summary_lines(out)
+        assert summary["macro_f1"] == repr(best.val_f1)
+        assert summary["mean_accuracy"] == repr(best.val_mean_accuracy)
 
 
 class TestPseudoLoop:

@@ -856,6 +856,58 @@ class TestDatasetDirectory:
             load_dataset(tmp_path / "d")
 
 
+# each reader or writer call with an argument of the wrong type, the typed error it must
+# raise and the message it starts with; the calls run in an empty directory
+WRONG_IO_ARGUMENTS = [
+    pytest.param(lambda: save_model("x", "model.fus1"), DomainError,
+                 "model must be of type FusionModel, got str", id="save_model-model-str"),
+    pytest.param(lambda: save_dataset(None, "d"), DatasetError,
+                 "dataset must be of type EmbeddingDataset, got NoneType",
+                 id="save_dataset-dataset-None"),
+    pytest.param(lambda: load_model(123), DomainError,
+                 "path must be of type str or PathLike, got int", id="load_model-path-int"),
+    pytest.param(lambda: read_embeddings(None), DomainError,
+                 "path must be of type str or PathLike, got NoneType",
+                 id="read_embeddings-path-None"),
+    pytest.param(lambda: read_ids(None), DomainError,
+                 "path must be of type str or PathLike, got NoneType", id="read_ids-path-None"),
+    pytest.param(lambda: write_predictions(["a", "b"], None, "p.csv"), ShapeError,
+                 f"labels must be [n, {N_CLASSES}], got NoneType",
+                 id="write_predictions-labels-None"),
+    pytest.param(lambda: write_ids([1, 2], "ids.csv"), DatasetError,
+                 "ids.csv id 1 is of type int, not str", id="write_ids-int-ids"),
+    pytest.param(lambda: write_predictions([1, 2], np.ones((2, N_CLASSES), dtype=bool), "p.csv"),
+                 DatasetError, "p.csv id 1 is of type int, not str",
+                 id="write_predictions-int-ids"),
+    # a str is a sequence of one-character ids only by accident
+    pytest.param(lambda: write_ids("ab", "ids.csv"), DatasetError,
+                 "ids.csv ids must be a tuple or list of str, got 'ab'", id="write_ids-str"),
+    pytest.param(lambda: write_predictions(None, np.ones((2, N_CLASSES), dtype=bool), "p.csv"),
+                 DatasetError, "p.csv ids must be a tuple or list of str, got None",
+                 id="write_predictions-ids-None"),
+    pytest.param(lambda: write_embeddings(np.zeros((2, 3)), None), DomainError,
+                 "path must be of type str or PathLike, got NoneType",
+                 id="write_embeddings-path-None"),
+    pytest.param(lambda: save_dataset(tiny_dataset(), None), DomainError,
+                 "directory must be of type str or PathLike, got NoneType",
+                 id="save_dataset-directory-None"),
+    pytest.param(lambda: load_dataset(None), DomainError,
+                 "directory must be of type str or PathLike, got NoneType",
+                 id="load_dataset-directory-None"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", WRONG_IO_ARGUMENTS)
+def test_wrong_argument_type_is_refused_before_any_write(call, error, message, tmp_path,
+                                                         monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(error) as caught:  # a warning would fail the test: filterwarnings="error"
+        call()
+    assert caught.type is error
+    assert str(caught.value) == message
+    assert list(tmp_path.iterdir()) == []
+
+
 # ------------------------------------------------------------------ synthetic
 
 

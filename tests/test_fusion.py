@@ -24,14 +24,17 @@ from mmfusion.fusion import (
     assign_labels,
     assign_labels_batch,
     expected_param_shapes,
+    forward_macs,
     fuse_logits,
     head_forward_batch,
+    init_head_params,
     label_vectors,
     labels_to_matrix,
     logits_to_probs,
     predict_fused_logits,
     predict_logits,
 )
+import mmfusion.tensor as tensor_mod
 from mmfusion.tensor import Tensor, grad_check
 
 
@@ -236,6 +239,35 @@ class TestHeadForward:
         x = np.concatenate([blocks[name] for name in HEAD_INPUTS[kind]], axis=1)
         assert leaves["w"].grad.flags.c_contiguous
         np.testing.assert_allclose(leaves["w"].grad, (x.T @ g).T, rtol=1e-12)
+
+
+class TestForwardMacs:
+    def test_counts_are_pinned(self):
+        assert {kind: forward_macs(kind) for kind in HEAD_KINDS} == {
+            "vision_linear": 32_256,
+            "text_linear": 2_304,
+            "concat_fcnn": 34_560,
+            "cross_attn_fcnn": 515_584,
+        }
+
+    @pytest.mark.parametrize("kind", HEAD_KINDS)
+    def test_count_matches_the_counted_matmuls(self, kind, rng, monkeypatch):
+        counted = []
+        plain = tensor_mod.matmul
+
+        def counting(a, b):
+            out = plain(a, b)
+            counted.append(out.data.size * a.shape[-1])  # one dot product per output element
+            return out
+
+        monkeypatch.setattr(tensor_mod, "matmul", counting)
+        rows = 3
+        head_forward_batch(kind, init_head_params(kind, 0), *make_batch(rng, rows))
+        assert sum(counted) == rows * forward_macs(kind)
+
+    def test_unknown_kind_refused(self):
+        with pytest.raises(DomainError, match="unknown head kind"):
+            forward_macs("linear")
 
 
 class TestFinalLayer:

@@ -21,6 +21,7 @@ from mmfusion.fusion import (
     FusionModel,
     assign_label_matrix,
     expected_param_shapes,
+    forward_macs,
     fuse_logits,
     head_forward_batch,
     logits_to_probs,
@@ -603,15 +604,21 @@ class TestPseudoLabelLoop:
             assert result.pseudo_labels == {}
 
     def test_train_and_pool_are_merged_once(self, monkeypatch):
+        # every round's training split reads the one block of train rows then pool rows
         train, test, val = small_splits(seed=23, n_train=96, n_test=48, n_val=48, noise=0.3)
-        merged = []
-        merge = EmbeddingDataset.merge
-        monkeypatch.setattr(EmbeddingDataset, "merge",
-                            lambda self, other: merged.append(other) or merge(self, other))
+        splits = []
+        monkeypatch.setattr("mmfusion.training.train_head",
+                            lambda *args: splits.append(args[0]) or train_head(*args))
         cfg = TrainConfig(lr=1e-2, max_epochs=2, patience=3, batch_size=32)
         result = pseudo_label_loop(train, test.without_labels(), val, cfg, max_rounds=2)
         assert len(result.history) == 3  # round 2 trained on round 1's merged rows
-        assert len(merged) == 1
+        first, *later = [split for split in splits if split is not train]
+        assert len(later) == 2 * len(cfg.fusion_set) - 1
+        assert first.ids == train.ids + test.ids
+        for name in ("text", "image"):
+            np.testing.assert_array_equal(getattr(first, name),
+                                          np.concatenate([getattr(train, name), getattr(test, name)]))
+            assert all(np.shares_memory(getattr(first, name), getattr(split, name)) for split in later)
 
     def test_bad_stopping_settings_rejected(self, monkeypatch):
         train, test, val = small_splits(n_train=48, n_test=24, n_val=24)
@@ -772,10 +779,12 @@ class TestFusedProbs:
             tracemalloc.stop()
         assert peak < limit_mib * 2**20
 
-    @pytest.mark.parametrize("name, macs", [("fm1", 34_560), ("fm2", 34_560), ("fm3", 515_584)])
-    def test_one_pass_per_fusion_set(self, name, macs, monkeypatch):
-        # the mean of per-head passes costs the sum of the heads: 69,120 for fm2
-        # and 550,144 for fm3, the same MAC count as perfbench's MAC table
+    @pytest.mark.parametrize("name, fold_kind", [
+        ("fm1", "concat_fcnn"), ("fm2", "concat_fcnn"), ("fm3", "cross_attn_fcnn"),
+    ])
+    def test_one_pass_per_fusion_set(self, name, fold_kind, monkeypatch):
+        # one pass of the folded head, whose kind reads every block of the set; the mean
+        # of per-head passes would cost the sum of the heads' forward_macs
         counted = []
         plain = tensor_mod.matmul
 
@@ -788,4 +797,4 @@ class TestFusedProbs:
         rng = np.random.default_rng(35)
         rows = 5
         fused_probs(fold_models(name, rng), random_pool(rng, rows))
-        assert sum(counted) == rows * macs
+        assert sum(counted) == rows * forward_macs(fold_kind)

@@ -301,9 +301,10 @@ def rows_in_order(
     """The rows of ``matrix`` (one per ``row_ids``) in the order of ``ids``.
 
     Both id lists are free of repeats and must hold the same ids: raises
-    :class:`DatasetError` naming ``source`` when an id has no row or a row
-    has an id outside ``ids``.
+    :class:`DatasetError` naming ``source`` when ``ids`` breaks the id rule
+    (:func:`_check_ids`), an id has no row or a row has an id outside ``ids``.
     """
+    _check_ids(ids, source)
     if tuple(row_ids) == tuple(ids):
         return matrix
     row_of = dict(zip(row_ids, range(len(row_ids))))
@@ -486,7 +487,7 @@ class EmbeddingDataset:
             if len(self.labels) != n:
                 raise DatasetError(f"{len(self.labels)} labels for {n} samples")
             if not self.labels.any(axis=1).all():
-                raise LabelDomainError("dataset labels must be non-empty")
+                raise LabelDomainError(f"empty label set for {self.ids[self.labels.any(1).argmin()]!r}")
 
     def __len__(self) -> int:
         return len(self.ids)

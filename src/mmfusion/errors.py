@@ -67,7 +67,8 @@ class NonFiniteError(DataError):
 
 
 class LabelDomainError(DataError):
-    """A label set uses class ids outside the supported alphabet."""
+    """A label set is invalid: a class id outside the supported alphabet, a mask entry that
+    is not a bool or a 0/1 value, or an empty set where the contract forbids one."""
 
 
 class DuplicateIdError(DataError):
@@ -76,10 +77,6 @@ class DuplicateIdError(DataError):
 
 class DatasetError(DataError):
     """Dataset pieces are missing, misaligned, or overlap across splits."""
-
-
-class EmptyPredictionError(DataError):
-    """A prediction with no labels was fed where the contract forbids it."""
 
 
 # the type a setting of each kind accepts and its name; a bool is no number, though an int

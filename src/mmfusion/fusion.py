@@ -53,6 +53,7 @@ from .errors import (
     NumericError,
     ShapeError,
     _check_setting,
+    _check_type,
     _float32_payload,
     _float64,
 )
@@ -127,10 +128,8 @@ class LabelVector:
 
     @classmethod
     def from_mask(cls, mask) -> "LabelVector":
-        arr = np.asarray(mask)
-        if arr.shape != (N_CLASSES,):
-            raise LabelDomainError(f"mask must have shape ({N_CLASSES},), got {arr.shape}")
-        return cls(tuple(bool(v) for v in arr))
+        """The label set of one [18] mask, read as the one row of :func:`labels_to_matrix`."""
+        return cls(tuple(labels_to_matrix([mask])[0].tolist()))
 
     def ids(self) -> tuple[int, ...]:
         return tuple(CLASS_IDS[i] for i, b in enumerate(self.bits) if b)
@@ -144,13 +143,17 @@ class LabelVector:
 
 
 def labels_to_matrix(labels) -> np.ndarray:
-    """The [n, 18] bool matrix of a 0/1 matrix, a sequence of its rows, or label vectors;
-    anything else, such as None, raises :class:`ShapeError`."""
+    """The [n, 18] bool matrix of a 0/1 matrix, a sequence of its rows, or label vectors: the
+    one label rule.  Labels not [n, 18], such as None or ragged rows, raise :class:`ShapeError`;
+    an entry not a bool or 0/1, such as a string, NaN or 0.5, :class:`LabelDomainError`."""
     if not isinstance(labels, Iterable):
         raise ShapeError(f"labels must be [n, {N_CLASSES}], got {type(labels).__name__}")
     if not isinstance(labels, np.ndarray):
         rows = [row.bits if isinstance(row, LabelVector) else row for row in labels]
-        labels = np.array(rows) if rows else np.zeros((0, N_CLASSES), dtype=bool)
+        try:
+            labels = np.array(rows) if rows else np.zeros((0, N_CLASSES), dtype=bool)
+        except ValueError:  # numpy's "inhomogeneous shape"
+            raise ShapeError(f"labels must be [n, {N_CLASSES}], got ragged rows") from None
     if labels.ndim != 2 or labels.shape[1] != N_CLASSES:
         raise ShapeError(f"labels must be [n, {N_CLASSES}], got shape {labels.shape}")
     if labels.dtype != bool and not np.isin(labels, (0, 1)).all():
@@ -208,6 +211,13 @@ def forward_macs(kind: str) -> int:
     return macs
 
 
+def _check_param_names(kind: str, params) -> None:
+    """Refuse ``params`` unless it is a mapping that holds exactly ``kind``'s parameter names."""
+    _check_type("params", params, Mapping, DomainError)
+    if set(params) != set(_PARAMS[kind]):
+        raise ShapeError(f"{kind} needs parameters {sorted(_PARAMS[kind])}, got {sorted(params)}")
+
+
 def init_head_params(kind: str, seed: int) -> dict[str, np.ndarray]:
     """A new head's parameters, each from its start; the projections draw in table order."""
     _check_kind(kind)
@@ -233,10 +243,7 @@ class FusionModel:
 
     def __post_init__(self):
         expected = expected_param_shapes(self.kind)
-        if set(self.params) != set(expected):
-            raise ShapeError(
-                f"{self.kind} needs parameters {sorted(expected)}, got {sorted(self.params)}"
-            )
+        _check_param_names(self.kind, self.params)
         clean = {}
         for name, shape in expected.items():
             if np.shape(self.params[name]) != shape:
@@ -274,11 +281,14 @@ def head_forward_batch(kind: str, params: Mapping[str, object], text, image) -> 
     """Run one head over a batch of arrays; ``text`` is [n, 128] and ``image`` [n, 1792].
 
     Only the blocks the kind reads are widened to float64, and a block that is
-    not real is a DomainError naming it; the other may be None.  Parameter
-    entries may be plain arrays or gradient-requiring tensors; the same code
-    path serves inference and training.
+    not real is a DomainError naming it; the other may be None.  ``params``
+    maps exactly the kind's parameter names (:func:`expected_param_shapes`),
+    else a ShapeError names both sets; its entries may be plain arrays or
+    gradient-requiring tensors, so the same code path serves inference and
+    training.
     """
     n = _batch_rows(kind, text, image)
+    _check_param_names(kind, params)
     columns = _FINAL_COLUMNS[kind]
     blocks = {name: Tensor(_float64(block, f"{name} batch"))
               for name, block in (("text", text), ("image", image)) if name in columns}
@@ -342,6 +352,7 @@ def predict_logits(model: FusionModel, text: np.ndarray | None, image: np.ndarra
     None.  A value that overflows or turns invalid, or a row whose logits
     are not finite, raises :class:`NumericError`.
     """
+    _check_type("model", model, FusionModel, DomainError)
     return _run_head(model.kind, model.params, text, image)
 
 
@@ -414,7 +425,9 @@ def predict_fused_logits(models: Sequence[FusionModel], text, image) -> np.ndarr
 
 
 def fuse_logits(logit_sets: Sequence) -> np.ndarray:
-    """Element-wise mean of two or more aligned logit arrays, widened to float64."""
+    """Element-wise mean of two or more aligned logit arrays, given as a list or tuple,
+    widened to float64."""
+    _check_type("logit_sets", logit_sets, (list, tuple), DomainError)
     if len(logit_sets) < 2:
         raise DomainError(f"fusion needs at least two logit sets, got {len(logit_sets)}")
     arrays = [_float64(a, f"logit set {i}") for i, a in enumerate(logit_sets)]

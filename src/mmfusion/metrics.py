@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DatasetError, EmptyPredictionError, ShapeError
+from .errors import DatasetError, LabelDomainError, ShapeError
 from .fusion import N_CLASSES, labels_to_matrix
 
 
@@ -39,7 +39,7 @@ class ConfusionCounts:
 
 
 def confusion_counts(predictions, truths) -> ConfusionCounts:
-    """Tally per-class confusion entries; every prediction must be non-empty."""
+    """Tally per-class confusion entries; an empty prediction is a LabelDomainError naming it."""
     pred = labels_to_matrix(predictions)
     true = labels_to_matrix(truths)
     if len(pred) != len(true):
@@ -47,7 +47,7 @@ def confusion_counts(predictions, truths) -> ConfusionCounts:
     if len(pred) == 0:
         raise DatasetError("cannot evaluate an empty set")
     if not pred.any(axis=1).all():
-        raise EmptyPredictionError(f"prediction {pred.any(axis=1).argmin()} has no labels set")
+        raise LabelDomainError(f"prediction {pred.any(axis=1).argmin()} has no labels set")
     return ConfusionCounts(
         tp=(pred & true).sum(axis=0, dtype=np.int64),
         fp=(pred & ~true).sum(axis=0, dtype=np.int64),

@@ -100,9 +100,15 @@ def uniform_weights() -> np.ndarray:
 
 
 def _weight_values(weights) -> np.ndarray:
-    w = weights.values if isinstance(weights, ClassWeights) else _float64(weights, "weights")
+    """The values of :class:`ClassWeights`, or an [18] weight vector whose entries are
+    finite and >= 0, else a DomainError naming ``weights``."""
+    if isinstance(weights, ClassWeights):
+        return weights.values
+    w = _float64(weights, "weights")
     if w.shape != (N_CLASSES,):
         raise ShapeError(f"weights must have shape ({N_CLASSES},), got {w.shape}")
+    if not ((w >= 0.0) & (w < np.inf)).all():  # NaN fails both comparisons
+        raise DomainError(f"weights must be finite and >= 0, got {w.tolist()}")
     return w
 
 
@@ -265,8 +271,12 @@ def adam_step(
     order, so the result has the bits of the plain expression.
 
     Raises :class:`NumericError` as soon as a moment or a parameter stops
-    being finite, e.g. when the squared gradient overflows.
+    being finite, e.g. when the squared gradient overflows.  An argument of
+    the wrong type is a DomainError naming it, before any update.
     """
+    for name, value, kind in (("params", params, Mapping), ("grads", grads, Mapping),
+                              ("state", state, AdamState), ("config", config, TrainConfig)):
+        _check_type(name, value, kind, DomainError)
     if set(params) != set(state.m):
         raise ShapeError("optimizer state does not cover the parameter set")
     t = state.step + 1

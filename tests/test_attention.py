@@ -135,8 +135,12 @@ class TestCrossAttention:
         np.testing.assert_allclose(out.data, expected.data, atol=1e-12)
 
     def test_key_row_swap_is_bitwise_invariant(self, rng):
-        # two key rows: both the softmax denominator and the value mix are
-        # two-term sums, and float addition of two terms commutes exactly
+        # two key rows: each score is its own row's product and the softmax
+        # denominator a two-term sum, which commutes exactly, so the weights
+        # swap bitwise.  The value mix is a matmul whose kernel may fuse a
+        # multiply into the add, so its two-term sums are not guaranteed to
+        # commute bitwise; test_key_permutation_invariance_to_tolerance
+        # covers the output
         xq = rng.standard_normal((2, 3))
         ykv = rng.standard_normal((2, 4))
         params = AttentionParams(
@@ -146,9 +150,6 @@ class TestCrossAttention:
             ln_gain=rng.standard_normal(3),
             ln_bias=rng.standard_normal(3),
         )
-        out_a = cross_attention(Tensor(xq), Tensor(ykv), params)
-        out_b = cross_attention(Tensor(xq), Tensor(ykv[::-1]), params)
-        np.testing.assert_array_equal(out_a.data, out_b.data)
         w_a = attention_weights(xq, ykv, params)
         w_b = attention_weights(xq, ykv[::-1], params)
         np.testing.assert_array_equal(w_a, w_b[:, ::-1])

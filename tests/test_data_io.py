@@ -644,7 +644,7 @@ class TestEmbeddingDataset:
     def test_empty_label_row_rejected(self):
         labels = np.zeros((2, N_CLASSES), dtype=bool)
         labels[0, 3] = True
-        with pytest.raises(LabelDomainError):
+        with pytest.raises(LabelDomainError, match="empty label set for 'b'"):
             EmbeddingDataset(
                 ids=("a", "b"),
                 text=np.zeros((2, TEXT_DIM)),

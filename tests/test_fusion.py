@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmfusion.attention import AttentionParams, cross_attention
+from mmfusion.data_io import EmbeddingDataset, write_predictions
 from mmfusion.errors import DomainError, LabelDomainError, NumericError, ShapeError
 from mmfusion.fusion import (
     CLASS_IDS,
@@ -34,6 +35,7 @@ from mmfusion.fusion import (
     predict_fused_logits,
     predict_logits,
 )
+from mmfusion.metrics import confusion_counts
 import mmfusion.tensor as tensor_mod
 from mmfusion.tensor import Tensor, grad_check
 
@@ -614,3 +616,43 @@ class TestLabelsToMatrix:
         block[1, 3] = value
         with pytest.raises(LabelDomainError):
             labels_to_matrix(block)
+
+    # one mask each: the error both readers raise, None where both accept it
+    @pytest.mark.parametrize("mask, error", [
+        pytest.param([True, False] * 9, None, id="bool"),
+        pytest.param([0, 1] * 9, None, id="int-0/1"),
+        pytest.param(np.tile([1.0, 0.0], 9), None, id="float-0/1"),
+        pytest.param(["0"] * N_CLASSES, LabelDomainError, id="strings"),
+        pytest.param([np.nan] * N_CLASSES, LabelDomainError, id="nan"),
+        pytest.param([0.5] * N_CLASSES, LabelDomainError, id="half"),
+        pytest.param([-2] * N_CLASSES, LabelDomainError, id="minus-two"),
+        pytest.param([1] * (N_CLASSES - 1), ShapeError, id="short"),
+        pytest.param(np.ones((1, N_CLASSES)), ShapeError, id="two-dimensional"),
+        pytest.param([1] * (N_CLASSES - 1) + [[1, 0]], ShapeError, id="ragged"),
+    ])
+    def test_from_mask_follows_the_matrix_rule(self, mask, error):
+        if error is None:
+            expected = np.asarray(mask).astype(bool)
+            np.testing.assert_array_equal(labels_to_matrix([mask]), expected[None])
+            assert LabelVector.from_mask(mask).bits == tuple(expected.tolist())
+            return
+        with pytest.raises(error) as matrix_error:
+            labels_to_matrix([mask])
+        with pytest.raises(error) as mask_error:
+            LabelVector.from_mask(mask)
+        assert matrix_error.type is mask_error.type is error
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(labels_to_matrix, id="labels_to_matrix"),
+        pytest.param(lambda labels: confusion_counts(labels, labels), id="confusion_counts"),
+        pytest.param(lambda labels: write_predictions(["a", "b"], labels, "p.csv"),
+                     id="write_predictions"),
+        pytest.param(lambda labels: EmbeddingDataset(("a", "b"), np.zeros((2, TEXT_DIM)),
+                                                     np.zeros((2, IMAGE_DIM)), labels),
+                     id="EmbeddingDataset"),
+    ])
+    def test_ragged_rows_are_a_shape_error(self, call, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ShapeError, match=r"^labels must be \[n, 18\], got ragged rows$"):
+            call([[1] * N_CLASSES, [1] * (N_CLASSES - 1)])
+        assert list(tmp_path.iterdir()) == []

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mmfusion.errors import DatasetError, EmptyPredictionError
+from mmfusion.errors import DatasetError, LabelDomainError
 from mmfusion.fusion import CLASS_IDS, N_CLASSES, LabelVector
 from mmfusion.metrics import confusion_counts, f1_per_class, macro_f1, mean_accuracy
 
@@ -87,7 +87,7 @@ class TestConfusionCounts:
 
     def test_empty_prediction_rejected(self):
         empty = LabelVector.from_mask(np.zeros(N_CLASSES))
-        with pytest.raises(EmptyPredictionError):
+        with pytest.raises(LabelDomainError, match="prediction 0 has no labels set"):
             confusion_counts([empty], [label_vector([1])])
 
     def test_length_mismatch_rejected(self):

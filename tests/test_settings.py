@@ -12,6 +12,11 @@ Every array the package widens to float64 goes through one rule too,
 ``errors._float64``: each entry point below refuses a complex, a numeric-string
 and a ``None`` array with a ``DomainError`` naming the array and its dtype, and
 emits no warning on the way.
+
+An argument of the wrong type, such as None for a mapping, a model or a list,
+is refused with the typed error its entry point gives for that argument,
+naming it, and with no warning, not a bare ``AttributeError``, ``KeyError``
+or ``TypeError`` from somewhere inside.
 """
 
 import math
@@ -21,14 +26,15 @@ import warnings
 import numpy as np
 import pytest
 
-from mmfusion.data_io import gen_synthetic
-from mmfusion.errors import DomainError
+from mmfusion.data_io import gen_synthetic, rows_in_order
+from mmfusion.errors import DatasetError, DomainError, ShapeError
 from mmfusion.fusion import (
     N_CLASSES,
     FusionModel,
     assign_label_matrix,
     assign_labels,
     fuse_logits,
+    head_forward_batch,
     init_head_params,
     logits_to_probs,
     predict_logits,
@@ -141,3 +147,46 @@ def test_array_that_is_not_real_refused_naming_itself(name, bad):
         with pytest.raises(DomainError, match=f"^{re.escape(source)}: values must be real "
                                               f"numbers, got dtype {re.escape(str(dtype))}$"):
             call(values)
+
+
+TEXT = np.zeros((2, 128))
+STATE = init_adam_state(PARAMS)
+
+WRONG_ARGUMENTS = [
+    pytest.param(lambda: adam_step(PARAMS, None, STATE, TrainConfig()), DomainError,
+                 "grads must be of type Mapping, got NoneType", id="adam_step-grads"),
+    pytest.param(lambda: adam_step(PARAMS, PARAMS, None, TrainConfig()), DomainError,
+                 "state must be of type AdamState, got NoneType", id="adam_step-state"),
+    pytest.param(lambda: adam_step(PARAMS, PARAMS, STATE, None), DomainError,
+                 "config must be of type TrainConfig, got NoneType", id="adam_step-config"),
+    pytest.param(lambda: head_forward_batch("text_linear", {}, TEXT, None), ShapeError,
+                 "text_linear needs parameters ['b', 'w'], got []",
+                 id="head_forward_batch-missing-params"),
+    pytest.param(lambda: head_forward_batch("text_linear", {**TEXT_HEAD.params, "x": 0}, TEXT,
+                                            None), ShapeError,
+                 "text_linear needs parameters ['b', 'w'], got ['b', 'w', 'x']",
+                 id="head_forward_batch-extra-param"),
+    pytest.param(lambda: head_forward_batch("text_linear", None, TEXT, None), DomainError,
+                 "params must be of type Mapping, got NoneType", id="head_forward_batch-None"),
+    pytest.param(lambda: predict_logits(None, TEXT, None), DomainError,
+                 "model must be of type FusionModel, got NoneType", id="predict_logits-None"),
+    pytest.param(lambda: FusionModel("text_linear", None), DomainError,
+                 "params must be of type Mapping, got NoneType", id="FusionModel-None"),
+    pytest.param(lambda: fuse_logits(None), DomainError,
+                 "logit_sets must be of type list or tuple, got NoneType", id="fuse_logits-None"),
+    pytest.param(lambda: fuse_logits(3), DomainError,
+                 "logit_sets must be of type list or tuple, got int", id="fuse_logits-int"),
+    pytest.param(lambda: rows_in_order(None, ("a",), np.zeros((1, 2)), "truth.csv"),
+                 DatasetError, "truth.csv ids must be a tuple or list of str, got None",
+                 id="rows_in_order-None"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", WRONG_ARGUMENTS)
+def test_wrong_argument_type_is_a_typed_error(call, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as caught:
+            call()
+    assert caught.type is error
+    assert str(caught.value) == message

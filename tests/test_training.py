@@ -204,6 +204,16 @@ class TestWeightedBce:
         with pytest.raises(ShapeError):
             weighted_bce_loss(np.zeros((2, N_CLASSES)), np.zeros((3, N_CLASSES)), uniform_weights())
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_weight_vector_must_be_finite_and_non_negative(self, value):
+        # a ClassWeights is >= 1 by construction; a plain vector passes this rule
+        w = uniform_weights()
+        w[5] = value
+        with pytest.raises(DomainError, match=r"^weights must be finite and >= 0, got "):
+            bce_loss_node(np.zeros((2, N_CLASSES)), np.zeros((2, N_CLASSES)), w)
+        w[5] = 0.0
+        assert bce_loss_node(np.zeros((2, N_CLASSES)), np.zeros((2, N_CLASSES)), w).data > 0.0
+
     def test_gradient_against_finite_differences(self):
         rng = np.random.default_rng(11)
         y = (rng.random((4, N_CLASSES)) < 0.4).astype(float)

@@ -51,18 +51,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    BadMagicError,
-    ChecksumError,
     DatasetError,
     DomainError,
-    DuplicateIdError,
+    FileFormatError,
     LabelDomainError,
     NonFiniteError,
     NumericError,
     ShapeError,
-    TruncatedFileError,
-    UnknownKindError,
-    VersionMismatchError,
     _check_setting,
     _check_type,
     _float32_payload,
@@ -89,9 +84,9 @@ FORMAT_VERSION = 1
 def _check_magic(head: bytes, magic: bytes, size: int, path) -> None:
     """Raise unless ``head``, the start of a ``size``-byte file, opens with ``magic``."""
     if len(head) < 4:
-        raise TruncatedFileError(f"{path}: only {size} bytes, no room for magic")
+        raise FileFormatError(f"{path}: only {size} bytes, no room for magic")
     if head[:4] != magic:
-        raise BadMagicError(f"{path}: expected magic {magic!r}, found {head[:4]!r}")
+        raise FileFormatError(f"{path}: expected magic {magic!r}, found {head[:4]!r}")
 
 
 def _check_path(path, name: str = "path") -> None:
@@ -102,7 +97,7 @@ def _check_path(path, name: str = "path") -> None:
 
 def _check_version(version: int, path) -> None:
     if version != FORMAT_VERSION:
-        raise VersionMismatchError(f"{path}: version {version}, this reader speaks {FORMAT_VERSION}")
+        raise FileFormatError(f"{path}: version {version}, this reader speaks {FORMAT_VERSION}")
 
 
 # ---------------------------------------------------------------- embeddings
@@ -140,12 +135,12 @@ def read_embeddings(path) -> np.ndarray:
         head = fh.read(16)
         _check_magic(head, EMBEDDING_MAGIC, size, path)
         if len(head) < 16:
-            raise TruncatedFileError(f"{path}: header needs 16 bytes, found {size}")
+            raise FileFormatError(f"{path}: header needs 16 bytes, found {size}")
         version, n, d = struct.unpack_from("<III", head, 4)
         _check_version(version, path)
         expected = 16 + 4 * n * d
         if size != expected:
-            raise TruncatedFileError(f"{path}: header promises {expected} bytes, found {size}")
+            raise FileFormatError(f"{path}: header promises {expected} bytes, found {size}")
         flat = np.fromfile(fh, dtype="<f4", count=n * d)
     return _float32_payload(flat.reshape(n, d), path, NonFiniteError)
 
@@ -208,7 +203,7 @@ def read_ids(path) -> tuple[str, ...]:
     _check_ids(ids, path)
     repeat = _first_repeat(ids)
     if repeat < len(ids):
-        raise DuplicateIdError(f"{path}: id {ids[repeat]!r} appears twice")
+        raise DatasetError(f"{path}: id {ids[repeat]!r} appears twice")
     return ids
 
 
@@ -271,7 +266,7 @@ def read_label_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
     # the first bad row of each check, listed in the order the checks apply within one line
     faults = [
         (_first_bad_id(ids), DatasetError, "sample id {id!r} is blank"),
-        (_first_repeat(ids), DuplicateIdError, "id {id!r} appears twice"),
+        (_first_repeat(ids), DatasetError, "id {id!r} appears twice"),
         (empty[0] if empty.size else n, LabelDomainError, "empty label set for {id!r}"),
         (row_of_value[descending[0]] if descending.size else n, LabelDomainError,
          "class ids must be strictly ascending"),
@@ -302,9 +297,11 @@ def rows_in_order(
 
     Both id lists are free of repeats and must hold the same ids: raises
     :class:`DatasetError` naming ``source`` when ``ids`` breaks the id rule
-    (:func:`_check_ids`), an id has no row or a row has an id outside ``ids``.
+    (:func:`_check_ids`), an id has no row or a row has an id outside ``ids``,
+    and naming ``row_ids`` when it is not a tuple or list.
     """
     _check_ids(ids, source)
+    _check_type("row_ids", row_ids, (tuple, list), DatasetError)
     if tuple(row_ids) == tuple(ids):
         return matrix
     row_of = dict(zip(row_ids, range(len(row_ids))))
@@ -381,18 +378,18 @@ def load_model(path) -> FusionModel:
     blob = Path(path).read_bytes()
     _check_magic(blob, MODEL_MAGIC, len(blob), path)
     if len(blob) < 12:
-        raise TruncatedFileError(f"{path}: too short for a checksummed body")
+        raise FileFormatError(f"{path}: too short for a checksummed body")
     stored_crc = struct.unpack("<I", blob[-4:])[0]
     body = blob[4:-4]
     actual_crc = zlib.crc32(body)
     if stored_crc != actual_crc:
-        raise ChecksumError(f"{path}: crc {actual_crc:#010x} does not match stored {stored_crc:#010x}")
+        raise FileFormatError(f"{path}: crc {actual_crc:#010x} does not match stored {stored_crc:#010x}")
     stream = io.BytesIO(body)
 
     def take(count: int) -> bytes:
         piece = stream.read(count)
         if len(piece) < count:
-            raise TruncatedFileError(
+            raise FileFormatError(
                 f"{path}: needed {count} bytes at offset {stream.tell() - len(piece)}, "
                 f"have {len(piece)}"
             )
@@ -404,7 +401,7 @@ def load_model(path) -> FusionModel:
     _check_version(u32(), path)
     kind = take(u32()).decode("utf-8", errors="replace")
     if kind not in HEAD_KINDS:
-        raise UnknownKindError(f"{path}: unknown head kind {kind!r}")
+        raise FileFormatError(f"{path}: unknown head kind {kind!r}")
     dims = tuple(u32() for _ in range(4))
     if dims != _DESCRIPTOR:
         raise ShapeError(
@@ -432,7 +429,7 @@ def load_model(path) -> FusionModel:
         raw = take(4 * math.prod(shape))
         params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape)
     if stream.tell() != len(body):
-        raise TruncatedFileError(f"{path}: {len(body) - stream.tell()} unexpected trailing bytes")
+        raise FileFormatError(f"{path}: {len(body) - stream.tell()} unexpected trailing bytes")
     return FusionModel(kind=kind, params=params)
 
 
@@ -473,7 +470,7 @@ class EmbeddingDataset:
         n = len(self.ids)
         repeat = _first_repeat(self.ids)
         if repeat < n:
-            raise DuplicateIdError(f"dataset id {self.ids[repeat]!r} appears twice")
+            raise DatasetError(f"dataset id {self.ids[repeat]!r} appears twice")
         for name, width in MODALITY_DIMS.items():
             block = getattr(self, name)
             if not isinstance(block, np.ndarray):

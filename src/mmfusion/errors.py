@@ -1,7 +1,8 @@
 """Exception types shared across the toolkit, and the one check of a setting or an array's dtype.
 
-The CLI maps these onto process exit codes: data and shape problems exit
-with 2, numeric failures with 3.  Anything else is a bug and crashes.
+There is one type per fault that README's error table lists; its message names what
+is at fault and how.  The CLI exits with 3 for a NumericError and with 2 for every
+other type here.  Anything else is a bug and crashes.
 
 Every entry point checks each scalar setting it takes through :func:`_check_setting`,
 so a wrong type, a non-finite real, a real beyond the float range or a value below its
@@ -39,27 +40,9 @@ class DataError(FusionToolkitError):
 
 
 class FileFormatError(DataError):
-    """Base class for problems with the binary file formats."""
-
-
-class BadMagicError(FileFormatError):
-    """The file does not start with the expected magic bytes."""
-
-
-class VersionMismatchError(FileFormatError):
-    """The file declares a format version this reader does not speak."""
-
-
-class TruncatedFileError(FileFormatError):
-    """The file is shorter (or longer) than its header promises."""
-
-
-class ChecksumError(FileFormatError):
-    """Stored and recomputed checksums disagree."""
-
-
-class UnknownKindError(FileFormatError):
-    """A model file declares an architecture kind this build does not know."""
+    """An embedding or model file is malformed.  The message names the file and its fault:
+    wrong magic bytes, a format version this reader does not speak, fewer (or more) bytes
+    than the header promises, a checksum mismatch, or a head kind this build does not know."""
 
 
 class NonFiniteError(DataError):
@@ -68,15 +51,12 @@ class NonFiniteError(DataError):
 
 class LabelDomainError(DataError):
     """A label set is invalid: a class id outside the supported alphabet, a mask entry that
-    is not a bool or a 0/1 value, or an empty set where the contract forbids one."""
-
-
-class DuplicateIdError(DataError):
-    """The same sample id appears more than once."""
+    is not a bool or a 0/1 value, a label array whose dtype is not bool, integer or float,
+    or an empty set where the contract forbids one."""
 
 
 class DatasetError(DataError):
-    """Dataset pieces are missing, misaligned, or overlap across splits."""
+    """Dataset pieces are missing, misaligned, repeat a sample id, or overlap across splits."""
 
 
 # the type a setting of each kind accepts and its name; a bool is no number, though an int

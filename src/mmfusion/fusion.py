@@ -145,7 +145,8 @@ class LabelVector:
 def labels_to_matrix(labels) -> np.ndarray:
     """The [n, 18] bool matrix of a 0/1 matrix, a sequence of its rows, or label vectors: the
     one label rule.  Labels not [n, 18], such as None or ragged rows, raise :class:`ShapeError`;
-    an entry not a bool or 0/1, such as a string, NaN or 0.5, :class:`LabelDomainError`."""
+    an entry not a bool or 0/1, such as a string, a complex value, NaN or 0.5,
+    :class:`LabelDomainError`, which names the dtype when it is not bool, integer or float."""
     if not isinstance(labels, Iterable):
         raise ShapeError(f"labels must be [n, {N_CLASSES}], got {type(labels).__name__}")
     if not isinstance(labels, np.ndarray):
@@ -156,6 +157,8 @@ def labels_to_matrix(labels) -> np.ndarray:
             raise ShapeError(f"labels must be [n, {N_CLASSES}], got ragged rows") from None
     if labels.ndim != 2 or labels.shape[1] != N_CLASSES:
         raise ShapeError(f"labels must be [n, {N_CLASSES}], got shape {labels.shape}")
+    if labels.dtype.kind not in "biuf":  # np.isin alone would take 1+0j for 1
+        raise LabelDomainError(f"label entries must be booleans or 0/1 values, got dtype {labels.dtype}")
     if labels.dtype != bool and not np.isin(labels, (0, 1)).all():
         raise LabelDomainError("label entries must be booleans or 0/1 values")
     return labels.astype(bool, copy=False)

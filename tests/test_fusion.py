@@ -617,6 +617,14 @@ class TestLabelsToMatrix:
         with pytest.raises(LabelDomainError):
             labels_to_matrix(block)
 
+    @pytest.mark.parametrize("call", [
+        pytest.param(labels_to_matrix, id="labels_to_matrix"),
+        pytest.param(lambda labels: LabelVector.from_mask(labels[0]), id="from_mask"),
+    ])
+    def test_complex_labels_rejected_naming_the_dtype(self, call):
+        with pytest.raises(LabelDomainError, match=r"0/1 values, got dtype complex128$"):
+            call(np.ones((1, N_CLASSES), complex))
+
     # one mask each: the error both readers raise, None where both accept it
     @pytest.mark.parametrize("mask, error", [
         pytest.param([True, False] * 9, None, id="bool"),

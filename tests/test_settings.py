@@ -179,6 +179,9 @@ WRONG_ARGUMENTS = [
     pytest.param(lambda: rows_in_order(None, ("a",), np.zeros((1, 2)), "truth.csv"),
                  DatasetError, "truth.csv ids must be a tuple or list of str, got None",
                  id="rows_in_order-None"),
+    pytest.param(lambda: rows_in_order(("a",), None, np.zeros((1, 2)), "truth.csv"),
+                 DatasetError, "row_ids must be of type tuple or list, got NoneType",
+                 id="rows_in_order-row_ids-None"),
 ]
 
 

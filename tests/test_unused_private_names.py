@@ -14,7 +14,11 @@ next to them, so a refactor cannot leave a dead definition behind:
 * No module under ``scripts/`` or ``perfbench/`` imports a ``_name`` from
   ``mmfusion``: what runs the package from outside reads its public names only.
 
-A third walk keeps each head fact in one home: outside docstrings, a string
+A walk over ``errors.py`` keeps the error types documented and live: README
+names each class, and each class with no subclass is raised in the package,
+by a ``raise`` or as the error type a call hands to the helper that raises it.
+
+A last walk keeps each head fact in one home: outside docstrings, a string
 that names a head kind appears only in the head table and ``FUSION_SETS``,
 and one that names an attention parameter only in the attention-parameter
 table and ``attention.py``.
@@ -230,6 +234,74 @@ def test_checker_flags_a_private_import():
         "from . import _sibling\n"
     )
     assert private_imports(ast.parse(source)) == [(1, "_check"), (2, "_HIDDEN")]
+
+
+# --------------------------------------------------------------- error types
+
+
+def class_bases(tree: ast.Module) -> dict[str, set[str]]:
+    """Each top-level class of the module, mapped to the names of its bases."""
+    return {node.name: {base.id for base in node.bases if isinstance(base, ast.Name)}
+            for node in tree.body if isinstance(node, ast.ClassDef)}
+
+
+def raised_names(tree: ast.Module) -> set[str]:
+    """Names read in a ``raise`` statement, or passed bare to a call, as an error type is
+    passed to a helper that raises it (``_check_type(..., DatasetError)``)."""
+    raised = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            raised |= read_names(node.exc)
+        elif isinstance(node, ast.Call):
+            raised.update(arg.id for arg in node.args + [kw.value for kw in node.keywords]
+                          if isinstance(arg, ast.Name))
+    return raised
+
+
+def unraised_leaf_errors(errors_source: str, sources: dict[str, str]) -> list[str]:
+    """The classes of ``errors_source`` that no class derives from and no module raises."""
+    bases = class_bases(ast.parse(errors_source))
+    parents = set().union(*bases.values())
+    raised = set().union(*(raised_names(ast.parse(source)) for source in sources.values()))
+    return sorted(name for name in bases if name not in parents and name not in raised)
+
+
+ERRORS = REPO / "src" / "mmfusion" / "errors.py"
+
+
+def test_every_error_type_is_named_in_the_readme():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    unnamed = [name for name in class_bases(ast.parse(ERRORS.read_text(encoding="utf-8")))
+               if f"`{name}`" not in readme]
+    assert not unnamed, "error types README does not name: " + ", ".join(unnamed)
+
+
+def test_every_leaf_error_type_is_raised_in_the_package():
+    unraised = unraised_leaf_errors(ERRORS.read_text(encoding="utf-8"),
+                                    {p.name: p.read_text(encoding="utf-8") for p in PACKAGE})
+    assert not unraised, "error types nothing raises: " + ", ".join(unraised)
+
+
+def test_checker_flags_an_error_type_nothing_raises():
+    errors = (
+        "class Base(Exception): pass\n"
+        "class Raised(Base): pass\n"
+        "class Handed(Base): pass\n"
+        "class Caught(Base): pass\n"
+        "class Spare(Base): pass\n"
+    )
+    module = (
+        "def check(x, error=Caught):\n"
+        "    if x:\n"
+        "        raise Raised(f'{x}')\n"
+        "    _check_type('x', x, int, Handed)\n"
+        "    try:\n"
+        "        pass\n"
+        "    except Caught:\n"
+        "        pass\n"
+    )
+    # Base has subclasses; a default value or an except clause raises nothing
+    assert unraised_leaf_errors(errors, {"a.py": module}) == ["Caught", "Spare"]
 
 
 # ------------------------------------------------------------ head-fact homes

@@ -39,7 +39,7 @@ from .data_io import (
     write_ids,
     write_predictions,
 )
-from .errors import DataError, DatasetError, DomainError, NumericError, ShapeError
+from .errors import DataError, DomainError, NumericError, ShapeError
 from .fusion import (
     HEAD_INPUTS,
     HEAD_KINDS,
@@ -154,10 +154,7 @@ def _logits_in_order(path, ids) -> np.ndarray:
     block = read_embeddings(path)
     if block.shape[1] != N_CLASSES:
         raise ShapeError(f"{path}: logits must have {N_CLASSES} columns, got {block.shape[1]}")
-    row_ids = read_ids(Path(path).with_name("ids.csv"))
-    if len(row_ids) != len(block):
-        raise DatasetError(f"{path}: {len(block)} rows, but its ids.csv lists {len(row_ids)}")
-    return rows_in_order(ids, row_ids, block, path)
+    return rows_in_order(ids, read_ids(Path(path).with_name("ids.csv")), block, path)
 
 
 def cmd_fuse_logits(args, out: Path) -> dict:

@@ -297,11 +297,14 @@ def rows_in_order(
 
     Both id lists are free of repeats and must hold the same ids: raises
     :class:`DatasetError` naming ``source`` when ``ids`` breaks the id rule
-    (:func:`_check_ids`), an id has no row or a row has an id outside ``ids``,
-    and naming ``row_ids`` when it is not a tuple or list.
+    (:func:`_check_ids`), ``matrix`` has not one row per ``row_ids``, an id
+    has no row or a row has an id outside ``ids``, and naming ``row_ids`` when
+    it is not a tuple or list.
     """
     _check_ids(ids, source)
     _check_type("row_ids", row_ids, (tuple, list), DatasetError)
+    if len(matrix) != len(row_ids):
+        raise DatasetError(f"{source}: {len(matrix)} rows for {len(row_ids)} row ids")
     if tuple(row_ids) == tuple(ids):
         return matrix
     row_of = dict(zip(row_ids, range(len(row_ids))))

@@ -182,7 +182,7 @@ def label_vectors(mask) -> list[LabelVector]:
 
 
 def _check_kind(kind: str) -> None:
-    if kind not in HEAD_KINDS:
+    if not isinstance(kind, str) or kind not in HEAD_KINDS:
         raise DomainError(f"unknown head kind {kind!r}, expected one of {HEAD_KINDS}")
 
 
@@ -214,11 +214,17 @@ def forward_macs(kind: str) -> int:
     return macs
 
 
-def _check_param_names(kind: str, params) -> None:
-    """Refuse ``params`` unless it is a mapping that holds exactly ``kind``'s parameter names."""
+def _check_params(kind: str, params) -> None:
+    """Refuse ``params`` unless it is a mapping of exactly ``kind``'s parameter names, each
+    holding an array or tensor of its shape in the head table; the one parameter rule."""
+    _check_kind(kind)
     _check_type("params", params, Mapping, DomainError)
     if set(params) != set(_PARAMS[kind]):
         raise ShapeError(f"{kind} needs parameters {sorted(_PARAMS[kind])}, got {sorted(params)}")
+    for name, param in _PARAMS[kind].items():
+        if np.shape(params[name]) != param.shape:
+            raise ShapeError(f"parameter {name!r} must have shape {param.shape}, "
+                             f"got {np.shape(params[name])}")
 
 
 def init_head_params(kind: str, seed: int) -> dict[str, np.ndarray]:
@@ -245,13 +251,9 @@ class FusionModel:
     params: Mapping[str, np.ndarray]
 
     def __post_init__(self):
-        expected = expected_param_shapes(self.kind)
-        _check_param_names(self.kind, self.params)
+        _check_params(self.kind, self.params)
         clean = {}
-        for name, shape in expected.items():
-            if np.shape(self.params[name]) != shape:
-                raise ShapeError(f"parameter {name!r} must have shape {shape}, "
-                                 f"got {np.shape(self.params[name])}")
+        for name in _PARAMS[self.kind]:
             payload = _float32_payload(self.params[name], f"parameter {name!r}", NumericError)
             clean[name] = payload.copy()  # never the caller's own float32 array
             clean[name].flags.writeable = False
@@ -285,13 +287,13 @@ def head_forward_batch(kind: str, params: Mapping[str, object], text, image) -> 
 
     Only the blocks the kind reads are widened to float64, and a block that is
     not real is a DomainError naming it; the other may be None.  ``params``
-    maps exactly the kind's parameter names (:func:`expected_param_shapes`),
-    else a ShapeError names both sets; its entries may be plain arrays or
-    gradient-requiring tensors, so the same code path serves inference and
-    training.
+    maps exactly the kind's parameter names to values of their shapes
+    (:func:`expected_param_shapes`), else a ShapeError names both sets or the
+    misshaped parameter; its entries may be plain arrays or gradient-requiring
+    tensors, so the same code path serves inference and training.
     """
     n = _batch_rows(kind, text, image)
-    _check_param_names(kind, params)
+    _check_params(kind, params)
     columns = _FINAL_COLUMNS[kind]
     blocks = {name: Tensor(_float64(block, f"{name} batch"))
               for name, block in (("text", text), ("image", image)) if name in columns}
@@ -314,10 +316,6 @@ def _final_layer(blocks: dict, w: Tensor, b: Tensor, columns: dict) -> Tensor:
     array filled block by block with ``gᵀ @ block``, so no zero-padded
     [18, width] gradient is made per block.
     """
-    width = max(cols.stop for cols in columns.values())
-    if w.shape != (N_CLASSES, width) or b.shape != (N_CLASSES,):
-        raise ShapeError(f"final layer needs w {(N_CLASSES, width)} and b {(N_CLASSES,)}, "
-                         f"got {w.shape} and {b.shape}")
     out = None
     for name, cols in columns.items():
         part = (Tensor(blocks[name].data) @ Tensor(w.data[:, cols].T)).data
@@ -409,6 +407,9 @@ def _fold(models: Sequence[FusionModel]) -> tuple[str, dict[str, np.ndarray]]:
     folded arrays never pass through :class:`FusionModel`, whose float32
     rounding would move the logits.
     """
+    _check_type("models", models, (list, tuple), DomainError)
+    for i, m in enumerate(models):
+        _check_type(f"models[{i}]", m, FusionModel, DomainError)
     check_fusion_set([m.kind for m in models])
     folded = sorted(models, key=lambda m: "attended" in _FINAL_COLUMNS[m.kind])
     reads = {name for m in models for name in _FINAL_COLUMNS[m.kind]}

@@ -162,22 +162,6 @@ def matmul(a, b) -> Tensor:
                    lambda g, x: np.swapaxes(x, -1, -2) @ g)
 
 
-def relu(x) -> Tensor:
-    x = as_tensor(x)
-    d = x.data
-    return _node(np.maximum(d, 0.0), (x, lambda g: g * (d > 0.0).astype(np.float64)))
-
-
-def relu6(x) -> Tensor:
-    """min(max(x, 0), 6): relu clipped at 6."""
-    x = as_tensor(x)
-    d = x.data
-    return _node(
-        np.clip(d, 0.0, 6.0),
-        (x, lambda g: g * ((d > 0.0) & (d < 6.0)).astype(np.float64)),
-    )
-
-
 def _sigmoid_values(d: Array) -> Array:
     # exp of minus the magnitude never overflows: 1/(1+e^-d) at d >= 0, e^d/(1+e^d) below;
     # np.minimum returns d itself where d is NaN, so a NaN keeps its sign
@@ -186,38 +170,30 @@ def _sigmoid_values(d: Array) -> Array:
     return np.where(d >= 0.0, 1.0 / den, ex / den)
 
 
-def sigmoid(x) -> Tensor:
-    x = as_tensor(x)
-    s = _sigmoid_values(x.data)
-    return _node(s, (x, lambda g: g * (s * (1.0 - s))))
-
-
-def hswish(x) -> Tensor:
-    """x * relu6(x + 3) / 6: zero below -3, identity above +3."""
-    x = as_tensor(x)
-    d = x.data
-    gate = np.clip(d + 3.0, 0.0, 6.0)
-    out = d * gate / 6.0
-
-    def deriv() -> Array:
-        inner = ((d > -3.0) & (d < 3.0)).astype(np.float64)
-        return gate / 6.0 + d * inner / 6.0
-
-    return _node(out, (x, lambda g: g * deriv()))
-
-
-_ACTIVATIONS = {"sigmoid": sigmoid, "relu": relu, "relu6": relu6, "hswish": hswish}
+# each element-wise nonlinearity: its value at the input d, and its slope at d given the value y
+_ACTIVATIONS = {
+    "sigmoid": (_sigmoid_values, lambda d, y: y * (1.0 - y)),
+    "relu": (lambda d: np.maximum(d, 0.0), lambda d, y: (d > 0.0).astype(np.float64)),
+    "relu6": (lambda d: np.clip(d, 0.0, 6.0),
+              lambda d, y: ((d > 0.0) & (d < 6.0)).astype(np.float64)),
+    # x * relu6(x + 3) / 6: zero below -3, identity above +3
+    "hswish": (lambda d: d * np.clip(d + 3.0, 0.0, 6.0) / 6.0,
+               lambda d, y: np.clip(d + 3.0, 0.0, 6.0) / 6.0
+               + d * ((d > -3.0) & (d < 3.0)).astype(np.float64) / 6.0),
+}
 
 ACTIVATION_KINDS = tuple(_ACTIVATIONS)
 
 
 def activation(kind: str, x) -> Tensor:
-    """Apply one of the named element-wise nonlinearities."""
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
+    """Apply the element-wise nonlinearity named ``kind``, one of :data:`ACTIVATION_KINDS`;
+    its backward scales the gradient by the kind's slope."""
+    if not isinstance(kind, str) or kind not in _ACTIVATIONS:
         raise DomainError(f"unknown activation {kind!r}, expected one of {ACTIVATION_KINDS}")
-    return fn(x)
+    value, slope = _ACTIVATIONS[kind]
+    x = as_tensor(x)
+    y = value(x.data)
+    return _node(y, (x, lambda g: g * slope(x.data, y)))
 
 
 def softmax_rows(m) -> Tensor:

@@ -54,6 +54,9 @@ from .tensor import Tensor, _node, _sigmoid_values, as_tensor
 
 # ------------------------------------------------------------- class weights
 
+# the least total of positive labels the log-ratio weights are defined for
+MIN_WEIGHTED_TOTAL = 3
+
 
 @dataclass(frozen=True)
 class ClassWeights:
@@ -84,7 +87,7 @@ def class_weights(counts, total: int | None = None) -> ClassWeights:
     if (arr < 0).any():
         raise DomainError("per-class counts must be >= 0")
     t = arr.sum() if total is None else total
-    _check_setting("total", t, int, 3)
+    _check_setting("total", t, int, MIN_WEIGHTED_TOTAL)
     clamped = np.maximum(arr, 2).astype(np.float64)
     ratio = np.log(clamped) / math.log(t)
     values = 0.5 * (ratio + 1.0 / ratio)
@@ -356,8 +359,9 @@ def train_head(
 ) -> TrainResult:
     """Mini-batch Adam on one head; returns the best-validation snapshot.
 
-    Both splits must be labeled, non-empty and share no id, else a DatasetError
-    is raised before any training.  Validation runs once per epoch, on the
+    Both splits must be labeled, non-empty and share no id, and with class
+    weighting the training split must hold :data:`MIN_WEIGHTED_TOTAL` positive
+    labels, else a DatasetError is raised before any training.  Validation runs once per epoch, on the
     float32 snapshot that epoch ends with, and its record keeps both scores
     (:func:`metrics.scores`).  So ``history[best_epoch - 1]`` holds exactly the
     scores of the returned model, which a caller would save and reload, and
@@ -372,10 +376,11 @@ def train_head(
         if data.labels is None:
             raise DatasetError(f"{name} split has no labels")
 
-    if config.class_weighting:
-        weights = class_weights(train.label_counts())
-    else:
-        weights = uniform_weights()
+    counts = train.label_counts()
+    if config.class_weighting and counts.sum() < MIN_WEIGHTED_TOTAL:
+        raise DatasetError(f"training split holds {counts.sum()} positive labels, class "
+                           f"weighting needs at least {MIN_WEIGHTED_TOTAL}")
+    weights = class_weights(counts) if config.class_weighting else uniform_weights()
 
     params = init_head_params(kind, config.seed)
     state = init_adam_state(params)
@@ -471,8 +476,7 @@ def _fused_scores(models: Mapping[str, FusionModel], data: EmbeddingDataset) -> 
 def fused_probs(models: Mapping[str, FusionModel], data: EmbeddingDataset) -> np.ndarray:
     """Sigmoid probabilities of the heads' mean-fused logits, [n, 18], from folded heads."""
     _check_type("models", models, Mapping, DomainError)
-    for kind, model in models.items():
-        _check_type(f"models[{kind!r}]", model, FusionModel, DomainError)
+    _check_type("data", data, EmbeddingDataset, DatasetError)
     return logits_to_probs(predict_fused_logits(list(models.values()), data.text, data.image))
 
 

@@ -43,7 +43,7 @@ class ConvSpec:
     def __post_init__(self):
         for name in ("dk", "m", "n", "df", "groups"):
             _check_setting(f"ConvSpec.{name}", getattr(self, name), int, 1)
-        if self.mode not in CONV_MODES:
+        if not isinstance(self.mode, str) or self.mode not in CONV_MODES:
             raise DomainError(f"ConvSpec.mode must be one of {CONV_MODES}, got {self.mode!r}")
         if self.m % self.groups or self.n % self.groups:
             raise ShapeError(

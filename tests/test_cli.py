@@ -532,7 +532,7 @@ class TestPredictAndFuse:
                        preds["val"] / "logits.femb", "--ids", preds["test"] / "ids.csv",
                        "--out", out)
         assert proc.returncode == 2
-        assert "32 rows, but its ids.csv lists 2" in proc.stderr
+        assert f"{preds['val'] / 'logits.femb'}: 32 rows for 2 row ids" in proc.stderr
 
     def test_fuse_logits_requires_every_truth_id_fused(self, tmp_path):
         truth = tmp_path / "truth.csv"

@@ -1,5 +1,6 @@
 """Label vocabulary, head forwards, logit fusion, and label assignment."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mmfusion.attention import AttentionParams, cross_attention
-from mmfusion.data_io import EmbeddingDataset, write_predictions
+from mmfusion.data_io import EmbeddingDataset, gen_synthetic, write_predictions
 from mmfusion.errors import DomainError, LabelDomainError, NumericError, ShapeError
 from mmfusion.fusion import (
     CLASS_IDS,
@@ -38,6 +39,7 @@ from mmfusion.fusion import (
 from mmfusion.metrics import confusion_counts
 import mmfusion.tensor as tensor_mod
 from mmfusion.tensor import Tensor, grad_check
+from mmfusion.training import TrainConfig, train_head
 
 
 @pytest.fixture
@@ -272,6 +274,25 @@ class TestForwardMacs:
             forward_macs("linear")
 
 
+# every entry point that takes a head kind, as a call on that kind
+KIND_ENTRY_POINTS = {
+    "train_head": lambda kind: train_head(*gen_synthetic(0, 4, 1, 4, 0.1)[::2], kind,
+                                          TrainConfig(max_epochs=1)),
+    "head_forward_batch": lambda kind: head_forward_batch(kind, {}, np.zeros((1, TEXT_DIM)), None),
+    "init_head_params": lambda kind: init_head_params(kind, 0),
+    "expected_param_shapes": expected_param_shapes,
+    "forward_macs": forward_macs,
+    "FusionModel": lambda kind: FusionModel(kind, {}),
+}
+
+
+@pytest.mark.parametrize("entry", KIND_ENTRY_POINTS)
+def test_array_kind_is_an_unknown_kind(entry):
+    # an array would compare element-wise with each kind and fail as a bare ValueError
+    with pytest.raises(DomainError, match=r"^unknown head kind array\(\['text_linear'\]"):
+        KIND_ENTRY_POINTS[entry](np.array(["text_linear"]))
+
+
 class TestFinalLayer:
     @pytest.mark.parametrize("kind", HEAD_KINDS)
     def test_matches_plain_numpy_bit_for_bit(self, kind, rng):
@@ -315,8 +336,18 @@ class TestFinalLayer:
                                              ("b", (1,))])
     def test_misshaped_final_layer_rejected(self, name, shape, rng):
         params = {**make_model("concat_fcnn", rng).params, name: np.zeros(shape)}
-        with pytest.raises(ShapeError, match=r"final layer needs w \(18, 1920\) and b \(18,\)"):
+        want = expected_param_shapes("concat_fcnn")[name]
+        with pytest.raises(ShapeError, match=re.escape(f"parameter {name!r} must have shape "
+                                                       f"{want}, got {shape}")):
             head_forward_batch("concat_fcnn", params, *make_batch(rng, 2))
+
+    def test_off_table_projections_rejected(self, rng):
+        # a (128, 64) query and key projection still multiply through, to logits no model holds
+        params = {**make_model("cross_attn_fcnn", rng).params,
+                  "wq": np.zeros((TEXT_DIM, 64)), "wk": np.zeros((TEXT_DIM, 64))}
+        with pytest.raises(ShapeError, match=re.escape("parameter 'wq' must have shape "
+                                                       "(128, 128), got (128, 64)")):
+            head_forward_batch("cross_attn_fcnn", params, *make_batch(rng, 2))
 
     @pytest.mark.parametrize("kind, mib", [("concat_fcnn", 0.5), ("vision_linear", 0.3)])
     def test_backward_makes_no_padded_weight_gradient(self, kind, mib, rng):

@@ -37,6 +37,7 @@ from mmfusion.fusion import (
     head_forward_batch,
     init_head_params,
     logits_to_probs,
+    predict_fused_logits,
     predict_logits,
 )
 from mmfusion.tensor import Tensor, grad_check
@@ -44,11 +45,12 @@ from mmfusion.training import (
     TrainConfig,
     adam_step,
     class_weights,
+    fused_probs,
     init_adam_state,
     uniform_weights,
     weighted_bce_loss,
 )
-from mmfusion.vision_blocks import ConvSpec, ScalingSpec, conv2d_forward
+from mmfusion.vision_blocks import CONV_MODES, ConvSpec, ScalingSpec, conv2d_forward
 
 
 def synthetic(**setting):
@@ -182,6 +184,21 @@ WRONG_ARGUMENTS = [
     pytest.param(lambda: rows_in_order(("a",), None, np.zeros((1, 2)), "truth.csv"),
                  DatasetError, "row_ids must be of type tuple or list, got NoneType",
                  id="rows_in_order-row_ids-None"),
+    pytest.param(lambda: rows_in_order(("a", "b"), ("a", "b"), np.zeros((1, 2)), "s"),
+                 DatasetError, "s: 1 rows for 2 row ids", id="rows_in_order-rows-short-in-order"),
+    pytest.param(lambda: rows_in_order(("a", "b"), ("b", "a"), np.zeros((1, 2)), "s"),
+                 DatasetError, "s: 1 rows for 2 row ids", id="rows_in_order-rows-short-reordered"),
+    pytest.param(lambda: fused_probs({"text_linear": TEXT_HEAD}, None), DatasetError,
+                 "data must be of type EmbeddingDataset, got NoneType", id="fused_probs-data-None"),
+    pytest.param(lambda: predict_fused_logits("ab", TEXT, None), DomainError,
+                 "models must be of type list or tuple, got str",
+                 id="predict_fused_logits-models-str"),
+    pytest.param(lambda: predict_fused_logits([TEXT_HEAD, None], TEXT, None), DomainError,
+                 "models[1] must be of type FusionModel, got NoneType",
+                 id="predict_fused_logits-models-holding-None"),
+    pytest.param(lambda: ConvSpec(3, 4, 4, 8, mode=np.zeros((2, 2))), DomainError,
+                 f"ConvSpec.mode must be one of {CONV_MODES}, got {np.zeros((2, 2))!r}",
+                 id="ConvSpec-mode-ndarray"),
 ]
 
 

@@ -25,6 +25,7 @@ from mmfusion.fusion import (
     fuse_logits,
     head_forward_batch,
     logits_to_probs,
+    predict_fused_logits,
     predict_logits,
 )
 from mmfusion.tensor import Tensor, grad_check
@@ -37,6 +38,7 @@ from mmfusion.training import (
     bce_loss_node,
     class_weights,
     evaluate_model,
+    fused_predictions,
     fused_probs,
     fused_val_f1,
     init_adam_state,
@@ -487,6 +489,24 @@ class TestTrainHead:
         assert all(leaf.grad is not None for leaf in leaves.values())
         assert peak <= 2 * 2**20
 
+    def test_class_weighting_refuses_too_few_positive_labels(self, monkeypatch):
+        # one row holding two labels: the weights' total would be 2, a setting never passed
+        train, _, val = small_splits(n_train=4, n_val=8)
+        labels = np.zeros((1, N_CLASSES), dtype=bool)
+        labels[0, :2] = True
+        one_row = EmbeddingDataset(ids=train.ids[:1], text=train.text[:1],
+                                   image=train.image[:1], labels=labels)
+        started = []
+        monkeypatch.setattr("mmfusion.training.init_head_params",
+                            lambda *args: started.append(args))
+        with pytest.raises(DatasetError, match="^training split holds 2 positive labels, "
+                                               "class weighting needs at least 3$"):
+            train_head(one_row, val, "text_linear", TrainConfig(max_epochs=1))
+        assert started == []
+        monkeypatch.undo()
+        unweighted = TrainConfig(max_epochs=1, class_weighting=False)
+        assert train_head(one_row, val, "text_linear", unweighted).best_epoch == 1
+
     def test_zero_lr_is_a_no_op(self):
         train, _, val = small_splits(n_train=48, n_val=24)
         cfg = TrainConfig(lr=0.0, max_epochs=4, patience=10, batch_size=16)
@@ -697,6 +717,14 @@ WRONG_ARGUMENTS = [
                  id="evaluate_model-model-None"),
     pytest.param(lambda tr, va, m: fused_val_f1([m], va), DomainError,
                  id="fused_val_f1-models-list"),
+    pytest.param(lambda tr, va, m: fused_probs({"text_linear": m}, None), DatasetError,
+                 id="fused_probs-data-None"),
+    pytest.param(lambda tr, va, m: fused_predictions({"text_linear": m}, None), DatasetError,
+                 id="fused_predictions-data-None"),
+    pytest.param(lambda tr, va, m: predict_fused_logits(None, va.text, va.image), DomainError,
+                 id="predict_fused_logits-models-None"),
+    pytest.param(lambda tr, va, m: predict_fused_logits("ab", va.text, va.image), DomainError,
+                 id="predict_fused_logits-models-str"),
     pytest.param(lambda tr, va, m: va.subset(range(4)).subset([7]), DatasetError,
                  id="subset-index-out-of-range"),
     pytest.param(lambda tr, va, m: va.subset(range(4)).subset([1.0]), DatasetError,
